@@ -6,6 +6,10 @@ top-K averaging per query frame. Both top-K stages normalize by 1/K so the
 output scale is independent of K and bounded like a cosine; K=1 degenerates
 to max-based (Chamfer) matching and K=n to plain average pooling, bit for
 bit.
+
+:func:`video_similarity` runs the pipeline on one clip pair and is the
+oracle; :func:`batch_similarity_matrix` runs the same stages on tiles of
+clip pairs at once and reproduces the oracle bitwise.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "patch_similarity",
     "topk_count",
     "topk_sum_last",
+    "topk_sum_values",
     "spatial_topk_chamfer",
     "chamfer_frame_similarity",
     "mean_frame_similarity",
@@ -34,6 +39,15 @@ __all__ = [
     "average_pool_ceil",
     "normalize_rows",
 ]
+
+# Byte cap of the gram slab of one tile in batch_similarity_matrix; bounds
+# the engine's working memory independently of the batch size.
+SLAB_BYTES = 1 << 18
+
+# Longest top-K axis that topk_sum_values selects from with elementwise
+# min/max passes instead of a sort; numpy reduces fewer than 8 entries in
+# sequence, which the selected sum relies on.
+SELECT_MAX_EXTENT = 8
 
 
 @dataclass(frozen=True)
@@ -169,18 +183,54 @@ def topk_sum_last(values: np.ndarray, k: int):
     return top.sum(axis=-1), order
 
 
+def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
+    """The sums of :func:`topk_sum_last` without the indices, bitwise equal.
+
+    The k largest entries are summed in descending order, as the stable
+    argsort orders them; tied entries are equal values, so which of them is
+    selected does not change a bit. k == extent and k == 1 take the same
+    sum and max paths.
+
+    In between, axes of up to SELECT_MAX_EXTENT entries are not sorted row
+    by row: k bubble passes of elementwise min/max over the column slices
+    carry the k largest values to the last k columns, which are then added
+    from 0.0 in descending order, the order in which numpy reduces a
+    contiguous row of fewer than 8 entries. Longer axes are sorted.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    extent = values.shape[-1]
+    if not 1 <= k <= extent:
+        raise StructuralError(f"k={k} out of range for axis of length {extent}")
+    if k == extent:
+        return values.sum(axis=-1)
+    if k == 1:
+        return np.max(values, axis=-1)
+    if extent <= SELECT_MAX_EXTENT:
+        cols = [values[..., j] for j in range(extent)]
+        for p in range(k):
+            for j in range(extent - 1 - p):
+                lo, hi = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
+                cols[j], cols[j + 1] = lo, hi
+        total = 0.0
+        for col in cols[: -k - 1 : -1]:
+            total = total + col
+        return total
+    top = np.sort(values, axis=-1)[..., : -k - 1 : -1]  # k largest, descending
+    return np.ascontiguousarray(top).sum(axis=-1)
+
+
 def spatial_topk_chamfer(sim: np.ndarray, k_s: float) -> np.ndarray:
-    """Aggregate a (T, R, R', T') patch-similarity tensor over the candidate
-    patch axis (top-K per query patch) and average over query patches,
-    producing the (T, T') frame-similarity matrix."""
+    """Aggregate a (..., T, R, R', T') patch-similarity tensor over the
+    candidate patch axis (top-K per query patch) and average over query
+    patches, producing the (..., T, T') frame-similarity matrices."""
     sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 4:
-        raise StructuralError(f"expected a 4-d tensor, got shape {sim.shape}")
-    t, r, rc, tc = sim.shape
+    if sim.ndim < 4:
+        raise StructuralError(f"expected a (..., T, R, R', T') tensor, got shape {sim.shape}")
+    r, rc = sim.shape[-3], sim.shape[-2]
     k = topk_count(k_s, rc)
-    moved = np.moveaxis(sim, 2, -1)  # (T, R, T', R')
-    summed, _ = topk_sum_last(moved, k)  # (T, R, T')
-    return summed.sum(axis=1) / (r * k)
+    moved = np.moveaxis(sim, -2, -1)  # (..., T, R, T', R')
+    summed = topk_sum_values(moved, k)  # (..., T, R, T')
+    return summed.sum(axis=-2) / (r * k)
 
 
 def chamfer_frame_similarity(sim: np.ndarray) -> np.ndarray:
@@ -198,16 +248,17 @@ def mean_frame_similarity(sim: np.ndarray) -> np.ndarray:
     return np.moveaxis(sim, 2, -1).sum(axis=-1).sum(axis=1) / (r * rc)
 
 
-def temporal_topk_chamfer(frame_sim: np.ndarray, k_t: float) -> float:
+def temporal_topk_chamfer(frame_sim: np.ndarray, k_t: float) -> float | np.ndarray:
     """Video-level similarity: top-K of each query frame's row, averaged over
-    frames and normalized by K."""
+    frames and normalized by K. A (T, T') matrix gives a float; a
+    (..., T, T') stack gives an array over the leading axes."""
     m = np.asarray(frame_sim, dtype=np.float64)
-    if m.ndim != 2:
-        raise StructuralError(f"expected a (T, T') matrix, got shape {m.shape}")
-    t, tc = m.shape
+    if m.ndim < 2:
+        raise StructuralError(f"expected a (..., T, T') matrix, got shape {m.shape}")
+    t, tc = m.shape[-2], m.shape[-1]
     k = topk_count(k_t, tc)
-    summed, _ = topk_sum_last(m, k)
-    return float(summed.sum() / (t * k))
+    out = topk_sum_values(m, k).sum(axis=-1) / (t * k)
+    return float(out) if m.ndim == 2 else out
 
 
 def temporal_mean(frame_sim: np.ndarray) -> float:
@@ -283,13 +334,51 @@ def batch_similarity_matrix(
     params: AggregationParams,
     refiner: RefinerParams = RefinerParams(),
 ) -> np.ndarray:
-    """All pairwise video similarities of a clip batch. Not symmetric in
-    general: the query side drives the top-K selections."""
+    """All pairwise video similarities of a clip batch; entry (i, j) is
+    bitwise ``video_similarity(batch[i], batch[j], params, refiner)``. Not
+    symmetric in general: the query side drives the top-K selections.
+
+    The clips must share one (T, R, D) shape. They are normalized and
+    stacked once; the (n, n) matrix is then filled tile by tile, a block of
+    query clips against a block of candidate clips, with a gram slab of at
+    most SLAB_BYTES per tile (or one clip pair, if that is larger). The slab
+    is one stacked matmul that makes the same BLAS call per clip pair as
+    :func:`patch_similarity`: a single gemm over the whole tile rounds some
+    cosines differently on some BLAS kernels. The per-pair stages then run
+    on the slab with the clip pair as leading axes.
+    """
     if len(batch) == 0:
         raise StructuralError("batch must be nonempty")
+    shapes = {clip.data.shape for clip in batch}
+    if len(shapes) != 1:
+        raise StructuralError(f"batch clips must share one (T, R, D) shape, got {sorted(shapes)}")
     n = len(batch)
+    t, r, d = batch[0].data.shape
+    units = np.stack([normalize_rows(clip.data) for clip in batch]).reshape(n, t * r, d)
+    pairs = max(1, SLAB_BYTES // (8 * (t * r) ** 2))
+    cand_tile = min(n, pairs)
+    query_tile = min(n, max(1, pairs // cand_tile))
     out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = video_similarity(batch[i], batch[j], params, refiner)
+    for q0 in range(0, n, query_tile):
+        # a buffer of its own: numpy sends the product of a matrix with its
+        # own transpose (the diagonal pairs) to syrk, not to the per-pair gemm
+        query = units[q0 : q0 + query_tile].copy()
+        for c0 in range(0, n, cand_tile):
+            out[q0 : q0 + query_tile, c0 : c0 + cand_tile] = _tile_similarity(
+                query, units[c0 : c0 + cand_tile], t, r, params, refiner
+            )
     return out
+
+
+def _tile_similarity(query, cand, t: int, r: int, params, refiner) -> np.ndarray:
+    """(q, c) video similarities of stacked unit clips (q, T*R, D) against
+    (c, T*R, D)."""
+    q, c = query.shape[0], cand.shape[0]
+    gram = np.matmul(query[:, None], cand.transpose(0, 2, 1)[None])  # (q, c, T*R, T'*R')
+    sim = gram.reshape(q, c, t, r, t, r).swapaxes(-1, -2)  # (q, c, T, R, R', T') view
+    if topk_count(params.k_s, r) == r:
+        # the plain sum over R' adds in memory order: lay each pair out as
+        # patch_similarity does (the top-K and max paths do not depend on it)
+        sim = np.ascontiguousarray(sim)
+    frame = spatial_topk_chamfer(sim, params.k_s)
+    return temporal_topk_chamfer(refine(frame, refiner), params.k_t)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from math import fsum
 
 BENCH_LOSSES = ("quadlinear", "smooth", "heaviside", "triplet", "contrastive")
 
@@ -35,7 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory (default: $APRANKING_OUT_DIR or ./apranking-out)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument(
+        "--seed", type=int, default=None,
+        help="random seed (default: the seed of --config, else 0); overrides the config's seeds",
+    )
     common.add_argument(
         "--deterministic",
         action="store_true",
@@ -135,7 +139,7 @@ def _stamp(args, extra=None) -> dict:
     stamp = {
         "version": __version__,
         "git": _git_rev(),
-        "seed": args.seed,
+        "seed": _seed(args),
         "deterministic": bool(args.deterministic),
         "command": args.command,
     }
@@ -158,6 +162,11 @@ def _git_rev() -> str:
         return "unknown"
 
 
+def _seed(args) -> int:
+    """The --seed flag, or 0 when it is not given."""
+    return 0 if args.seed is None else args.seed
+
+
 def _wall_clock(args, started: float):
     return None if args.deterministic else time.time() - started
 
@@ -176,7 +185,8 @@ def _load_train_config(args):
             raise ParameterError(f"config file is not valid JSON: {exc}")
         cfg = config_from_dict(payload)
     else:
-        cfg = easy_preset(seed=args.seed) if args.preset == "easy" else hard_preset(seed=args.seed)
+        preset = easy_preset if args.preset == "easy" else hard_preset
+        cfg = preset(seed=_seed(args))
     overrides = {}
     if args.seed is not None:
         from dataclasses import replace
@@ -263,7 +273,7 @@ def cmd_bench_loss(args) -> int:
             continue
         contexts = []
         for s in range(args.seeds):
-            rng = np.random.default_rng(args.seed + 1000 * s)
+            rng = np.random.default_rng(_seed(args) + 1000 * s)
             contexts.append(
                 random_safe_context(rng, 3, 5, breakpoints=(0.0, -args.delta, -args.margin)))
         checks[name] = max_gradient_error(context_losses[name], contexts)
@@ -327,6 +337,7 @@ def cmd_train(args) -> int:
         results[cfg.video_loss] = _run_one(out, "", cfg)
 
     report = _stamp(args, {
+        "seed": cfg.seed,
         "config": config_to_dict(cfg),
         "comparative": bool(losses and len(losses) > 1),
         "results": results,
@@ -403,8 +414,8 @@ def _read_eval_inputs(args):
 
 
 def cmd_eval(args) -> int:
-    from .errors import NumericsError
-    from .metrics import average_precision, brute_force_ap, mean_ap, micro_ap
+    from .errors import NumericsError, UndefinedMetricError
+    from .metrics import average_precision, brute_force_ap, micro_ap
     from .tensorio import write_csv, write_json_report
 
     started = time.time()
@@ -413,10 +424,12 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     scored = [q for q in queries if np.any(q.labels == 1)]
+    if not scored:
+        raise UndefinedMetricError("no query has a positive label")
     aps = [average_precision(q) for q in scored]
     report = _stamp(args, {
         "ap_per_query": aps,
-        "map": mean_ap(scored),
+        "map": fsum(aps) / len(aps),  # what mean_ap(scored) returns, without a second AP pass
         "micro_ap": micro_ap(scored),
         "num_queries": len(scored),
         "num_skipped": len(queries) - len(scored),
@@ -435,35 +448,6 @@ def cmd_eval(args) -> int:
     if args.verify and report["verify"]["oracle_mismatches"]:
         raise NumericsError(f"{report['verify']['oracle_mismatches']} oracle mismatches")
     return 0
-
-
-def _avgpool_eval(model, clips, k_s: float):
-    """Average-pooling evaluator: same pipeline with the temporal stage
-    replaced by the structured mean."""
-    import numpy as np
-
-    from .aggregation import (
-        PatchEmbeddings,
-        patch_similarity,
-        refine,
-        spatial_topk_chamfer,
-        temporal_mean,
-    )
-    from .metrics import evaluate_retrieval
-    from .model import model_refiner_params
-    from .ranking import RelevanceMatrix
-
-    w = model.weight.value
-    refiner = model_refiner_params(model)
-    mapped = [PatchEmbeddings(c.student.data @ w.T) for c in clips]
-    n = len(mapped)
-    sim = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            frame = spatial_topk_chamfer(patch_similarity(mapped[i], mapped[j]), k_s)
-            sim[i, j] = temporal_mean(refine(frame, refiner))
-    rel = RelevanceMatrix.from_groups([c.group for c in clips])
-    return evaluate_retrieval(sim, rel, exclude_self=True)
 
 
 def cmd_ablate(args) -> int:
@@ -516,6 +500,7 @@ def cmd_ablate(args) -> int:
     table = os.path.join(out, f"ablate_{args.axis}.csv")
     write_csv(table, list(rows[0].keys()), rows)
     report = _stamp(args, {
+        "seed": cfg.seed,
         "axis": args.axis,
         "grid": entries,
         "rows": rows,
@@ -589,7 +574,8 @@ def _ablate_k_axis(args, cfg, entries):
 
     extra = {}
     if args.axis == "k_t":
-        pool = _avgpool_eval(model, clips, cfg.agg.k_s)
+        # average pooling over candidate frames is the top-K engine at k_t = 1
+        pool = evaluate_model(model, clips, AggregationParams(k_s=cfg.agg.k_s, k_t=1.0))
         extra["avgpool"] = {"map": pool.map, "micro_ap": pool.micro_ap}
     return rows, extra
 

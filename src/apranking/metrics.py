@@ -68,19 +68,26 @@ def average_precision(sl: ScoredList) -> float:
 
 
 def brute_force_ap(sl: ScoredList) -> float:
-    """Independent AP oracle: sort the list descending and scan it, averaging
-    precision at each positive. Shares no rank machinery with
-    :func:`average_precision`; intended for distinct scores (ties resolve by
-    input order here rather than optimistically)."""
+    """Independent AP oracle: sort the list descending and scan it block by
+    block of equal scores, averaging precision at each positive. Every
+    positive of a block counts the block's positives and items as ranked
+    after it, the tie-optimistic rule of :func:`average_precision`, with
+    which it shares no rank machinery."""
     if not np.any(sl.labels == 1):
         raise UndefinedMetricError("average precision undefined without positives")
     order = sorted(range(sl.scores.size), key=lambda i: -sl.scores[i])
-    hits = 0
+    hits = seen = 0
     precisions = []
-    for position, idx in enumerate(order, start=1):
-        if sl.labels[idx] == 1:
-            hits += 1
-            precisions.append(Fraction(hits, position))
+    start = 0
+    while start < len(order):
+        end = start
+        while end < len(order) and sl.scores[order[end]] == sl.scores[order[start]]:
+            end += 1
+        block_hits = sum(1 for idx in order[start:end] if sl.labels[idx] == 1)
+        precisions += [Fraction(hits + 1, seen + 1)] * block_hits
+        hits += block_hits
+        seen += end - start
+        start = end
     return float(sum(precisions) / hits)
 
 

@@ -2,9 +2,12 @@
 
 The head is a D-by-D map applied to every patch embedding before cosine
 similarity; the refiner re-maps the frame-similarity matrix. Training runs
-through the autodiff graph built in :func:`forward_similarity`; evaluation
-uses the plain-numpy aggregation pipeline with the same parameters, and the
-two paths are cross-checked in tests.
+through the autodiff graph built in :func:`forward_similarity`. Evaluation,
+:func:`eval_similarity_matrix`, runs the same parameters through the tiled
+numpy engine :func:`~apranking.aggregation.batch_similarity_matrix`, which
+is pinned bitwise to the per-pair oracle
+:func:`~apranking.aggregation.video_similarity`; the graph and the engine
+are cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -150,8 +153,8 @@ def forward_similarity(
 
 
 def eval_similarity_matrix(model: Model, clips, params: AggregationParams) -> np.ndarray:
-    """Plain-numpy similarity matrix for evaluation: map each clip through
-    the trained head, then run the library aggregation pipeline."""
+    """Similarity matrix for evaluation: map each clip through the trained
+    head, then run the tiled engine on all clip pairs at once."""
     w = model.weight.value
     mapped = [PatchEmbeddings(c.student.data @ w.T) for c in clips]
     return batch_similarity_matrix(mapped, params, model_refiner_params(model))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apranking import aggregation
 from apranking.aggregation import (
     AggregationParams,
     PatchEmbeddings,
@@ -20,6 +21,7 @@ from apranking.aggregation import (
     temporal_topk_chamfer,
     topk_count,
     topk_sum_last,
+    topk_sum_values,
     video_similarity,
 )
 from apranking.errors import DegenerateInputError, ParameterError, StructuralError
@@ -163,6 +165,33 @@ class TestTopkSumLast:
         np.testing.assert_allclose(summed, expected, atol=1e-15)
 
 
+class TestTopkSumValues:
+    def test_bitwise_equal_to_stable_argsort_sums(self):
+        # extents on both sides of SELECT_MAX_EXTENT, every k, and rounded
+        # values so that ties occur
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            extent = int(rng.integers(1, 13))
+            shape = tuple(int(s) for s in rng.integers(1, 5, size=int(rng.integers(0, 3)))) + (extent,)
+            values = np.round(rng.uniform(-1, 1, size=shape), int(rng.integers(0, 3)))
+            for k in range(1, extent + 1):
+                expected, _ = topk_sum_last(values, k)
+                got = topk_sum_values(values, k)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected), (shape, k)
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(16)
+        values = rng.uniform(-1, 1, size=(3, 6, 5))
+        moved = np.moveaxis(values, 1, -1)
+        for k in range(1, 7):
+            assert np.array_equal(topk_sum_values(moved, k), topk_sum_last(moved, k)[0])
+
+    def test_k_out_of_range(self):
+        with pytest.raises(StructuralError):
+            topk_sum_values(np.zeros((2, 3)), 0)
+
+
 class TestRefiner:
     def test_identity_returns_input(self):
         m = np.array([[0.5, -0.5]])
@@ -267,3 +296,80 @@ class TestBatchSimilarityMatrix:
     def test_empty_batch_rejected(self):
         with pytest.raises(StructuralError):
             batch_similarity_matrix([], AggregationParams())
+
+    def test_mixed_shapes_rejected(self):
+        rng = np.random.default_rng(17)
+        for other in ((4, 2, 4), (3, 3, 4), (3, 2, 5)):
+            with pytest.raises(StructuralError):
+                batch_similarity_matrix(
+                    [random_embeddings(rng), PatchEmbeddings(rng.standard_normal(other))],
+                    AggregationParams(),
+                )
+
+
+REFINERS = {
+    "identity": RefinerParams(),
+    "affine": RefinerParams(kind="affine", scale=0.9, bias=-0.05),
+    "affine-s2": RefinerParams(kind="affine", scale=1.3, bias=0.1, downsample=2),
+    "conv": RefinerParams(kind="conv", conv_weights=np.arange(9.0).reshape(3, 3) / 9 - 0.4, conv_bias=0.1),
+    "conv-s2": RefinerParams(kind="conv", conv_weights=np.linspace(-1, 1, 9).reshape(3, 3), downsample=2),
+}
+
+
+class TestEngineMatchesOracle:
+    """batch_similarity_matrix against the per-pair video_similarity, entry
+    by entry with exact ==."""
+
+    @staticmethod
+    def rates(rng):
+        # k = 1, k in between (where the axis allows it) and k = extent, on
+        # both axes, plus one random pair of rates
+        return [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0),
+                (float(rng.uniform()), float(rng.uniform()))]
+
+    @staticmethod
+    def assert_matches(clips, params, refiner):
+        got = batch_similarity_matrix(clips, params, refiner)
+        assert got.shape == (len(clips), len(clips))
+        for i, a in enumerate(clips):
+            for j, b in enumerate(clips):
+                assert got[i, j] == video_similarity(a, b, params, refiner), (i, j, params, refiner)
+
+    @pytest.mark.parametrize("refiner", REFINERS.values(), ids=REFINERS.keys())
+    def test_random_shapes(self, refiner):
+        rng = np.random.default_rng(18)
+        for _ in range(4):
+            t, r = int(rng.integers(1, 11)), int(rng.integers(1, 11))
+            d = int(rng.integers(1, 33))
+            clips = [random_embeddings(rng, t, r, d) for _ in range(int(rng.integers(1, 6)))]
+            for rates in self.rates(rng):
+                self.assert_matches(clips, AggregationParams(*rates), refiner)
+
+    @pytest.mark.parametrize("refiner", REFINERS.values(), ids=REFINERS.keys())
+    def test_ties_from_duplicated_patches(self, refiner):
+        rng = np.random.default_rng(19)
+        data = rng.standard_normal((4, 6, 5, 8))
+        data[:, :, 2:] = data[:, :, :1]  # repeated patches: tied cosines
+        data[:, 3:] = data[:, :1]  # repeated frames: tied frame rows
+        clips = [PatchEmbeddings(x) for x in data]
+        for rates in self.rates(rng):
+            self.assert_matches(clips, AggregationParams(*rates), refiner)
+
+    @pytest.mark.parametrize("refiner", REFINERS.values(), ids=REFINERS.keys())
+    def test_long_axes(self, refiner):
+        # from 8 entries on, numpy sums a contiguous axis pairwise and a
+        # strided one in sequence, so the layout of every sum has to match
+        rng = np.random.default_rng(21)
+        clips = [random_embeddings(rng, 9, 10, 5) for _ in range(3)]
+        for rates in self.rates(rng):
+            self.assert_matches(clips, AggregationParams(*rates), refiner)
+
+    @pytest.mark.parametrize("pairs", [1, 3, 23, 1000])
+    def test_tile_sizes_not_dividing_n(self, monkeypatch, pairs):
+        # 7 clips against tiles of 1x1, 1x3, 3x7 and 7x7 clip pairs
+        t, r = 4, 3
+        monkeypatch.setattr(aggregation, "SLAB_BYTES", pairs * 8 * (t * r) ** 2)
+        rng = np.random.default_rng(20)
+        clips = [random_embeddings(rng, t, r, 6) for _ in range(7)]
+        for refiner in (REFINERS["identity"], REFINERS["conv-s2"]):
+            self.assert_matches(clips, AggregationParams(0.5, 0.5), refiner)

@@ -123,6 +123,30 @@ class TestTrain:
         for res_block in report["results"].values():
             assert "micro_ap" in res_block["metrics"]
 
+    def test_config_seed_kept_without_seed_flag(self, tmp_path, out_dir):
+        config = tiny_config(tmp_path, seed=7)
+        payload = json.load(open(config))
+        payload["synthetic"]["seed"] = 5
+        with open(config, "w") as fh:
+            json.dump(payload, fh)
+        res = run_cli(["train", "--config", config, "--iterations", "0", "--out", out_dir], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.load(open(os.path.join(out_dir, "train_report.json")))
+        assert report["seed"] == 7
+        assert report["config"]["seed"] == 7
+        assert report["config"]["synthetic"]["seed"] == 5
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path, out_dir):
+        config = tiny_config(tmp_path, seed=7)
+        res = run_cli(
+            ["train", "--config", config, "--seed", "3", "--iterations", "0", "--out", out_dir], tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        report = json.load(open(os.path.join(out_dir, "train_report.json")))
+        assert report["seed"] == 3
+        assert report["config"]["seed"] == 3
+        assert report["config"]["synthetic"]["seed"] == 3
+
     def test_bad_config_exits_2(self, tmp_path, out_dir):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"synthetic": {"bogus_key": 3}}))
@@ -163,6 +187,35 @@ class TestEval:
         report = json.load(open(os.path.join(out_dir, "eval_report.json")))
         assert report["verify"]["pass"] is True
 
+    def test_verify_passes_on_tied_scores(self, tmp_path, out_dir):
+        csv = tmp_path / "tied.csv"
+        csv.write_text("query,score,label\nq,0.5,0\nq,0.5,1\nq,0.1,1\n")
+        res = run_cli(["eval", "--csv", str(csv), "--verify", "--out", out_dir], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.load(open(os.path.join(out_dir, "eval_report.json")))
+        assert report["ap_per_query"] == [5 / 6]  # the tied positive ranks first
+        assert report["verify"] == {"oracle_mismatches": 0, "pass": True}
+
+    def test_each_ap_computed_once(self, tmp_path, out_dir, monkeypatch):
+        from math import fsum
+
+        from apranking import cli, metrics
+
+        calls = []
+        original = metrics.average_precision
+        monkeypatch.setattr(metrics, "average_precision", lambda q: calls.append(1) or original(q))
+        rng = np.random.default_rng(2)
+        scores = rng.standard_normal((20, 9))
+        labels = np.zeros((20, 9))
+        labels[:, 3] = 1.0
+        labels[:5] = 0.0  # five queries without a positive are skipped
+        path = tmp_path / "s.tensors"
+        write_tensors(path, {"scores": scores, "labels": labels})
+        assert cli.main(["eval", "--scores", str(path), "--out", out_dir]) == 0
+        assert len(calls) == 15
+        report = json.load(open(os.path.join(out_dir, "eval_report.json")))
+        assert report["map"] == fsum(report["ap_per_query"]) / 15
+
     def test_no_positives_exits_2(self, tmp_path, out_dir):
         csv = tmp_path / "scores.csv"
         csv.write_text("query,score,label\nq1,0.9,0\n")
@@ -189,6 +242,45 @@ class TestAblate:
         full = next(r for r in report["rows"] if r["value"] == 1.0)
         assert full["map"] == report["avgpool"]["map"]
         assert full["micro_ap"] == report["avgpool"]["micro_ap"]
+
+    # map and micro-AP of the k_t sweep and of its average-pooling row,
+    # recorded from the per-pair pipeline, whose average-pooling row took the
+    # temporal mean; the engine must reproduce them to the bit
+    PINNED = {
+        "identity": (
+            {"map": 0.7292658730158731, "micro_ap": 0.5418123648288493},
+            [(0.0, 1.0, 0.9967948717948718), (0.3, 0.9375, 0.9289410635453258),
+             (1.0, 0.7292658730158731, 0.5418123648288493)],
+        ),
+        "conv": (
+            {"map": 0.4280122655122655, "micro_ap": 0.2996595296202362},
+            [(0.0, 0.5616071428571429, 0.36287833982183354), (0.3, 0.5616071428571429, 0.36287833982183354),
+             (1.0, 0.4280122655122655, 0.2996595296202362)],
+        ),
+        "affine": (
+            {"map": 0.6995039682539682, "micro_ap": 0.4782487294738187},
+            [(0.0, 0.7299603174603174, 0.5860384948438763), (0.3, 0.7299603174603174, 0.5860384948438763),
+             (1.0, 0.6995039682539682, 0.4782487294738187)],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["identity", "conv", "affine"])
+    def test_k_t_sweep_and_avgpool_pinned(self, tmp_path, out_dir, kind):
+        from apranking.trainer import LossWeights
+
+        overrides = {} if kind == "identity" else {
+            "refiner_kind": kind, "downsample": 2, "weights": LossWeights(lambda_f=0.0),
+        }
+        config = tiny_config(tmp_path, **overrides)
+        res = run_cli(
+            ["ablate", "--axis", "k_t", "--grid", "0.0,0.3,1.0", "--config", config, "--out", out_dir],
+            tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        report = json.load(open(os.path.join(out_dir, "ablate_k_t.json")))
+        avgpool, rows = self.PINNED[kind]
+        assert report["avgpool"] == avgpool
+        assert [(r["value"], r["map"], r["micro_ap"]) for r in report["rows"]] == rows
 
     def test_delta_v_sweep_trains_per_value(self, tmp_path, out_dir):
         config = tiny_config(tmp_path)

@@ -68,6 +68,20 @@ class TestOracleEquivalence:
             sl = random_distinct_list(rng)
             assert 1.0 - average_precision(sl) == heaviside_ap_risk(sl.to_query_context())
 
+    def test_brute_force_matches_exactly_with_ties(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            scores = np.round(rng.standard_normal(n), int(rng.integers(0, 2)))
+            labels = rng.integers(0, 2, size=n)
+            labels[int(rng.integers(0, n))] = 1
+            sl = ScoredList(scores, labels)
+            assert brute_force_ap(sl) == average_precision(sl)
+
+    def test_brute_force_tied_block_is_optimistic(self):
+        # the positive tied with a negative at 0.5 ranks first: AP (1 + 2/3) / 2
+        assert brute_force_ap(ScoredList([0.5, 0.5, 0.1], [0, 1, 1])) == 5 / 6
+
     def test_brute_force_inverted_list(self):
         assert brute_force_ap(ScoredList([0.9, 0.8, 0.7, 0.1], [0, 0, 0, 1])) == 0.25
 
