@@ -36,7 +36,10 @@ __all__ = [
     "refine",
     "video_similarity",
     "batch_similarity_matrix",
+    "pool_windows",
     "average_pool_ceil",
+    "conv3x3_taps",
+    "conv3x3",
     "normalize_rows",
 ]
 
@@ -269,34 +272,45 @@ def temporal_mean(frame_sim: np.ndarray) -> float:
     return float(m.sum(axis=-1).sum() / (t * tc))
 
 
+def pool_windows(extent: int, stride: int):
+    """Start indices and sizes of the stride-s pooling windows along an axis
+    of the given extent, with ceil semantics: the last window may be
+    partial."""
+    starts = np.arange(0, extent, stride)
+    return starts, np.diff(np.append(starts, extent))
+
+
 def average_pool_ceil(m: np.ndarray, stride: int) -> np.ndarray:
     """Stride-s average pooling over the last two axes with ceil semantics;
     partial edge windows average over their actual size."""
     m = np.asarray(m, dtype=np.float64)
     if stride == 1:
         return m
-    h, w = m.shape[-2], m.shape[-1]
-    row_bounds = np.arange(0, h, stride)
-    col_bounds = np.arange(0, w, stride)
-    sums = np.add.reduceat(np.add.reduceat(m, row_bounds, axis=-2), col_bounds, axis=-1)
-    row_sizes = np.diff(np.append(row_bounds, h))
-    col_sizes = np.diff(np.append(col_bounds, w))
+    row_starts, row_sizes = pool_windows(m.shape[-2], stride)
+    col_starts, col_sizes = pool_windows(m.shape[-1], stride)
+    sums = np.add.reduceat(np.add.reduceat(m, row_starts, axis=-2), col_starts, axis=-1)
     return sums / np.outer(row_sizes, col_sizes)
 
 
-def _conv3x3(m: np.ndarray, weights: np.ndarray, bias: float, stride: int) -> np.ndarray:
+def conv3x3_taps(m: np.ndarray, stride: int):
+    """(padded, windows): ``m`` zero-padded by 1 on its last two axes, and
+    per kernel tap (a, b) the index of the strided window of ``padded``
+    that the tap multiplies."""
     h, w = m.shape[-2], m.shape[-1]
-    out_h = (h - 1) // stride + 1
-    out_w = (w - 1) // stride + 1
     padded = np.zeros(m.shape[:-2] + (h + 2, w + 2), dtype=np.float64)
     padded[..., 1 : h + 1, 1 : w + 1] = m
-    out = np.full(m.shape[:-2] + (out_h, out_w), bias, dtype=np.float64)
-    for a in range(3):
-        for b in range(3):
-            out += weights[a, b] * padded[
-                ..., a : a + (out_h - 1) * stride + 1 : stride,
-                b : b + (out_w - 1) * stride + 1 : stride,
-            ]
+    rows = [slice(a, a + (h - 1) // stride * stride + 1, stride) for a in range(3)]
+    cols = [slice(b, b + (w - 1) // stride * stride + 1, stride) for b in range(3)]
+    return padded, {(a, b): (..., rows[a], cols[b]) for a in range(3) for b in range(3)}
+
+
+def conv3x3(m: np.ndarray, weights: np.ndarray, bias: float, stride: int) -> np.ndarray:
+    """Single-channel 3x3 convolution with zero padding 1 and the given
+    stride over the last two axes of ``m``."""
+    padded, windows = conv3x3_taps(m, stride)
+    out = np.full(padded[windows[0, 0]].shape, bias, dtype=np.float64)
+    for (a, b), win in windows.items():
+        out += weights[a, b] * padded[win]
     return out
 
 
@@ -313,7 +327,7 @@ def refine(frame_sim: np.ndarray, r: RefinerParams) -> np.ndarray:
     if r.kind == "affine":
         pooled = average_pool_ceil(m, r.downsample)
         return np.clip(r.scale * pooled + r.bias, -1.0, 1.0)
-    return np.tanh(_conv3x3(m, r.conv_weights, r.conv_bias, r.downsample))
+    return np.tanh(conv3x3(m, r.conv_weights, r.conv_bias, r.downsample))
 
 
 def video_similarity(

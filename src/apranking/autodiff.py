@@ -1,11 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The op set is deliberately closed: matrix products, row normalization,
-reshapes, reductions, clamp, tanh, log-sum-exp, top-K gather, the piecewise
-quad-linear map, average pooling, a 3x3 convolution, and an escape hatch for
-scalar nodes with hand-derived gradients. Anything else fails loudly at
-graph-build time; there is no silent fallback that could produce wrong
-gradients.
+reshapes, reductions, clamp, tanh, top-K gather, average pooling, a 3x3
+convolution, and an escape hatch for scalar nodes with hand-derived
+gradients. Anything else fails loudly at graph-build time; there is no
+silent fallback that could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -41,8 +40,6 @@ __all__ = [
     "topk_sum",
     "clamp",
     "tanh",
-    "logsumexp_last",
-    "quadlinear_map",
     "average_pool_ceil",
     "conv3x3",
     "scalar_node",
@@ -320,47 +317,13 @@ def tanh(v: Var) -> Var:
     return out
 
 
-def logsumexp_last(v: Var) -> Var:
-    """log(sum(exp(.))) along the last axis, max-shifted for stability."""
-    shift = v.value.max(axis=-1, keepdims=True)
-    w = np.exp(v.value - shift)
-    zsum = w.sum(axis=-1, keepdims=True)
-    out = Var((shift + np.log(zsum))[..., 0], parents=(v,))
-    soft = w / zsum
-
-    def backward(g):
-        v.grad += g[..., None] * soft
-
-    out._backward = backward
-    return out
-
-
-def quadlinear_map(v: Var, delta: float, guard: BreakpointGuard | None = None) -> Var:
-    """Elementwise quad-linear penalty with its analytic derivative."""
-    from .losses import r_minus, r_minus_grad
-
-    if guard is not None:
-        guard.record(np.minimum(np.abs(v.value), np.abs(v.value + delta)))
-    out = Var(r_minus(v.value, delta), parents=(v,))
-    slope = r_minus_grad(v.value, delta)
-
-    def backward(g):
-        v.grad += g * slope
-
-    out._backward = backward
-    return out
-
-
 def average_pool_ceil(v: Var, stride: int) -> Var:
     """Stride-s average pooling over the last two axes (ceil semantics)."""
     if stride == 1:
         return v
     pooled = aggregation.average_pool_ceil(v.value, stride)
-    h, w = v.value.shape[-2], v.value.shape[-1]
-    row_bounds = np.arange(0, h, stride)
-    col_bounds = np.arange(0, w, stride)
-    row_sizes = np.diff(np.append(row_bounds, h))
-    col_sizes = np.diff(np.append(col_bounds, w))
+    _, row_sizes = aggregation.pool_windows(v.value.shape[-2], stride)
+    _, col_sizes = aggregation.pool_windows(v.value.shape[-1], stride)
     counts = np.outer(row_sizes, col_sizes)
     out = Var(pooled, parents=(v,))
 
@@ -377,33 +340,18 @@ def conv3x3(v: Var, weights: Var, bias: Var, stride: int = 1) -> Var:
     stride, applied over the last two axes of ``v``."""
     if weights.value.shape != (3, 3) or bias.value.ndim != 0:
         raise StructuralError("conv3x3 expects a (3, 3) kernel and 0-d bias")
-    h, w = v.value.shape[-2], v.value.shape[-1]
-    out_h = (h - 1) // stride + 1
-    out_w = (w - 1) // stride + 1
-    padded = np.zeros(v.value.shape[:-2] + (h + 2, w + 2), dtype=np.float64)
-    padded[..., 1 : h + 1, 1 : w + 1] = v.value
-    result = np.full(v.value.shape[:-2] + (out_h, out_w), bias.value, dtype=np.float64)
-    windows = {}
-    for a in range(3):
-        for b in range(3):
-            win = padded[
-                ..., a : a + (out_h - 1) * stride + 1 : stride,
-                b : b + (out_w - 1) * stride + 1 : stride,
-            ]
-            windows[(a, b)] = win
-            result += weights.value[a, b] * win
-    out = Var(result, parents=(v, weights, bias))
+    x = v.value
+    out = Var(aggregation.conv3x3(x, weights.value, bias.value, stride), parents=(v, weights, bias))
     wv = weights.value.copy()
 
     def backward(g):
         bias.grad += np.sum(g)
+        padded, windows = aggregation.conv3x3_taps(x, stride)
         gpad = np.zeros_like(padded)
         for (a, b), win in windows.items():
-            weights.grad[a, b] += np.sum(g * win)
-            gpad[
-                ..., a : a + (out_h - 1) * stride + 1 : stride,
-                b : b + (out_w - 1) * stride + 1 : stride,
-            ] += wv[a, b] * g
+            weights.grad[a, b] += np.sum(g * padded[win])
+            gpad[win] += wv[a, b] * g
+        h, w = x.shape[-2], x.shape[-1]
         v.grad += gpad[..., 1 : h + 1, 1 : w + 1]
 
     out._backward = backward

@@ -94,7 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
             "Reads scores and binary labels either from a tensor file holding "
             "'scores' and 'labels' arrays of shape (queries, items) or from a CSV "
             "with query,score,label columns, and writes a JSON metric report. "
-            "--verify recomputes every AP with the brute-force oracle."
+            "--verify recomputes every AP with the brute-force oracle. Tied "
+            "scores follow two rules: per-query AP and the oracle rank ties "
+            "optimistically (a positive tied with a negative ranks above it), "
+            "while micro-AP pools all queries into one list and orders tied "
+            "scores by query, then by item. So scores 0.5, 0.5 with labels 0, 1 "
+            "give AP 1.0 but micro-AP 0.5."
         ),
     )
     evalp.add_argument("--scores", default=None, help="tensor file with 'scores' and 'labels'")
@@ -533,28 +538,11 @@ def _override_axis(cfg, axis: str, value: float):
 
 
 def _ablate_k_axis(args, cfg, entries):
-    from dataclasses import replace
-
     from .aggregation import AggregationParams
-    from .model import init_model
-    from .synthetic import generate_corpus
-    from .trainer import evaluate_model
+    from .trainer import evaluate_model, init_heldout_and_model
     from .tensorio import read_checkpoint
 
-    heldout_cfg = replace(
-        cfg.synthetic,
-        num_clips=cfg.heldout.num_clips,
-        num_groups=cfg.heldout.num_groups,
-        seed=cfg.synthetic.seed + cfg.heldout.seed_offset,
-    )
-    clips = generate_corpus(heldout_cfg)
-    model = init_model(
-        dim=cfg.synthetic.dim,
-        refiner_kind=cfg.refiner_kind,
-        downsample=cfg.downsample,
-        seed=cfg.seed,
-        init_noise=cfg.init_noise,
-    )
+    clips, model = init_heldout_and_model(cfg)
     if args.checkpoint:
         tensors, _ = read_checkpoint(args.checkpoint)
         for name, p in model.parameters():

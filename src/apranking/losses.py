@@ -1,11 +1,15 @@
-"""Listwise AP surrogate losses and pairwise baselines over QueryContexts.
+"""Listwise AP surrogate losses and pairwise baselines over stacks of query rows.
 
-Every loss returns its value together with closed-form gradients with respect
-to each positive and negative score. The quad-linear surrogate replaces the
-step penalty on positive-negative gaps with a piecewise map that is zero in
-the dead zone (gap < -delta), quadratic across the margin, and linear beyond
-it, so badly mis-ranked pairs keep a constant-slope gradient instead of the
-vanishing sigmoid tail.
+Each loss is written once, as a rows function: it maps a (Q, P) stack of
+positive scores and a (Q, M) stack of negative scores to the Q loss values
+and closed-form gradients with respect to every score. The per-query
+functions are one-row views of it over a QueryContext, and
+:func:`matrix_loss` runs it on the query rows of a similarity matrix.
+
+The quad-linear surrogate replaces the step penalty on positive-negative
+gaps with a piecewise map that is zero in the dead zone (gap < -delta),
+quadratic across the margin, and linear beyond it, so badly mis-ranked
+pairs keep a constant-slope gradient instead of the vanishing sigmoid tail.
 
 Conventions shared by all losses here:
 
@@ -25,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, StructuralError
-from .ranking import QueryContext, RelevanceMatrix, heaviside, partition_query
+from .ranking import QueryContext, RelevanceMatrix, heaviside
 
 __all__ = [
     "QuadLinearParams",
@@ -42,11 +46,18 @@ __all__ = [
     "quadlinear_ap_batch_loss",
     "heaviside_ap_risk",
     "smooth_ap_risk",
+    "smooth_ap_risk_rows",
     "triplet_loss",
+    "triplet_loss_rows",
     "contrastive_loss",
+    "contrastive_loss_rows",
     "infonce_loss",
+    "infonce_loss_rows",
     "sshn_loss",
+    "sshn_loss_rows",
+    "query_masks",
     "matrix_loss",
+    "sshn_matrix_loss",
 ]
 
 SSHN_CLAMP_EPS = 1e-6
@@ -104,8 +115,23 @@ class MatrixLossOutput:
     active_queries: int
 
 
-def _skipped() -> LossOutput:
-    return LossOutput(0.0, np.zeros(0), np.zeros(0), skipped=True)
+def _query_loss(q: QueryContext, rows_fn) -> LossOutput:
+    """One query through a rows function, as a stack of one row; a query
+    without positives is skipped and the rows function is not called."""
+    if q.num_positives == 0:
+        return LossOutput(0.0, np.zeros(0), np.zeros(0), skipped=True)
+    values, grad_pos, grad_neg = rows_fn(q.positives[None, :], q.negatives[None, :])
+    return LossOutput(float(values[0]), grad_pos[0], grad_neg[0])
+
+
+def _rows(pos, neg):
+    """The (Q, P) and (Q, M) score stacks of a rows function as float64;
+    every row must have a positive."""
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    if pos.shape[1] == 0:
+        raise StructuralError("rows must have at least one positive")
+    return pos, neg
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +217,18 @@ def quadlinear_ap_risk(q: QueryContext, p: QuadLinearParams) -> LossOutput:
     strictly above i), and h(u) = u / (1 + u). The rank-weight denominator
     B_i is a constant during differentiation.
     """
-    if q.num_positives == 0:
-        return _skipped()
-    pos, neg = q.positives, q.negatives
-    values, gpos, gneg = quadlinear_ap_risk_rows(pos[None, :], neg[None, :], p)
-    return LossOutput(float(values[0]), gpos[0], gneg[0])
+    return _query_loss(q, lambda pos, neg: quadlinear_ap_risk_rows(pos, neg, p))
 
 
 def quadlinear_ap_risk_rows(pos: np.ndarray, neg: np.ndarray, p: QuadLinearParams):
-    """Vectorized quad-linear risk over Q independent queries of equal shape.
+    """Rows form of :func:`quadlinear_ap_risk`.
 
     ``pos`` is (Q, P) and ``neg`` is (Q, M); returns (values (Q,),
-    grad_pos (Q, P), grad_neg (Q, M)). Used for frame-level batches whose
-    per-row positive/negative counts are uniform by construction.
+    grad_pos (Q, P), grad_neg (Q, M)). Runs the video loss on each stack of
+    equal-count matrix rows and the frame loss on its pseudo-labeled rows.
     """
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
+    pos, neg = _rows(pos, neg)
     nq, npos = pos.shape
-    if npos == 0:
-        raise StructuralError("rows must have at least one positive")
     d_neg = neg[:, None, :] - pos[:, :, None]  # (Q, P, M)
     a = r_minus(d_neg, p.delta).sum(axis=-1) if neg.shape[1] else np.zeros((nq, npos))
     d_pos = pos[:, None, :] - pos[:, :, None]  # (Q, P, P), diagonal gaps are 0
@@ -256,28 +275,33 @@ def smooth_ap_risk(q: QueryContext, p: SmoothApParams) -> LossOutput:
     (the self gap is 0, contributing the constant G(0) = 1/2). Gradients
     flow through both sums.
     """
-    if q.num_positives == 0:
-        return _skipped()
-    pos, neg = q.positives, q.negatives
-    npos, nneg = pos.size, neg.size
-    g_neg = sigmoid_surrogate(neg[None, :] - pos[:, None], p.tau) if nneg else np.zeros((npos, 0))
-    g_pos = sigmoid_surrogate(pos[None, :] - pos[:, None], p.tau)
-    n_i = g_neg.sum(axis=1)
-    p_i = g_pos.sum(axis=1)
+    return _query_loss(q, lambda pos, neg: smooth_ap_risk_rows(pos, neg, p))
+
+
+def smooth_ap_risk_rows(pos: np.ndarray, neg: np.ndarray, p: SmoothApParams):
+    """Rows form of :func:`smooth_ap_risk`: (Q, P) and (Q, M) score stacks
+    to (values (Q,), grad_pos (Q, P), grad_neg (Q, M))."""
+    pos, neg = _rows(pos, neg)
+    npos = pos.shape[1]
+    d_neg = neg[:, None, :] - pos[:, :, None]  # (Q, P, M)
+    d_pos = pos[:, None, :] - pos[:, :, None]  # (Q, P, P)
+    n_i = sigmoid_surrogate(d_neg, p.tau).sum(axis=-1)
+    p_i = sigmoid_surrogate(d_pos, p.tau).sum(axis=-1)
     d_i = 1.0 + p_i + n_i
-    value = float(np.mean(n_i / d_i))
+    values = (n_i / d_i).mean(axis=-1)
 
-    dg_neg = sigmoid_surrogate_grad(neg[None, :] - pos[:, None], p.tau) if nneg else np.zeros((npos, 0))
-    dg_pos = sigmoid_surrogate_grad(pos[None, :] - pos[:, None], p.tau)
-    np.fill_diagonal(dg_pos, 0.0)  # the self gap is identically zero
-    nd = dg_neg.sum(axis=1)
-    pd = dg_pos.sum(axis=1)
+    dg_neg = sigmoid_surrogate_grad(d_neg, p.tau)
+    dg_pos = sigmoid_surrogate_grad(d_pos, p.tau)
+    diag = np.arange(npos)
+    dg_pos[:, diag, diag] = 0.0  # the self gap is identically zero
+    nd = dg_neg.sum(axis=-1)
+    pd = dg_pos.sum(axis=-1)
 
-    grad_neg = (dg_neg * ((1.0 + p_i) / d_i**2)[:, None]).sum(axis=0) / npos
+    grad_neg = (dg_neg * ((1.0 + p_i) / d_i**2)[:, :, None]).sum(axis=1) / npos
     own = (-nd * d_i + n_i * (pd + nd)) / d_i**2
-    cross = (dg_pos * (n_i / d_i**2)[:, None]).sum(axis=0)
+    cross = (dg_pos * (n_i / d_i**2)[:, :, None]).sum(axis=1)
     grad_pos = (own - cross) / npos
-    return LossOutput(value, grad_pos, grad_neg)
+    return values, grad_pos, grad_neg
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +311,47 @@ def smooth_ap_risk(q: QueryContext, p: SmoothApParams) -> LossOutput:
 
 def triplet_loss(q: QueryContext, margin: float = 0.2) -> LossOutput:
     """Mean hinge over all positive-negative pairs: max(0, s_neg - s_pos + m)."""
+    return _query_loss(q, lambda pos, neg: triplet_loss_rows(pos, neg, margin))
+
+
+def triplet_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2):
+    """Rows form of :func:`triplet_loss`; rows without negatives give 0."""
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
-    if q.num_positives == 0:
-        return _skipped()
-    pos, neg = q.positives, q.negatives
-    if neg.size == 0:
-        return LossOutput(0.0, np.zeros_like(pos), np.zeros_like(neg))
-    gap = neg[None, :] - pos[:, None] + margin
+    pos, neg = _rows(pos, neg)
+    (nq, npos), nneg = pos.shape, neg.shape[1]
+    if nneg == 0:
+        return np.zeros(nq), np.zeros_like(pos), np.zeros_like(neg)
+    gap = neg[:, None, :] - pos[:, :, None] + margin
     active = gap > 0.0
-    npairs = pos.size * neg.size
-    value = float(np.where(active, gap, 0.0).sum() / npairs)
-    grad_pos = -active.sum(axis=1) / npairs
-    grad_neg = active.sum(axis=0) / npairs
-    return LossOutput(value, grad_pos.astype(np.float64), grad_neg.astype(np.float64))
+    npairs = npos * nneg
+    # the pairs of a row are added as one flat list of P * M entries
+    values = np.where(active, gap, 0.0).reshape(nq, npairs).sum(axis=-1) / npairs
+    grad_pos = -active.sum(axis=2) / npairs
+    grad_neg = active.sum(axis=1) / npairs
+    return values, grad_pos, grad_neg
 
 
 def contrastive_loss(q: QueryContext, margin: float = 0.2) -> LossOutput:
     """Mean of per-item terms: (1 - s_pos) for positives, max(0, s_neg - m)
     for negatives. Pulls positives toward similarity 1 and pushes negatives
     below the margin."""
+    return _query_loss(q, lambda pos, neg: contrastive_loss_rows(pos, neg, margin))
+
+
+def contrastive_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2):
+    """Rows form of :func:`contrastive_loss`."""
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
-    if q.num_positives == 0:
-        return _skipped()
-    pos, neg = q.positives, q.negatives
-    n_terms = pos.size + neg.size
+    pos, neg = _rows(pos, neg)
+    n_terms = pos.shape[1] + neg.shape[1]
     neg_active = neg > margin
-    value = float(((1.0 - pos).sum() + np.where(neg_active, neg - margin, 0.0).sum()) / n_terms)
+    values = (
+        (1.0 - pos).sum(axis=-1) + np.where(neg_active, neg - margin, 0.0).sum(axis=-1)
+    ) / n_terms
     grad_pos = np.full_like(pos, -1.0 / n_terms)
     grad_neg = neg_active.astype(np.float64) / n_terms
-    return LossOutput(value, grad_pos, grad_neg)
+    return values, grad_pos, grad_neg
 
 
 def infonce_loss(q: QueryContext, tau: float) -> LossOutput:
@@ -326,26 +360,32 @@ def infonce_loss(q: QueryContext, tau: float) -> LossOutput:
     value = -(1/P) sum_i log[ exp(s_i/tau) / (exp(s_i/tau) +
     sum_j exp(s_neg_j/tau)) ], computed through log-sum-exp.
     """
+    return _query_loss(q, lambda pos, neg: infonce_loss_rows(pos, neg, tau))
+
+
+def infonce_loss_rows(pos: np.ndarray, neg: np.ndarray, tau: float):
+    """Rows form of :func:`infonce_loss`; rows without negatives give 0."""
     if not (np.isfinite(tau) and tau > 0):
         raise ParameterError(f"tau must be positive, got {tau}")
-    if q.num_positives == 0:
-        return _skipped()
-    pos, neg = q.positives, q.negatives
-    if neg.size == 0:
-        return LossOutput(0.0, np.zeros_like(pos), np.zeros_like(neg))
+    pos, neg = _rows(pos, neg)
+    (nq, npos), nneg = pos.shape, neg.shape[1]
+    if nneg == 0:
+        return np.zeros(nq), np.zeros_like(pos), np.zeros_like(neg)
     z_pos = pos / tau
     z_neg = neg / tau
-    # per-positive logits: own score plus all negatives
-    logits = np.concatenate([z_pos[:, None], np.broadcast_to(z_neg, (pos.size, neg.size))], axis=1)
-    shift = logits.max(axis=1, keepdims=True)
+    # per-positive logits: own score plus all negatives of its row
+    logits = np.concatenate(
+        [z_pos[:, :, None], np.broadcast_to(z_neg[:, None, :], (nq, npos, nneg))], axis=2
+    )
+    shift = logits.max(axis=2, keepdims=True)
     w = np.exp(logits - shift)
-    zsum = w.sum(axis=1)
-    lse = shift[:, 0] + np.log(zsum)
-    value = float(np.mean(lse - z_pos))
-    soft = w / zsum[:, None]  # rows sum to 1
-    grad_pos = -(1.0 - soft[:, 0]) / (pos.size * tau)
-    grad_neg = soft[:, 1:].sum(axis=0) / (pos.size * tau)
-    return LossOutput(value, grad_pos, grad_neg)
+    zsum = w.sum(axis=2)
+    lse = shift[:, :, 0] + np.log(zsum)
+    values = (lse - z_pos).mean(axis=-1)
+    soft = w / zsum[:, :, None]  # rows sum to 1
+    grad_pos = -(1.0 - soft[:, :, 0]) / (npos * tau)
+    grad_neg = soft[:, :, 1:].sum(axis=1) / (npos * tau)
+    return values, grad_pos, grad_neg
 
 
 def sshn_loss(self_sim: float, hardest_negative: float) -> LossOutput:
@@ -356,15 +396,28 @@ def sshn_loss(self_sim: float, hardest_negative: float) -> LossOutput:
     grad_positives holds d/d(self_sim); grad_negatives holds
     d/d(hardest_negative); the gradient is zero on a clamped side.
     """
-    for name, v in (("self_sim", self_sim), ("hardest_negative", hardest_negative)):
-        if not np.isfinite(v) or v < -1.0 - 1e-9 or v > 1.0 + 1e-9:
-            raise DegenerateInputError(f"{name}={v} is outside the similarity range [-1, 1]")
-    s = min(max(float(self_sim), SSHN_CLAMP_EPS), 1.0)
-    n = min(max(float(hardest_negative), 0.0), 1.0 - SSHN_CLAMP_EPS)
-    value = -np.log(s) - np.log(1.0 - n)
-    g_self = -1.0 / s if SSHN_CLAMP_EPS < self_sim < 1.0 else 0.0
-    g_neg = 1.0 / (1.0 - n) if 0.0 < hardest_negative < 1.0 - SSHN_CLAMP_EPS else 0.0
-    return LossOutput(float(value), np.array([g_self]), np.array([g_neg]))
+    values, g_self, g_neg = sshn_loss_rows([self_sim], [hardest_negative])
+    return LossOutput(float(values[0]), g_self, g_neg)
+
+
+def sshn_loss_rows(self_sim, hardest_negative):
+    """Rows form of :func:`sshn_loss` over (Q,) arrays of self similarities
+    and hardest negatives; returns (values, d/d(self_sim),
+    d/d(hardest_negative)), each (Q,)."""
+    s_raw = np.asarray(self_sim, dtype=np.float64)
+    n_raw = np.asarray(hardest_negative, dtype=np.float64)
+    for name, v in (("self_sim", s_raw), ("hardest_negative", n_raw)):
+        bad = ~(np.abs(v) <= 1.0 + 1e-9)  # NaN compares False
+        if bad.any():
+            raise DegenerateInputError(
+                f"{name}={v[bad][0]} is outside the similarity range [-1, 1]"
+            )
+    s = np.minimum(np.maximum(s_raw, SSHN_CLAMP_EPS), 1.0)
+    n = np.minimum(np.maximum(n_raw, 0.0), 1.0 - SSHN_CLAMP_EPS)
+    values = -np.log(s) - np.log(1.0 - n)
+    g_self = np.where((SSHN_CLAMP_EPS < s_raw) & (s_raw < 1.0), -1.0 / s, 0.0)
+    g_neg = np.where((0.0 < n_raw) & (n_raw < 1.0 - SSHN_CLAMP_EPS), 1.0 / (1.0 - n), 0.0)
+    return values, g_self, g_neg
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +425,15 @@ def sshn_loss(self_sim: float, hardest_negative: float) -> LossOutput:
 # ---------------------------------------------------------------------------
 
 
-def matrix_loss(sim, relevance: RelevanceMatrix, per_query) -> MatrixLossOutput:
-    """Average a per-QueryContext loss over the rows of a similarity matrix.
+def query_masks(relevance: RelevanceMatrix):
+    """(positives, negatives): boolean (n, n) masks of the off-diagonal
+    entries of relevance 1 and of relevance 0, the split
+    :func:`~apranking.ranking.partition_query` makes of each row."""
+    off = ~np.eye(relevance.n, dtype=bool)
+    return off & (relevance.entries == 1), off & (relevance.entries == 0)
 
-    Skipped queries (no positives) do not count toward the mean; their rows
-    and the diagonal get zero gradient. ``per_query`` maps a QueryContext to
-    a LossOutput.
-    """
+
+def _square(sim, relevance: RelevanceMatrix) -> np.ndarray:
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise StructuralError("similarity matrix must be square")
@@ -386,28 +441,69 @@ def matrix_loss(sim, relevance: RelevanceMatrix, per_query) -> MatrixLossOutput:
         raise StructuralError(
             f"similarity is {sim.shape} but relevance is {relevance.n}x{relevance.n}"
         )
+    return sim
+
+
+def _sum_in_row_order(values) -> float:
+    """0.0 plus each value in turn, as a Python loop adds them up; numpy's
+    sum adds 8 or more values in interleaved partial sums."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
+def matrix_loss(sim, relevance: RelevanceMatrix, rows_fn) -> MatrixLossOutput:
+    """Average a rows loss (a ``*_rows`` function) over the query rows of a
+    similarity matrix.
+
+    Row k's positives and negatives are its entries in :func:`query_masks`,
+    in column order. Every row has n - 1 of them, so rows with equal
+    positive counts stack and ``rows_fn`` runs once per stack; a
+    group-balanced batch is one stack. Stacks, not zero-padded masks, keep
+    every bit: numpy adds 8 or more entries in interleaved partial sums,
+    which padding would regroup. Skipped queries (no positives) do not count
+    toward the mean; their rows and the diagonal get zero gradient.
+    """
+    sim = _square(sim, relevance)
+    pos, neg = query_masks(relevance)
+    if not np.all(np.isfinite(sim[pos | neg])):
+        raise StructuralError("similarity scores must be finite")
     n = relevance.n
+    counts = pos.sum(axis=1)
+    values = np.zeros(n)
     grad = np.zeros_like(sim)
-    total = 0.0
-    active = 0
-    for k in range(n):
-        ctx = partition_query(sim[k], relevance.entries[k], k)
-        out = per_query(ctx)
-        if out.skipped:
-            continue
-        active += 1
-        total += out.value
-        keep = np.ones(n, dtype=bool)
-        keep[k] = False
-        pos_idx = np.flatnonzero(keep & (relevance.entries[k] == 1))
-        neg_idx = np.flatnonzero(keep & (relevance.entries[k] == 0))
-        grad[k, pos_idx] = out.grad_positives
-        grad[k, neg_idx] = out.grad_negatives
+    for p in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == p)
+        pos_cols = np.nonzero(pos[rows])[1].reshape(rows.size, p)
+        neg_cols = np.nonzero(neg[rows])[1].reshape(rows.size, n - 1 - p)
+        at = rows[:, None]
+        vals, grad_pos, grad_neg = rows_fn(sim[at, pos_cols], sim[at, neg_cols])
+        values[rows] = vals
+        grad[at, pos_cols] = grad_pos
+        grad[at, neg_cols] = grad_neg
+    active = int(np.count_nonzero(counts))
     if active == 0:
         return MatrixLossOutput(0.0, np.zeros_like(sim), 0)
+    total = _sum_in_row_order(values[counts > 0])
     return MatrixLossOutput(total / active, grad / active, active)
 
 
 def quadlinear_ap_batch_loss(sim, relevance: RelevanceMatrix, p: QuadLinearParams) -> MatrixLossOutput:
     """Quad-linear AP risk averaged over the non-skipped query rows."""
-    return matrix_loss(sim, relevance, lambda q: quadlinear_ap_risk(q, p))
+    return matrix_loss(sim, relevance, lambda pos, neg: quadlinear_ap_risk_rows(pos, neg, p))
+
+
+def sshn_matrix_loss(sim, relevance: RelevanceMatrix) -> MatrixLossOutput:
+    """Self-similarity / hardest-negative loss averaged over all rows: the
+    diagonal entry against the row's first maximal negative. A row without
+    negatives contributes the self term alone."""
+    sim = _square(sim, relevance)
+    n = relevance.n
+    _, neg = query_masks(relevance)
+    rows = np.flatnonzero(neg.any(axis=1))
+    cols = np.argmax(np.where(neg, sim, -np.inf), axis=1)[rows]
+    hardest = np.zeros(n)
+    hardest[rows] = sim[rows, cols]
+    values, g_self, g_neg = sshn_loss_rows(np.diagonal(sim), hardest)
+    grad = np.zeros_like(sim)
+    grad[rows, cols] += g_neg[rows]
+    grad[np.diag_indices(n)] += g_self
+    return MatrixLossOutput(_sum_in_row_order(values) / n, grad / n, n)

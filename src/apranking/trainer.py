@@ -15,7 +15,9 @@ import dataclasses
 import json
 import os
 import tempfile
+import traceback
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,19 +28,19 @@ from .losses import (
     MatrixLossOutput,
     QuadLinearParams,
     SmoothApParams,
-    contrastive_loss,
-    infonce_loss,
+    contrastive_loss_rows,
+    infonce_loss_rows,
     matrix_loss,
-    quadlinear_ap_batch_loss,
+    query_masks,
     quadlinear_ap_risk_rows,
-    smooth_ap_risk,
-    sshn_loss,
-    triplet_loss,
+    smooth_ap_risk_rows,
+    sshn_matrix_loss,
+    triplet_loss_rows,
 )
 from .metrics import MetricReport, evaluate_retrieval
 from .model import Model, eval_similarity_matrix, forward_similarity, init_model
 from .pseudolabels import LabelRates, generate_pseudo_labels, teacher_frame_similarity
-from .ranking import RelevanceMatrix, partition_query
+from .ranking import RelevanceMatrix
 from .synthetic import AugmentToggles, SyntheticConfig, generate_corpus
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "train",
+    "init_heldout_and_model",
     "build_losses",
     "evaluate_model",
     "easy_preset",
@@ -222,69 +225,38 @@ def hard_preset(seed: int = 0, **overrides) -> TrainConfig:
 
 
 def _video_matrix_loss(cfg: TrainConfig, sim: np.ndarray, rel: RelevanceMatrix) -> MatrixLossOutput:
-    if cfg.video_loss == "quadlinear":
-        return quadlinear_ap_batch_loss(sim, rel, cfg.qlap_video)
-    if cfg.video_loss == "smooth":
-        return matrix_loss(sim, rel, lambda q: smooth_ap_risk(q, cfg.smooth))
-    if cfg.video_loss == "triplet":
-        return matrix_loss(sim, rel, lambda q: triplet_loss(q, cfg.margin))
-    return matrix_loss(sim, rel, lambda q: contrastive_loss(q, cfg.margin))
+    rows_fn = {
+        "quadlinear": partial(quadlinear_ap_risk_rows, p=cfg.qlap_video),
+        "smooth": partial(smooth_ap_risk_rows, p=cfg.smooth),
+        "triplet": partial(triplet_loss_rows, margin=cfg.margin),
+        "contrastive": partial(contrastive_loss_rows, margin=cfg.margin),
+    }[cfg.video_loss]
+    return matrix_loss(sim, rel, rows_fn)
 
 
-def _sshn_matrix_loss(sim: np.ndarray, rel: RelevanceMatrix) -> MatrixLossOutput:
-    """Self-similarity / hardest-negative loss over the matrix diagonal and
-    each row's maximal negative. Queries without negatives contribute the
-    self term alone."""
-    n = rel.n
-    grad = np.zeros_like(sim)
-    total = 0.0
-    for k in range(n):
-        keep = np.ones(n, dtype=bool)
-        keep[k] = False
-        neg_idx = np.flatnonzero(keep & (rel.entries[k] == 0))
-        if neg_idx.size:
-            j_star = neg_idx[int(np.argmax(sim[k, neg_idx]))]
-            out = sshn_loss(sim[k, k], sim[k, j_star])
-            grad[k, j_star] += out.grad_negatives[0]
-        else:
-            out = sshn_loss(sim[k, k], 0.0)
-        grad[k, k] += out.grad_positives[0]
-        total += out.value
-    return MatrixLossOutput(total / n, grad / n, n)
-
-
-def _gap_margins(pos: np.ndarray, neg: np.ndarray, delta: float, guard: ad.BreakpointGuard):
-    """Record distances of gaps to the quad-linear kinks and of
-    positive-positive gaps to the step discontinuity."""
-    if pos.size and neg.size:
-        d = neg[None, :] - pos[:, None]
-        guard.record(np.abs(d))
-        guard.record(np.abs(d + delta))
-    if pos.size > 1:
-        dp = pos[None, :] - pos[:, None]
-        guard.record(np.abs(dp[~np.eye(pos.size, dtype=bool)]))
+def _gap_margins(gaps: np.ndarray, pos_gaps: np.ndarray, delta: float, guard: ad.BreakpointGuard):
+    """Record distances of positive-negative gaps to the quad-linear kinks
+    and of positive-positive gaps to the step discontinuity."""
+    guard.record(np.abs(gaps))
+    guard.record(np.abs(gaps + delta))
+    guard.record(np.abs(pos_gaps))
 
 
 def _record_video_loss_margins(cfg, sim, rel, guard: ad.BreakpointGuard):
-    for k in range(rel.n):
-        ctx = partition_query(sim[k], rel.entries[k], k)
-        if cfg.video_loss == "quadlinear":
-            _gap_margins(ctx.positives, ctx.negatives, cfg.qlap_video.delta, guard)
-        elif cfg.video_loss in ("triplet", "contrastive"):
-            if ctx.positives.size and ctx.negatives.size:
-                guard.record(
-                    np.abs(ctx.negatives[None, :] - ctx.positives[:, None] + cfg.margin)
-                )
-            if cfg.video_loss == "contrastive" and ctx.negatives.size:
-                guard.record(np.abs(ctx.negatives - cfg.margin))
-        keep = np.ones(rel.n, dtype=bool)
-        keep[k] = False
-        neg_idx = np.flatnonzero(keep & (rel.entries[k] == 0))
-        if neg_idx.size:
-            # clamp edges of the hardest-negative log term
-            hardest = float(sim[k, neg_idx].max())
-            guard.record(abs(1.0 - 1e-6 - hardest))
-            guard.record(abs(hardest))
+    pos, neg = query_masks(rel)
+    d = sim[:, None, :] - sim[:, :, None]  # d[k, i, j] = s_kj - s_ki
+    gaps = d[pos[:, :, None] & neg[:, None, :]]  # every row's negative minus positive gaps
+    if cfg.video_loss == "quadlinear":
+        off = ~np.eye(rel.n, dtype=bool)
+        _gap_margins(gaps, d[pos[:, :, None] & pos[:, None, :] & off], cfg.qlap_video.delta, guard)
+    elif cfg.video_loss in ("triplet", "contrastive"):
+        guard.record(np.abs(gaps + cfg.margin))
+        if cfg.video_loss == "contrastive":
+            guard.record(np.abs(sim[neg] - cfg.margin))
+    # clamp edges of the hardest-negative log term
+    hardest = np.where(neg, sim, -np.inf).max(axis=1)[neg.any(axis=1)]
+    guard.record(np.abs(1.0 - 1e-6 - hardest))
+    guard.record(np.abs(hardest))
 
 
 class _FrameLossSpec:
@@ -335,8 +307,9 @@ def _frame_loss(frame_values, spec: _FrameLossSpec, p: QuadLinearParams, guard=N
     pos_scores = frame_values[a_idx, b_idx, rows, spec.pos_idx].reshape(npairs * t, npos)
     neg_scores = frame_values[a_idx, b_idx, rows, spec.neg_idx].reshape(npairs * t, nneg)
     if guard is not None:
-        for q in range(pos_scores.shape[0]):
-            _gap_margins(pos_scores[q], neg_scores[q], p.delta, guard)
+        gaps = neg_scores[:, None, :] - pos_scores[:, :, None]
+        pos_gaps = (pos_scores[:, None, :] - pos_scores[:, :, None])[:, ~np.eye(npos, dtype=bool)]
+        _gap_margins(gaps, pos_gaps, p.delta, guard)
     values, gpos, gneg = quadlinear_ap_risk_rows(pos_scores, neg_scores, p)
     value = float(values.reshape(npairs, t).mean(axis=1).mean())
     grad = np.zeros_like(frame_values)
@@ -370,11 +343,11 @@ def build_losses(
         return out.value, out.grad
 
     def nce_fn(values):
-        out = matrix_loss(values, rel, lambda q: infonce_loss(q, cfg.weights.tau_nce))
+        out = matrix_loss(values, rel, partial(infonce_loss_rows, tau=cfg.weights.tau_nce))
         return out.value, out.grad
 
     def sshn_fn(values):
-        out = _sshn_matrix_loss(values, rel)
+        out = sshn_matrix_loss(values, rel)
         return out.value, out.grad
 
     loss_v = ad.scalar_node(sim_var, video_fn)
@@ -434,37 +407,69 @@ def _sample_batch(rng: np.random.Generator, by_group: dict, cfg: TrainConfig) ->
 def _dump_snapshot(out_dir: str, iteration: int, model: Model, batch: list[int]) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"nan_snapshot_iter{iteration}.json")
-    payload = {
-        "iteration": iteration,
-        "batch_indices": list(map(int, batch)),
-        "parameters": {
-            name: {
-                "norm": float(np.linalg.norm(p.value)),
-                "max_abs": float(np.max(np.abs(p.value))),
-            }
-            for name, p in model.parameters()
-        },
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm whose square overflows reads inf
+        payload = {
+            "iteration": iteration,
+            "batch_indices": list(map(int, batch)),
+            "parameters": {
+                name: {
+                    "norm": float(np.linalg.norm(p.value)),
+                    "max_abs": float(np.max(np.abs(p.value))),
+                }
+                for name, p in model.parameters()
+            },
+        }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return path
 
 
-def train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
-    """Run the optimization loop; deterministic for a fixed config."""
-    corpus = generate_corpus(cfg.synthetic)
-    heldout_cfg = replace(
-        cfg.synthetic,
-        num_clips=cfg.heldout.num_clips,
-        num_groups=cfg.heldout.num_groups,
-        seed=cfg.synthetic.seed + cfg.heldout.seed_offset,
+def _origin(exc: BaseException) -> str:
+    """module.function of the innermost frame of this package that an
+    exception passed through."""
+    frames = traceback.walk_tb(exc.__traceback__)
+    here = [f for f, _ in frames if f.f_globals.get("__package__") == __package__]
+    return f"{here[-1].f_globals['__name__']}.{here[-1].f_code.co_name}"
+
+
+def _train_step(cfg: TrainConfig, model: Model, optimizer: AdamWState, batch, label_cache) -> dict:
+    """Forward, backward and update of one batch; returns the loss components.
+
+    numpy's floating-point errors raise here, so the first quantity that
+    overflows, divides by zero or turns invalid stops the step, as does a
+    non-finite loss, gradient or updated parameter: NumericsError, naming it.
+    """
+    model.zero_grads()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            total, components = build_losses(cfg, model, batch, label_cache)
+            if not np.isfinite(total.item()):
+                raise NumericsError("non-finite loss")
+            total.backward()
+            for name, p in model.parameters():
+                if not np.all(np.isfinite(p.grad)):
+                    raise NumericsError(f"non-finite gradient of {name}")
+            optimizer.update(model.parameters())
+            for name, p in model.parameters():
+                if not np.all(np.isfinite(p.value)):
+                    raise NumericsError(f"non-finite {name} after the update")
+    except FloatingPointError as exc:
+        raise NumericsError(f"{exc} in {_origin(exc)}") from exc
+    return components
+
+
+def init_heldout_and_model(cfg: TrainConfig):
+    """(held-out clips, initial model) of a config: the held-out corpus is
+    the training recipe at ``cfg.heldout``'s size, seeded ``seed_offset``
+    past the training corpus; the model is seeded by ``cfg.seed``."""
+    heldout = generate_corpus(
+        replace(
+            cfg.synthetic,
+            num_clips=cfg.heldout.num_clips,
+            num_groups=cfg.heldout.num_groups,
+            seed=cfg.synthetic.seed + cfg.heldout.seed_offset,
+        )
     )
-    heldout = generate_corpus(heldout_cfg)
-
-    by_group: dict[int, list[int]] = {}
-    for i, clip in enumerate(corpus):
-        by_group.setdefault(clip.group, []).append(i)
-
     model = init_model(
         dim=cfg.synthetic.dim,
         refiner_kind=cfg.refiner_kind,
@@ -472,6 +477,18 @@ def train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
         seed=cfg.seed,
         init_noise=cfg.init_noise,
     )
+    return heldout, model
+
+
+def train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
+    """Run the optimization loop; deterministic for a fixed config."""
+    corpus = generate_corpus(cfg.synthetic)
+    heldout, model = init_heldout_and_model(cfg)
+
+    by_group: dict[int, list[int]] = {}
+    for i, clip in enumerate(corpus):
+        by_group.setdefault(clip.group, []).append(i)
+
     optimizer = AdamWState(model.parameters(), cfg.optimizer, cfg.iterations)
     rng = np.random.default_rng(cfg.seed + 1)
     label_cache: dict = {}
@@ -482,17 +499,11 @@ def train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     for it in range(cfg.iterations):
         batch_idx = _sample_batch(rng, by_group, cfg)
         batch = [corpus[i] for i in batch_idx]
-        model.zero_grads()
         try:
-            total, components = build_losses(cfg, model, batch, label_cache)
+            components = _train_step(cfg, model, optimizer, batch, label_cache)
         except NumericsError as exc:
             snap = _dump_snapshot(out_dir or tempfile.gettempdir(), it, model, batch_idx)
             raise NumericsError(f"{exc} at iteration {it}", snapshot_path=snap) from exc
-        if not np.isfinite(total.item()):
-            snap = _dump_snapshot(out_dir or tempfile.gettempdir(), it, model, batch_idx)
-            raise NumericsError(f"non-finite loss at iteration {it}", snapshot_path=snap)
-        total.backward()
-        optimizer.update(model.parameters())
 
         row = {"iteration": it, "lr": optimizer.lr_at(it), **components}
         if cfg.eval_every and (it + 1) % cfg.eval_every == 0 and it + 1 != cfg.iterations:

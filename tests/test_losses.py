@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apranking.errors import DegenerateInputError, ParameterError
+from apranking.errors import DegenerateInputError, ParameterError, StructuralError
 from apranking.losses import (
     QuadLinearParams,
     SmoothApParams,
     contrastive_loss,
+    contrastive_loss_rows,
     heaviside_ap_risk,
     infonce_loss,
+    infonce_loss_rows,
     matrix_loss,
     quadlinear_ap_batch_loss,
     quadlinear_ap_risk,
@@ -26,10 +28,13 @@ from apranking.losses import (
     sigmoid_surrogate,
     sigmoid_surrogate_grad,
     smooth_ap_risk,
+    smooth_ap_risk_rows,
     sshn_loss,
+    sshn_matrix_loss,
     triplet_loss,
+    triplet_loss_rows,
 )
-from apranking.ranking import QueryContext, RelevanceMatrix
+from apranking.ranking import QueryContext, RelevanceMatrix, partition_query
 
 
 class TestRMinus:
@@ -307,3 +312,129 @@ class TestBatchLoss:
         out = quadlinear_ap_batch_loss(sim, self.rel3(), QuadLinearParams(0.05, 1.0))
         assert np.all(np.diag(out.grad) == 0)
         assert np.all(out.grad[2] == 0)
+
+
+def _per_row_matrix_loss(sim, rel, per_query):
+    """Reference: one QueryContext per row through the per-query API, the
+    loop the rows form of matrix_loss replaces."""
+    n = rel.n
+    grad = np.zeros_like(sim)
+    total = 0.0
+    active = 0
+    for k in range(n):
+        out = per_query(partition_query(sim[k], rel.entries[k], k))
+        if out.skipped:
+            continue
+        active += 1
+        total += out.value
+        keep = np.arange(n) != k
+        grad[k, keep & (rel.entries[k] == 1)] = out.grad_positives
+        grad[k, keep & (rel.entries[k] == 0)] = out.grad_negatives
+    if active == 0:
+        return 0.0, np.zeros_like(sim), 0
+    return total / active, grad / active, active
+
+
+def _per_row_sshn(sim, rel):
+    """Reference: sshn_loss row by row against the first maximal negative."""
+    n = rel.n
+    grad = np.zeros_like(sim)
+    total = 0.0
+    for k in range(n):
+        neg_idx = np.flatnonzero((np.arange(n) != k) & (rel.entries[k] == 0))
+        if neg_idx.size:
+            j = neg_idx[int(np.argmax(sim[k, neg_idx]))]
+            out = sshn_loss(sim[k, k], sim[k, j])
+            grad[k, j] += out.grad_negatives[0]
+        else:
+            out = sshn_loss(sim[k, k], 0.0)
+        grad[k, k] += out.grad_positives[0]
+        total += out.value
+    return total / n, grad / n, n
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _matrices(seed, count=60):
+    """Similarity matrices over group-balanced, ragged, single-group (no
+    negatives) and singleton (all skipped) batches; every other one has
+    scores rounded to 0.1, so ties occur."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            groups = np.repeat(np.arange(4), 4)
+        elif kind == 1:
+            n = int(rng.integers(3, 20))
+            groups = rng.integers(0, int(rng.integers(2, 7)), size=n)
+        elif kind == 2:
+            groups = np.zeros(int(rng.integers(2, 6)), dtype=int)
+        else:
+            groups = np.arange(int(rng.integers(1, 6)))
+        sim = rng.uniform(-1.0, 1.0, size=(groups.size, groups.size))
+        if i % 2:
+            sim = np.round(sim, 1)
+        yield sim, RelevanceMatrix.from_groups(groups)
+
+
+ROW_FORMS = {
+    "quadlinear": (
+        lambda pos, neg: quadlinear_ap_risk_rows(pos, neg, QuadLinearParams(0.05, 0.7)),
+        lambda q: quadlinear_ap_risk(q, QuadLinearParams(0.05, 0.7)),
+    ),
+    "smooth": (
+        lambda pos, neg: smooth_ap_risk_rows(pos, neg, SmoothApParams(0.05)),
+        lambda q: smooth_ap_risk(q, SmoothApParams(0.05)),
+    ),
+    "triplet": (
+        lambda pos, neg: triplet_loss_rows(pos, neg, 0.2),
+        lambda q: triplet_loss(q, 0.2),
+    ),
+    "contrastive": (
+        lambda pos, neg: contrastive_loss_rows(pos, neg, 0.2),
+        lambda q: contrastive_loss(q, 0.2),
+    ),
+    "infonce": (
+        lambda pos, neg: infonce_loss_rows(pos, neg, 0.1),
+        lambda q: infonce_loss(q, 0.1),
+    ),
+}
+
+
+class TestMatrixLossMatchesPerQuery:
+    """The grouped rows form of each loss equals the per-row loop over the
+    per-query API bit for bit: value, every gradient entry, active count."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_FORMS))
+    def test_rows_form_bitwise(self, name):
+        rows_fn, per_query = ROW_FORMS[name]
+        for sim, rel in _matrices(seed=len(name)):
+            out = matrix_loss(sim, rel, rows_fn)
+            value, grad, active = _per_row_matrix_loss(sim, rel, per_query)
+            assert _bits(out.value) == _bits(value)
+            assert _bits(out.grad) == _bits(grad)
+            assert out.active_queries == active
+
+    def test_sshn_bitwise(self):
+        for sim, rel in _matrices(seed=11):
+            out = sshn_matrix_loss(sim, rel)
+            value, grad, n = _per_row_sshn(sim, rel)
+            assert _bits(out.value) == _bits(value)
+            assert _bits(out.grad) == _bits(grad)
+            assert out.active_queries == n
+
+    def test_sshn_rows_reject_out_of_range(self):
+        sim = np.array([[1.0, 1.5], [0.2, 1.0]])
+        with pytest.raises(DegenerateInputError, match="hardest_negative=1.5"):
+            sshn_matrix_loss(sim, RelevanceMatrix.from_groups([0, 1]))
+
+    def test_non_finite_off_diagonal_rejected(self):
+        rel = RelevanceMatrix.from_groups([0, 0, 1])
+        sim = np.full((3, 3), 0.5)
+        sim[1, 1] = np.nan  # the diagonal is neither positive nor negative
+        matrix_loss(sim, rel, ROW_FORMS["triplet"][0])
+        sim[0, 2] = np.inf
+        with pytest.raises(StructuralError, match="finite"):
+            matrix_loss(sim, rel, ROW_FORMS["triplet"][0])

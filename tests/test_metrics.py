@@ -127,6 +127,17 @@ class TestMicroAp:
         q = ScoredList([0.9, 0.8, 0.7], [1, 0, 1])
         assert micro_ap([q]) == average_precision(q) == mean_ap([q])
 
+    def test_tie_rules_differ_from_per_query_ap(self):
+        # per-query AP ranks a tied positive above its negative; micro-AP
+        # keeps the pooled item order (query, then item) among tied scores
+        tied = ScoredList([0.5, 0.5], [0, 1])
+        assert average_precision(tied) == 1.0
+        assert micro_ap([tied]) == 0.5
+        q1 = ScoredList([0.9, 0.5], [1, 0])
+        q2 = ScoredList([0.5, 0.1], [1, 0])
+        assert mean_ap([q1, q2]) == 1.0
+        assert micro_ap([q1, q2]) == float(5 / 6)
+
     def test_global_monotone_transform_invariant(self):
         q1 = ScoredList([0.6, 0.5], [1, 0])
         q2 = ScoredList([0.9, 0.8], [0, 1])
