@@ -50,7 +50,6 @@ from .pseudolabels import (
     FrameEmbeddings,
     LabelRates,
     PseudoLabelMatrix,
-    frame_query_contexts,
     generate_pseudo_labels,
     teacher_frame_similarity,
 )

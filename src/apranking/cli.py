@@ -377,8 +377,6 @@ def _run_one(out: str, tag: str, cfg) -> dict:
 
 
 def _read_eval_inputs(args):
-    import numpy as np
-
     from .errors import ParameterError, StructuralError
     from .ranking import ScoredList
     from .tensorio import read_tensors
@@ -396,7 +394,7 @@ def _read_eval_inputs(args):
                 f"scores {scores.shape} and labels {labels.shape} must be equal 2-d shapes"
             )
         for q in range(scores.shape[0]):
-            queries.append(ScoredList(scores[q], labels[q].astype(np.int64)))
+            queries.append(ScoredList(scores[q], labels[q]))  # rejects labels other than 0 and 1
     else:
         by_query: dict[str, list] = {}
         with open(args.csv) as fh:
@@ -410,7 +408,13 @@ def _read_eval_inputs(args):
                 parts = line.split(",")
                 if len(parts) != 3:
                     raise StructuralError(f"line {line_no}: expected 3 columns")
-                by_query.setdefault(parts[0], []).append((float(parts[1]), int(parts[2])))
+                try:
+                    row = (float(parts[1]), int(parts[2]))
+                except ValueError as exc:
+                    raise StructuralError(
+                        f"line {line_no}: score must be a number and label an integer"
+                    ) from exc
+                by_query.setdefault(parts[0], []).append(row)
         for name in by_query:
             scores = [s for s, _ in by_query[name]]
             labels = [l for _, l in by_query[name]]

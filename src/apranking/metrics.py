@@ -1,10 +1,21 @@
 """Exact retrieval metrics: per-query AP, macro mAP, and pooled micro-AP.
 
-Per-query AP is computed in exact rational arithmetic (rank counts are
-integers and every addend is a ratio of small integers), then rounded once
-to float64. That makes the two independent AP routes — rank counting here
-and the sorted-scan oracle — agree bitwise, and keeps ``1 - AP`` consistent
-with the exact listwise risk.
+Every AP here is a mean of ratios of integer ranks, (1/P)·Σ aᵢ/bᵢ, and is
+returned as that rational number correctly rounded once to float64. numpy
+does the counting: per-query AP takes its tie-optimistic ranks from
+``searchsorted`` on the sorted scores, and micro-AP takes the positions of
+the pooled positives from their stable descending order (one argsort, with
+runs of tied scores put back in pooled order by one integer sort).
+
+One integer accumulator then sums floor(aᵢ·2^K / bᵢ) with K =
+``BRACKET_BITS``. The exact sum lies within P units of the last place of
+that fixed-point sum, so when both ends of the bracket round to the same
+double, that double is the answer; otherwise the exact ``Fraction`` sum
+decides. Results are therefore bitwise those of exact rational arithmetic,
+which keeps ``1 - AP`` consistent with the exact listwise risk.
+
+Two independent oracles stay: :func:`brute_force_ap`, a sorted scan over
+tie blocks, and ``losses.heaviside_ap_risk``, the exact listwise risk.
 """
 
 from __future__ import annotations
@@ -48,23 +59,39 @@ class MetricReport:
         }
 
 
-def _ap_fraction(sl: ScoredList) -> Fraction:
-    scores, labels = sl.scores, sl.labels
-    pos_scores = scores[labels == 1]
-    if pos_scores.size == 0:
-        raise UndefinedMetricError("average precision undefined without positives")
-    total = Fraction(0)
-    for s in pos_scores:
-        rank_pos = 1 + int(np.count_nonzero(pos_scores > s))
-        rank_all = 1 + int(np.count_nonzero(scores > s))
-        total += Fraction(rank_pos, rank_all)
-    return total / len(pos_scores)
+# bits of the fixed-point sum in _mean_of_ratios
+BRACKET_BITS = 160
+
+
+def _mean_of_ratios(num, den) -> float:
+    """(1/P)·Σ num[i]/den[i] over P pairs of positive integers, correctly
+    rounded to float64.
+
+    Each term is floored to K fractional bits, so the exact sum lies in
+    [lo, lo + P] / 2^K. Integer true division rounds correctly and rounding
+    is monotone, so when both ends give the same double, so does the exact
+    mean; otherwise the exact Fraction sum is rounded instead.
+    """
+    pairs = list(zip(num.tolist(), den.tolist()))
+    terms = len(pairs)
+    lo = sum((a << BRACKET_BITS) // b for a, b in pairs)
+    scale = terms << BRACKET_BITS
+    value = lo / scale
+    if value == (lo + terms) / scale:
+        return value
+    return float(sum(Fraction(a, b) for a, b in pairs) / terms)
 
 
 def average_precision(sl: ScoredList) -> float:
     """AP of one query: mean over positives of rank-among-positives divided
     by rank-among-all, with strict (tie-optimistic) descending ranks."""
-    return float(_ap_fraction(sl))
+    pos = np.sort(sl.scores[sl.labels == 1])
+    if pos.size == 0:
+        raise UndefinedMetricError("average precision undefined without positives")
+    # 1 + #{scores > s} for every positive score s, among positives and among all
+    rank_pos = 1 + pos.size - np.searchsorted(pos, pos, "right")
+    rank_all = 1 + sl.scores.size - np.searchsorted(np.sort(sl.scores), pos, "right")
+    return _mean_of_ratios(rank_pos, rank_all)
 
 
 def brute_force_ap(sl: ScoredList) -> float:
@@ -105,22 +132,26 @@ def micro_ap(queries) -> float:
     single descending list; ties keep query order then item order. The value
     is the sum of precision-at-rank times the per-positive recall increment.
     """
-    pooled_scores = []
-    pooled_labels = []
-    for q in queries:
-        pooled_scores.extend(q.scores.tolist())
-        pooled_labels.extend(q.labels.tolist())
-    total_pos = sum(pooled_labels)
-    if total_pos == 0:
+    queries = list(queries)
+    if not queries:
         raise UndefinedMetricError("no positive label in the pooled list")
-    order = sorted(range(len(pooled_scores)), key=lambda i: -pooled_scores[i])
-    hits = 0
-    total = Fraction(0)
-    for position, idx in enumerate(order, start=1):
-        if pooled_labels[idx] == 1:
-            hits += 1
-            total += Fraction(hits, position) * Fraction(1, total_pos)
-    return float(total)
+    scores = np.concatenate([q.scores for q in queries])
+    labels = np.concatenate([q.labels for q in queries])
+    # The order np.argsort(-scores, kind="stable") gives, from two faster
+    # sorts: numpy's default argsort, then every run of equal scores put back
+    # in pooled order by one integer sort of (run, index).
+    n = scores.size
+    descending = -scores
+    order = np.argsort(descending)
+    ordered = np.sort(descending)  # descending[order], without the gather
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=run[1:])
+    order = np.sort(run * n + order) % n
+    # 1-based positions of the positives in the descending pooled list
+    positions = np.flatnonzero(labels[order] == 1) + 1
+    if positions.size == 0:
+        raise UndefinedMetricError("no positive label in the pooled list")
+    return _mean_of_ratios(np.arange(1, positions.size + 1), positions)
 
 
 def evaluate_retrieval(sim, relevance: RelevanceMatrix, exclude_self: bool = True) -> MetricReport:
@@ -136,13 +167,11 @@ def evaluate_retrieval(sim, relevance: RelevanceMatrix, exclude_self: bool = Tru
     if sim.shape[0] != relevance.n:
         raise StructuralError("similarity and relevance sizes differ")
     n = relevance.n
-    queries = []
-    for k in range(n):
-        keep = np.ones(n, dtype=bool)
-        if exclude_self:
-            keep[k] = False
-        queries.append(ScoredList(sim[k, keep], relevance.entries[k, keep]))
-    scored = [q for q in queries if np.any(q.labels == 1)]
+    keep = ~np.eye(n, dtype=bool) if exclude_self else np.ones((n, n), dtype=bool)
+    rows = sim[keep].reshape(n, -1)
+    labels = relevance.entries[keep].reshape(n, -1)
+    queries = [ScoredList(s, l) for s, l in zip(rows, labels)]
+    scored = [q for q, has_positive in zip(queries, labels.any(axis=1)) if has_positive]
     if not scored:
         raise UndefinedMetricError("no query has a positive label")
     aps = tuple(average_precision(q) for q in scored)
@@ -151,5 +180,5 @@ def evaluate_retrieval(sim, relevance: RelevanceMatrix, exclude_self: bool = Tru
         map=fsum(aps) / len(aps),
         micro_ap=micro_ap(scored),
         num_queries=len(scored),
-        num_positives=int(sum(int(q.labels.sum()) for q in scored)),
+        num_positives=int(labels.sum()),
     )

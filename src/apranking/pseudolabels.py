@@ -15,7 +15,6 @@ from math import ceil, floor
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, StructuralError
-from .ranking import QueryContext
 
 __all__ = [
     "POSITIVE",
@@ -26,7 +25,6 @@ __all__ = [
     "PseudoLabelMatrix",
     "teacher_frame_similarity",
     "generate_pseudo_labels",
-    "frame_query_contexts",
 ]
 
 POSITIVE = 1
@@ -130,21 +128,3 @@ def generate_pseudo_labels(teacher_sim: np.ndarray, rates: LabelRates) -> Pseudo
     if nneg:
         labels[rows, order[:, tc - nneg :]] = NEGATIVE
     return PseudoLabelMatrix(labels)
-
-
-def frame_query_contexts(student_sim: np.ndarray, labels: PseudoLabelMatrix) -> list[QueryContext]:
-    """Map each pseudo-labeled row to a QueryContext over the student's
-    frame similarities; ignored columns are dropped entirely. Rows without a
-    positive label come back with empty positives (losses skip them)."""
-    s = np.asarray(student_sim, dtype=np.float64)
-    if s.shape != labels.shape:
-        raise StructuralError(
-            f"student similarities {s.shape} do not match labels {labels.shape}"
-        )
-    out = []
-    for x in range(s.shape[0]):
-        row_labels = labels.labels[x]
-        out.append(
-            QueryContext(s[x, row_labels == POSITIVE], s[x, row_labels == NEGATIVE])
-        )
-    return out

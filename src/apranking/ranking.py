@@ -17,7 +17,6 @@ __all__ = [
     "heaviside",
     "descending_rank",
     "partition_query",
-    "query_contexts",
     "QueryContext",
     "RelevanceMatrix",
     "ScoredList",
@@ -120,7 +119,7 @@ class ScoredList:
         l = np.atleast_1d(np.asarray(self.labels))
         if s.shape != l.shape or s.ndim != 1:
             raise StructuralError("scores and labels must be 1-d and equal length")
-        if not np.isin(l, (0, 1)).all():
+        if not ((l == 0) | (l == 1)).all():
             raise StructuralError("labels must be binary")
         if not np.all(np.isfinite(s)):
             raise StructuralError("scores must be finite")
@@ -152,15 +151,3 @@ def partition_query(row, relevance_row, self_index: int) -> QueryContext:
     pos = row[keep & (rel == 1)]
     neg = row[keep & (rel == 0)]
     return QueryContext(pos, neg)
-
-
-def query_contexts(sim, relevance: RelevanceMatrix) -> list[QueryContext]:
-    """One QueryContext per row of a square similarity matrix."""
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise StructuralError("similarity matrix must be square")
-    if sim.shape[0] != relevance.n:
-        raise StructuralError("similarity and relevance sizes differ")
-    return [
-        partition_query(sim[k], relevance.entries[k], k) for k in range(relevance.n)
-    ]

@@ -404,20 +404,24 @@ def _sample_batch(rng: np.random.Generator, by_group: dict, cfg: TrainConfig) ->
     return batch
 
 
+def _norms(value: np.ndarray) -> dict:
+    """Euclidean norm and largest magnitude of a parameter. The norm is taken
+    of value / max_abs and scaled back, so a finite parameter whose squares
+    overflow still reports its finite norm."""
+    max_abs = float(np.max(np.abs(value)))
+    if max_abs == 0.0 or not np.isfinite(max_abs):
+        return {"norm": float(np.linalg.norm(value)), "max_abs": max_abs}
+    return {"norm": max_abs * float(np.linalg.norm(value / max_abs)), "max_abs": max_abs}
+
+
 def _dump_snapshot(out_dir: str, iteration: int, model: Model, batch: list[int]) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"nan_snapshot_iter{iteration}.json")
-    with np.errstate(over="ignore", invalid="ignore"):  # a norm whose square overflows reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
         payload = {
             "iteration": iteration,
             "batch_indices": list(map(int, batch)),
-            "parameters": {
-                name: {
-                    "norm": float(np.linalg.norm(p.value)),
-                    "max_abs": float(np.max(np.abs(p.value))),
-                }
-                for name, p in model.parameters()
-            },
+            "parameters": {name: _norms(p.value) for name, p in model.parameters()},
         }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -228,6 +228,24 @@ class TestEval:
         res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
         assert res.returncode == 2
 
+    def test_non_binary_tensor_labels_exit_2(self, tmp_path, out_dir):
+        # labels are floats in a tensor file; 0.5 and 1.7 must not truncate to 0 and 1
+        path = tmp_path / "soft.tensors"
+        labels = np.array([[1.0, 0.5, 0.0], [0.0, 1.7, 0.0]])
+        write_tensors(path, {"scores": np.array([[0.9, 0.5, 0.1], [0.8, 0.7, 0.2]]), "labels": labels})
+        res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
+        assert res.returncode == 2
+        assert "labels must be binary" in res.stderr
+        assert not os.path.exists(os.path.join(out_dir, "eval_report.json"))
+
+    @pytest.mark.parametrize("row", ["q,0.5,0.5", "q,high,1"], ids=["label", "score"])
+    def test_malformed_csv_field_exits_2(self, tmp_path, out_dir, row):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"query,score,label\nq,0.9,1\n{row}\n")
+        res = run_cli(["eval", "--csv", str(csv), "--out", out_dir], tmp_path)
+        assert res.returncode == 2
+        assert "line 3" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestAblate:
     def test_k_t_sweep_with_avgpool_cross_check(self, tmp_path, out_dir):

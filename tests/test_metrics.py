@@ -1,10 +1,14 @@
 """Exact AP/mAP/micro-AP values, oracle equivalence, and rank-invariances."""
 
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apranking import metrics
 from apranking.errors import UndefinedMetricError
 from apranking.losses import heaviside_ap_risk
 from apranking.metrics import (
@@ -15,6 +19,62 @@ from apranking.metrics import (
     micro_ap,
 )
 from apranking.ranking import RelevanceMatrix, ScoredList
+
+
+def reference_micro_ap(queries) -> float:
+    """Oracle of the numpy micro-AP: a Python sort of the pooled scores
+    (stable, so tied items keep query then item order) and one exact
+    Fraction per positive."""
+    pooled_scores = []
+    pooled_labels = []
+    for q in queries:
+        pooled_scores.extend(q.scores.tolist())
+        pooled_labels.extend(q.labels.tolist())
+    total_pos = sum(pooled_labels)
+    if total_pos == 0:
+        raise UndefinedMetricError("no positive label in the pooled list")
+    order = sorted(range(len(pooled_scores)), key=lambda i: -pooled_scores[i])
+    hits = 0
+    total = Fraction(0)
+    for position, idx in enumerate(order, start=1):
+        if pooled_labels[idx] == 1:
+            hits += 1
+            total += Fraction(hits, position) * Fraction(1, total_pos)
+    return float(total)
+
+
+# a few values, both zeros among them, so that most lists hold ties
+TIED_SCORES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+SCORES = st.one_of(TIED_SCORES, st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def scored_lists(draw, max_size=40, need_positive=True):
+    scores = draw(st.lists(SCORES, min_size=1, max_size=max_size))
+    n = len(scores)
+    kind = draw(st.sampled_from(["random", "one positive", "all positives"]))
+    if kind == "all positives":
+        labels = [1] * n
+    elif kind == "one positive":
+        labels = [0] * n
+        labels[draw(st.integers(0, n - 1))] = 1
+    else:
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        if need_positive and not any(labels):
+            labels[0] = 1
+    return ScoredList(scores, labels)
+
+
+def tied_queries(rng, num_queries, max_items):
+    """Ragged queries with scores rounded to 0 or 1 decimal: ties within
+    and across queries, and signed zeros."""
+    out = []
+    for _ in range(num_queries):
+        n = int(rng.integers(1, max_items + 1))
+        scores = np.round(rng.standard_normal(n), int(rng.integers(0, 2)))
+        scores[rng.uniform(size=n) < 0.1] = -0.0
+        out.append(ScoredList(scores, (rng.uniform(size=n) < 0.3).astype(int)))
+    return out
 
 
 def random_distinct_list(rng, n=None):
@@ -85,6 +145,18 @@ class TestOracleEquivalence:
     def test_brute_force_inverted_list(self):
         assert brute_force_ap(ScoredList([0.9, 0.8, 0.7, 0.1], [0, 0, 0, 1])) == 0.25
 
+    @given(scored_lists())
+    def test_tied_lists_match_brute_force(self, sl):
+        assert average_precision(sl) == brute_force_ap(sl)
+
+    @given(scored_lists())
+    def test_tied_lists_match_exact_risk(self, sl):
+        assert 1.0 - average_precision(sl) == heaviside_ap_risk(sl.to_query_context())
+
+    def test_signed_zeros_tie(self):
+        sl = ScoredList([0.0, -0.0, -0.0, 0.0], [0, 1, 0, 1])
+        assert average_precision(sl) == brute_force_ap(sl) == 1.0
+
 
 class TestMeanAp:
     def test_mean(self):
@@ -144,6 +216,58 @@ class TestMicroAp:
         warped = [ScoredList(2 * q.scores + 1, q.labels) for q in (q1, q2)]
         assert micro_ap(warped) == micro_ap([q1, q2])
 
+    @given(st.lists(scored_lists(max_size=12, need_positive=False), min_size=1, max_size=6))
+    def test_matches_reference(self, queries):
+        if not any(q.labels.any() for q in queries):
+            with pytest.raises(UndefinedMetricError):
+                micro_ap(queries)
+            return
+        assert micro_ap(queries) == reference_micro_ap(queries)
+
+    def test_ties_across_and_within_queries_match_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            queries = tied_queries(rng, int(rng.integers(1, 9)), 30)
+            if any(q.labels.any() for q in queries):
+                assert micro_ap(queries) == reference_micro_ap(queries)
+
+    def test_tied_signed_zeros_keep_pooled_order(self):
+        # -0.0 and 0.0 are one score: the pooled order decides, not the sign
+        queries = [ScoredList([-0.0, 0.0], [0, 1]), ScoredList([0.0, -0.0], [1, 0])]
+        assert micro_ap(queries) == reference_micro_ap(queries) == float(Fraction(1, 2) * (Fraction(1, 2) + Fraction(2, 3)))
+
+    def test_large_pool_matches_reference(self):
+        rng = np.random.default_rng(8)
+        queries = tied_queries(rng, 240, 1000)
+        assert sum(q.scores.size for q in queries) >= 100_000
+        assert micro_ap(queries) == reference_micro_ap(queries)
+
+    def test_empty_pool_raises(self):
+        with pytest.raises(UndefinedMetricError):
+            micro_ap([])
+
+
+class TestExactBracketFallback:
+    """With BRACKET_BITS = 0 the fixed-point bracket is never tight, so every
+    value comes from the exact Fraction sum; the answers must not change."""
+
+    def test_average_precision(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        lists = [q for q in tied_queries(rng, 200, 30) if q.labels.any()]
+        expected = [average_precision(q) for q in lists]
+        monkeypatch.setattr(metrics, "BRACKET_BITS", 0)
+        assert [average_precision(q) for q in lists] == expected
+        assert [brute_force_ap(q) for q in lists] == expected
+
+    def test_micro_ap(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        pools = [tied_queries(rng, 5, 30) for _ in range(50)]
+        pools = [p for p in pools if any(q.labels.any() for q in p)]
+        expected = [micro_ap(p) for p in pools]
+        monkeypatch.setattr(metrics, "BRACKET_BITS", 0)
+        assert [micro_ap(p) for p in pools] == expected
+        assert [reference_micro_ap(p) for p in pools] == expected
+
 
 class TestEvaluateRetrieval:
     def test_excludes_diagonal(self):
@@ -162,3 +286,23 @@ class TestEvaluateRetrieval:
         assert report.num_queries == 8
         assert 0.0 <= report.micro_ap <= 1.0
         assert report.map == pytest.approx(float(np.mean(report.ap_per_query)))
+
+    @pytest.mark.parametrize(
+        "n, groups, seed, expected",
+        [
+            # (map, micro_ap, num_queries, num_positives, first 16 hex digits of
+            # the SHA-256 of every per-query AP's float.hex()), recorded from
+            # the per-positive comparison loop and the Python-sorted micro-AP
+            (48, 12, 48, (0.15802584308109976, 0.06821924045919918, 48, 144, "432eaf76222c9c0a")),
+            (1000, 100, 1000, (0.02098350007535149, 0.009062933210700442, 1000, 9000, "5755414b612969ef")),
+        ],
+    )
+    def test_pinned_reports(self, n, groups, seed, expected):
+        rng = np.random.default_rng(seed)
+        sim = rng.uniform(-1.0, 1.0, size=(n, n))
+        tied = rng.choice(n, size=n // 4, replace=False)
+        sim[tied] = np.round(sim[tied], 1)  # ties within and across rows
+        report = evaluate_retrieval(sim, RelevanceMatrix.from_groups(np.arange(n) % groups))
+        digest = hashlib.sha256("".join(float.hex(a) for a in report.ap_per_query).encode())
+        got = (report.map, report.micro_ap, report.num_queries, report.num_positives, digest.hexdigest()[:16])
+        assert got == expected

@@ -1,11 +1,11 @@
-"""Teacher-side frame similarity, rank-threshold labels, context assembly."""
+"""Teacher-side frame similarity and rank-threshold labels."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apranking.errors import DegenerateInputError, ParameterError, StructuralError
+from apranking.errors import DegenerateInputError, ParameterError
 from apranking.losses import heaviside_ap_risk
 from apranking.pseudolabels import (
     IGNORE,
@@ -13,11 +13,10 @@ from apranking.pseudolabels import (
     POSITIVE,
     FrameEmbeddings,
     LabelRates,
-    PseudoLabelMatrix,
-    frame_query_contexts,
     generate_pseudo_labels,
     teacher_frame_similarity,
 )
+from apranking.ranking import QueryContext
 from apranking.synthetic import planted_correspondence_matrix
 
 
@@ -106,27 +105,11 @@ class TestGeneratePseudoLabels:
                 assert predicted.sum() > 0
                 assert np.all(mask[predicted]), "a pseudo-positive fell outside the planted set"
 
-
-class TestFrameQueryContexts:
-    def test_index_mapping(self):
-        labels = generate_pseudo_labels(np.array([[0.9, 0.5, 0.2, 0.7]]), LabelRates(0.25, 0.25))
-        contexts = frame_query_contexts(np.array([[0.1, 0.2, 0.3, 0.4]]), labels)
-        np.testing.assert_array_equal(contexts[0].positives, [0.1])
-        np.testing.assert_array_equal(contexts[0].negatives, [0.3])
-
-    def test_all_ignore_row_yields_empty_context(self):
-        labels = PseudoLabelMatrix(np.zeros((1, 4), dtype=np.int8))
-        contexts = frame_query_contexts(np.ones((1, 4)), labels)
-        assert contexts[0].num_positives == 0
-
     def test_student_equals_teacher_gives_zero_risk(self):
         rng = np.random.default_rng(3)
         sim = rng.standard_normal((5, 11))
-        labels = generate_pseudo_labels(sim, LabelRates(0.3, 0.3))
-        for ctx in frame_query_contexts(sim, labels):
+        labels = generate_pseudo_labels(sim, LabelRates(0.3, 0.3)).labels
+        for row, row_labels in zip(sim, labels):
+            ctx = QueryContext(row[row_labels == POSITIVE], row[row_labels == NEGATIVE])
             assert heaviside_ap_risk(ctx) == 0.0
 
-    def test_shape_mismatch(self):
-        labels = PseudoLabelMatrix(np.zeros((2, 3), dtype=np.int8))
-        with pytest.raises(StructuralError):
-            frame_query_contexts(np.zeros((2, 4)), labels)

@@ -13,7 +13,6 @@ from apranking.ranking import (
     descending_rank,
     heaviside,
     partition_query,
-    query_contexts,
 )
 
 
@@ -122,14 +121,6 @@ class TestRelevanceMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(StructuralError):
             RelevanceMatrix(np.zeros((2, 3)))
-
-    def test_query_contexts_cover_all_rows(self):
-        sim = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.5], [0.3, 0.5, 1.0]])
-        rel = RelevanceMatrix.from_groups([0, 0, 1])
-        contexts = query_contexts(sim, rel)
-        assert len(contexts) == 3
-        np.testing.assert_array_equal(contexts[0].positives, [0.8])
-        np.testing.assert_array_equal(contexts[2].positives, [])
 
 
 class TestScoredList:

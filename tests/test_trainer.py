@@ -2,6 +2,8 @@
 scheduler shape, config round-trips, and loss values pinned bitwise."""
 
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +84,12 @@ class TestTrainLoop:
             train(cfg, out_dir=str(tmp_path))
         path = exc_info.value.snapshot_path
         assert path is not None and path.startswith(str(tmp_path))
+        # parameters whose squares overflow still report their finite norm
+        with open(path) as fh:
+            parameters = json.load(fh)["parameters"]
+        assert max(p["max_abs"] for p in parameters.values()) > 1e155
+        for p in parameters.values():
+            assert math.isfinite(p["norm"]) and p["norm"] >= p["max_abs"]
 
     def test_video_loss_variants_run(self):
         from dataclasses import replace
