@@ -27,7 +27,6 @@ from .losses import (
     contrastive_loss,
     heaviside_ap_risk,
     infonce_loss,
-    quadlinear_ap_batch_loss,
     quadlinear_ap_risk,
     r_minus,
     r_minus_grad,

@@ -9,7 +9,8 @@ bit.
 
 :func:`video_similarity` runs the pipeline on one clip pair and is the
 oracle; :func:`batch_similarity_matrix` runs the same stages on tiles of
-clip pairs at once and reproduces the oracle bitwise.
+clip pairs at once and reproduces the oracle bitwise. Both top-K stages, like
+the training graph's, sum through the one top-K, :func:`topk_sum_values`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "RefinerParams",
     "patch_similarity",
     "topk_count",
-    "topk_sum_last",
     "topk_sum_values",
     "spatial_topk_chamfer",
     "chamfer_frame_similarity",
@@ -48,8 +48,8 @@ __all__ = [
 SLAB_BYTES = 1 << 18
 
 # Longest top-K axis that topk_sum_values selects from with elementwise
-# min/max passes instead of a sort; numpy reduces fewer than 8 entries in
-# sequence, which the selected sum relies on.
+# min/max passes instead of np.max or a sort; numpy reduces fewer than 8
+# entries in sequence, which the selected sum relies on.
 SELECT_MAX_EXTENT = 8
 
 
@@ -162,43 +162,20 @@ def topk_count(rate: float, extent: int) -> int:
     return min(extent, max(1, int(np.floor(rate * extent + 0.5))))
 
 
-def topk_sum_last(values: np.ndarray, k: int):
-    """Sum of the k largest entries along the last axis.
-
-    Returns (sums, indices) where ``indices`` (shape[..., k]) marks which
-    entries were selected; ties break toward the lower index via a stable
-    descending sort so gradient routing is deterministic. k == extent skips
-    the sort entirely and k == 1 reduces to a max, which keeps the
-    degenerate cases bitwise identical to plain mean / Chamfer pooling.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    extent = values.shape[-1]
-    if not 1 <= k <= extent:
-        raise StructuralError(f"k={k} out of range for axis of length {extent}")
-    if k == extent:
-        idx = np.broadcast_to(np.arange(extent), values.shape).copy()
-        return values.sum(axis=-1), idx
-    if k == 1:
-        idx = np.argmax(values, axis=-1)[..., None]
-        return np.max(values, axis=-1), idx
-    order = np.argsort(-values, axis=-1, kind="stable")[..., :k]
-    top = np.take_along_axis(values, order, axis=-1)
-    return top.sum(axis=-1), order
-
-
 def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
-    """The sums of :func:`topk_sum_last` without the indices, bitwise equal.
+    """Sum of the k largest entries along the last axis: the one top-K, run
+    by the tiled engine and by :func:`autodiff.topk_sum`.
 
-    The k largest entries are summed in descending order, as the stable
-    argsort orders them; tied entries are equal values, so which of them is
-    selected does not change a bit. k == extent and k == 1 take the same
-    sum and max paths.
-
-    In between, axes of up to SELECT_MAX_EXTENT entries are not sorted row
-    by row: k bubble passes of elementwise min/max over the column slices
-    carry the k largest values to the last k columns, which are then added
-    from 0.0 in descending order, the order in which numpy reduces a
-    contiguous row of fewer than 8 entries. Longer axes are sorted.
+    Entries are summed in descending order, as a stable descending argsort
+    orders them (which of two tied entries is picked changes no bit); k ==
+    extent is the plain sum and k == 1 the max, bitwise equal to mean and
+    Chamfer pooling. Axes of up to SELECT_MAX_EXTENT entries are reduced
+    over their column views: k bubble passes of elementwise min/max carry
+    the k largest values to the last k columns (at k == 1 a chain of maxima,
+    exact like ``np.max`` to the sign of zero and several times faster),
+    which are added from 0.0 in descending order, the order in which numpy
+    reduces a contiguous row of fewer than 8 entries. Longer axes use
+    ``np.max`` and a sort.
     """
     values = np.asarray(values, dtype=np.float64)
     extent = values.shape[-1]
@@ -206,20 +183,24 @@ def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
         raise StructuralError(f"k={k} out of range for axis of length {extent}")
     if k == extent:
         return values.sum(axis=-1)
+    if extent > SELECT_MAX_EXTENT:
+        if k == 1:
+            return np.max(values, axis=-1)
+        top = np.sort(values, axis=-1)[..., : -k - 1 : -1]  # k largest, descending
+        return np.ascontiguousarray(top).sum(axis=-1)
+    cols = [values[..., j] for j in range(extent)]
+    for p in range(k):
+        for j in range(extent - 1 - p):
+            hi = np.maximum(cols[j], cols[j + 1])
+            if p < k - 1:  # the last pass's minima are never summed
+                cols[j] = np.minimum(cols[j], cols[j + 1])
+            cols[j + 1] = hi
     if k == 1:
-        return np.max(values, axis=-1)
-    if extent <= SELECT_MAX_EXTENT:
-        cols = [values[..., j] for j in range(extent)]
-        for p in range(k):
-            for j in range(extent - 1 - p):
-                lo, hi = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
-                cols[j], cols[j + 1] = lo, hi
-        total = 0.0
-        for col in cols[: -k - 1 : -1]:
-            total = total + col
-        return total
-    top = np.sort(values, axis=-1)[..., : -k - 1 : -1]  # k largest, descending
-    return np.ascontiguousarray(top).sum(axis=-1)
+        return cols[-1]
+    total = 0.0
+    for col in cols[: -k - 1 : -1]:
+        total = total + col
+    return total
 
 
 def spatial_topk_chamfer(sim: np.ndarray, k_s: float) -> np.ndarray:

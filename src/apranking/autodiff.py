@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The op set is deliberately closed: matrix products, row normalization,
-reshapes, reductions, clamp, tanh, top-K gather, average pooling, a 3x3
+reshapes, reductions, clamp, tanh, top-K, average pooling, a 3x3
 convolution, and an escape hatch for scalar nodes with hand-derived
-gradients. Anything else fails loudly at graph-build time; there is no
-silent fallback that could produce wrong gradients.
+gradients. Top-K routes its gradient through a selection mask. Anything
+else fails loudly at graph-build time; there is no silent fallback that
+could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -271,25 +272,55 @@ def sum_axis(v: Var, axis: int) -> Var:
 
 
 def topk_sum(v: Var, k: int, guard: BreakpointGuard | None = None) -> Var:
-    """Sum of the k largest entries along the last axis; the subgradient
-    routes only to the selected entries. Tie-breaking matches the library
-    aggregation helper bit for bit."""
-    summed, idx = aggregation.topk_sum_last(v.value, k)
-    extent = v.value.shape[-1]
-    if guard is not None and 0 < k < extent:
-        order = np.argsort(-v.value, axis=-1, kind="stable")
-        kth = np.take_along_axis(v.value, order[..., k - 1 : k], axis=-1)
-        nxt = np.take_along_axis(v.value, order[..., k : k + 1], axis=-1)
-        guard.record(kth - nxt)
+    """Sum of the k largest entries along the last axis, by
+    :func:`aggregation.topk_sum_values`. The subgradient routes through a
+    boolean mask of the selected entries, built in backward: the k largest,
+    ties to the lower index, as a stable descending argsort selects them. A
+    guard records each row's margin from the same selection."""
+    values = v.value
+    summed = aggregation.topk_sum_values(values, k)
+    extent = values.shape[-1]
+    if guard is not None and k < extent:
+        guard.record(_topk_margins(values, _topk_mask(values, summed, k)))
     out = Var(summed, parents=(v,))
 
     def backward(g):
-        buf = np.zeros_like(v.value)
-        np.put_along_axis(buf, idx, np.broadcast_to(g[..., None], idx.shape), axis=-1)
-        v.grad += buf
+        if k == extent:
+            v.grad += g[..., None]
+        else:
+            v.grad += np.where(_topk_mask(values, summed, k), g[..., None], 0.0)
 
     out._backward = backward
     return out
+
+
+def _topk_mask(values: np.ndarray, top: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k (< extent) largest entries along the last axis, ties to
+    the lower index; ``top`` is the row max when k == 1."""
+    extent = values.shape[-1]
+    if k == 1 and extent <= aggregation.SELECT_MAX_EXTENT:
+        # the first column equal to the max
+        sel = values == top[..., None]
+        taken = sel[..., 0].copy()
+        for j in range(1, extent):
+            col = sel[..., j]
+            np.greater(col, taken, out=col)
+            taken |= col
+        return sel
+    kth = top[..., None] if k == 1 else np.partition(values, extent - k, axis=-1)[..., extent - k, None]
+    tied = values == kth
+    room = k - np.count_nonzero(values > kth, axis=-1)[..., None]
+    return (values > kth) | (tied & (np.cumsum(tied, axis=-1) <= room))
+
+
+def _topk_margins(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """k-th largest minus next entry per row: the last smallest selected
+    entry minus the first largest unselected one, the two a stable
+    descending argsort puts at k and k + 1. Read at their positions, so a
+    zero margin keeps the sign the argsort gives it (entries are finite)."""
+    last = values.shape[-1] - 1 - np.argmin(np.where(sel, values, np.inf)[..., ::-1], axis=-1, keepdims=True)
+    first = np.argmax(np.where(sel, -np.inf, values), axis=-1, keepdims=True)
+    return np.take_along_axis(values, last, axis=-1) - np.take_along_axis(values, first, axis=-1)
 
 
 def clamp(v: Var, lo: float, hi: float, guard: BreakpointGuard | None = None) -> Var:

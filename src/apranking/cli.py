@@ -394,9 +394,12 @@ def _read_eval_inputs(args):
                 f"scores {scores.shape} and labels {labels.shape} must be equal 2-d shapes"
             )
         for q in range(scores.shape[0]):
-            queries.append(ScoredList(scores[q], labels[q]))  # rejects labels other than 0 and 1
+            try:
+                queries.append(ScoredList(scores[q], labels[q]))  # rejects labels other than 0 and 1
+            except StructuralError as exc:
+                raise StructuralError(f"{args.scores}: row {q}: {exc}") from exc
     else:
-        by_query: dict[str, list] = {}
+        by_query: dict[str, tuple[int, list]] = {}  # name -> (first line, rows)
         with open(args.csv) as fh:
             header = fh.readline().strip().split(",")
             if header[:3] != ["query", "score", "label"]:
@@ -414,11 +417,12 @@ def _read_eval_inputs(args):
                     raise StructuralError(
                         f"line {line_no}: score must be a number and label an integer"
                     ) from exc
-                by_query.setdefault(parts[0], []).append(row)
-        for name in by_query:
-            scores = [s for s, _ in by_query[name]]
-            labels = [l for _, l in by_query[name]]
-            queries.append(ScoredList(scores, labels))
+                by_query.setdefault(parts[0], (line_no, []))[1].append(row)
+        for name, (first, rows) in by_query.items():
+            try:
+                queries.append(ScoredList([s for s, _ in rows], [l for _, l in rows]))
+            except StructuralError as exc:
+                raise StructuralError(f"query {name!r} (first on line {first}): {exc}") from exc
     return queries
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "sigmoid_surrogate_grad",
     "quadlinear_ap_risk",
     "quadlinear_ap_risk_rows",
-    "quadlinear_ap_batch_loss",
     "heaviside_ap_risk",
     "smooth_ap_risk",
     "smooth_ap_risk_rows",
@@ -484,11 +483,6 @@ def matrix_loss(sim, relevance: RelevanceMatrix, rows_fn) -> MatrixLossOutput:
         return MatrixLossOutput(0.0, np.zeros_like(sim), 0)
     total = _sum_in_row_order(values[counts > 0])
     return MatrixLossOutput(total / active, grad / active, active)
-
-
-def quadlinear_ap_batch_loss(sim, relevance: RelevanceMatrix, p: QuadLinearParams) -> MatrixLossOutput:
-    """Quad-linear AP risk averaged over the non-skipped query rows."""
-    return matrix_loss(sim, relevance, lambda pos, neg: quadlinear_ap_risk_rows(pos, neg, p))
 
 
 def sshn_matrix_loss(sim, relevance: RelevanceMatrix) -> MatrixLossOutput:

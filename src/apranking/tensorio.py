@@ -20,7 +20,6 @@ from .errors import StructuralError
 __all__ = [
     "write_tensors",
     "read_tensors",
-    "load_frame_embeddings",
     "write_checkpoint",
     "read_checkpoint",
     "config_hash",
@@ -86,16 +85,6 @@ def read_tensors(path) -> dict:
     if offset != len(rest):
         raise StructuralError(f"{path}: {len(rest) - offset} trailing payload bytes")
     return out
-
-
-def load_frame_embeddings(path, name: str = "teacher"):
-    """Read one named (T, D') tensor as teacher-side frame embeddings."""
-    from .pseudolabels import FrameEmbeddings
-
-    tensors = read_tensors(path)
-    if name not in tensors:
-        raise StructuralError(f"{path}: no tensor named {name!r} (found {sorted(tensors)})")
-    return FrameEmbeddings(tensors[name])
 
 
 def config_hash(config: dict) -> str:

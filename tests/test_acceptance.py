@@ -320,6 +320,7 @@ def test_criterion_7_pseudo_label_fidelity():
     report(7, ok, f"50 planted matrices: precision violations={bad_precision}, count violations={bad_counts}")
 
 
+@pytest.mark.slow
 def test_criterion_8_training_regression_easy(easy_runs):
     maps = [r.final_report.map for r in easy_runs]
     uaps = [r.final_report.micro_ap for r in easy_runs]
@@ -335,6 +336,7 @@ def test_criterion_8_training_regression_easy(easy_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_loss_comparison(hard_runs):
     uap = {tag: median([r.final_report.micro_ap for r in runs]) for tag, runs in hard_runs.items()}
     ok = uap["quadlinear"] >= uap["triplet"] and uap["quadlinear"] >= uap["smooth"] - 0.01
@@ -346,6 +348,7 @@ def test_criterion_9_directional_loss_comparison(hard_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_hierarchy_ablation(hard_runs):
     uap = {tag: median([r.final_report.micro_ap for r in runs]) for tag, runs in hard_runs.items()}
     maps = {tag: median([r.final_report.map for r in runs]) for tag, runs in hard_runs.items()}

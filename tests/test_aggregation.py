@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apranking import aggregation
+from apranking import autodiff as ad
 from apranking.aggregation import (
     AggregationParams,
     PatchEmbeddings,
@@ -20,7 +21,6 @@ from apranking.aggregation import (
     temporal_mean,
     temporal_topk_chamfer,
     topk_count,
-    topk_sum_last,
     topk_sum_values,
     video_similarity,
 )
@@ -29,6 +29,53 @@ from apranking.errors import DegenerateInputError, ParameterError, StructuralErr
 
 def random_embeddings(rng, t=3, r=2, d=4):
     return PatchEmbeddings(rng.standard_normal((t, r, d)))
+
+
+def topk_sum_last(values, k):
+    """Exact top-K oracle: (sums, indices) of the k largest entries along
+    the last axis, picked by a stable descending argsort, so ties go to the
+    lower index. k == extent is the plain sum and k == 1 the max."""
+    values = np.asarray(values, dtype=np.float64)
+    extent = values.shape[-1]
+    if k == extent:
+        return values.sum(axis=-1), np.broadcast_to(np.arange(extent), values.shape).copy()
+    if k == 1:
+        return np.max(values, axis=-1), np.argmax(values, axis=-1)[..., None]
+    order = np.argsort(-values, axis=-1, kind="stable")[..., :k]
+    return np.take_along_axis(values, order, axis=-1).sum(axis=-1), order
+
+
+def topk_grad_oracle(values, k, g):
+    """The subgradient of the oracle's sums: g routed to its indices."""
+    _, idx = topk_sum_last(values, k)
+    buf = np.zeros_like(values)
+    np.put_along_axis(buf, idx, np.broadcast_to(g[..., None], idx.shape), axis=-1)
+    return buf
+
+
+def topk_margin_oracle(values, k):
+    """k-th largest minus (k+1)-th largest entry, both read from the stable
+    descending argsort."""
+    order = np.argsort(-values, axis=-1, kind="stable")
+    kth = np.take_along_axis(values, order[..., k - 1 : k], axis=-1)
+    return kth - np.take_along_axis(values, order[..., k : k + 1], axis=-1)
+
+
+def tied_values(rng, extent):
+    """Rounded values with runs of ties and signed zeros, on a random
+    leading shape; about half the draws are strided (moved-axis) views."""
+    shape = tuple(int(s) for s in rng.integers(1, 5, size=int(rng.integers(0, 3)))) + (extent,)
+    values = np.round(rng.uniform(-1, 1, size=shape), int(rng.integers(0, 3)))
+    values = np.where(rng.random(shape) < 0.25, rng.choice([-0.0, 0.0], size=shape), values)
+    if len(shape) > 1 and rng.random() < 0.5:
+        values = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+    return values
+
+
+def same_bits(a, b):
+    """Equal values, shapes and signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestTopkCount:
@@ -147,24 +194,6 @@ class TestTemporalAggregation:
             )
 
 
-class TestTopkSumLast:
-    def test_tie_break_prefers_lower_index(self):
-        values = np.array([[0.5, 0.9, 0.9, 0.1]])
-        _, idx = topk_sum_last(values, 1)
-        assert idx[0, 0] == 1
-
-    def test_k_out_of_range(self):
-        with pytest.raises(StructuralError):
-            topk_sum_last(np.zeros((2, 3)), 4)
-
-    def test_selected_indices_cover_top_values(self):
-        rng = np.random.default_rng(7)
-        values = rng.uniform(size=(10, 8))
-        summed, idx = topk_sum_last(values, 3)
-        expected = np.sort(values, axis=-1)[:, -3:].sum(axis=-1)
-        np.testing.assert_allclose(summed, expected, atol=1e-15)
-
-
 class TestTopkSumValues:
     def test_bitwise_equal_to_stable_argsort_sums(self):
         # extents on both sides of SELECT_MAX_EXTENT, every k, and rounded
@@ -187,9 +216,62 @@ class TestTopkSumValues:
         for k in range(1, 7):
             assert np.array_equal(topk_sum_values(moved, k), topk_sum_last(moved, k)[0])
 
+    def test_k1_is_np_max_bit_for_bit(self):
+        # the column chain on short axes and np.max on long ones, with tied
+        # rows, signed zeros and strided input: the sign of zero must match.
+        # At extent 1, k == 1 is also k == extent, the plain sum, which
+        # turns a strided -0.0 into 0.0
+        rng = np.random.default_rng(17)
+        for extent in range(1, 13):
+            reference = np.sum if extent == 1 else np.max
+            for _ in range(40):
+                values = tied_values(rng, extent)
+                assert same_bits(topk_sum_values(values, 1), reference(values, axis=-1)), values
+        for row in ([-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, 0.0, -1.0], [-1.0, 0.0, -0.0, 0.0]):
+            values = np.array([row, row[::-1]])
+            assert same_bits(topk_sum_values(values, 1), np.max(values, axis=-1)), row
+
     def test_k_out_of_range(self):
-        with pytest.raises(StructuralError):
-            topk_sum_values(np.zeros((2, 3)), 0)
+        for k in (0, 4):
+            with pytest.raises(StructuralError):
+                topk_sum_values(np.zeros((2, 3)), k)
+
+
+class TestAutodiffTopkMatchesOracle:
+    """autodiff.topk_sum takes its sums from topk_sum_values, routes its
+    gradient through a selection mask and reads the guard margins from that
+    selection; all three must match the stable-argsort oracle bit for bit."""
+
+    def test_gradients_every_k(self):
+        rng = np.random.default_rng(18)
+        for _ in range(250):
+            values = tied_values(rng, int(rng.integers(1, 13)))
+            for k in range(1, values.shape[-1] + 1):
+                g = np.round(rng.uniform(-1, 1, size=values.shape[:-1]), 1)
+                g = np.where(rng.random(g.shape) < 0.2, -0.0, g)
+                v = ad.Var(values)
+                out = ad.topk_sum(v, k)
+                assert same_bits(out.value, topk_sum_last(values, k)[0]), (values, k)
+                out._backward(g)
+                expected = np.zeros_like(values) + topk_grad_oracle(values, k, g)
+                assert same_bits(v.grad, expected), (values, k, g)
+
+    def test_guard_margins_every_k(self):
+        rng = np.random.default_rng(19)
+        for _ in range(250):
+            values = tied_values(rng, int(rng.integers(2, 13)))
+            for k in range(1, values.shape[-1]):
+                expected = topk_margin_oracle(values, k)
+                mask = ad._topk_mask(values, topk_sum_values(values, 1), k)
+                assert same_bits(ad._topk_margins(values, mask), expected), (values, k)
+                guard = ad.BreakpointGuard()
+                ad.topk_sum(ad.Var(values), k, guard=guard)
+                assert same_bits(guard.margins, [expected.min()]), (values, k)
+
+    def test_full_k_records_no_margin(self):
+        guard = ad.BreakpointGuard()
+        ad.topk_sum(ad.Var(np.array([[0.3, 0.3]])), 2, guard=guard)
+        assert guard.margins == []
 
 
 class TestRefiner:

@@ -99,6 +99,12 @@ class TestTopkGradientRouting:
         out.backward()
         np.testing.assert_array_equal(v.grad, [[0.0, 1.0, 0.0, 1.0]])
 
+    def test_tie_break_prefers_lower_index(self):
+        for k, expected in ((1, [0.0, 1.0, 0.0, 0.0]), (2, [0.0, 1.0, 1.0, 0.0]), (3, [1.0, 1.0, 1.0, 0.0])):
+            v = ad.Var(np.array([[0.5, 0.9, 0.9, 0.5]]))
+            ad.sum_axis(ad.topk_sum(v, k), 0).backward()
+            np.testing.assert_array_equal(v.grad, [expected])
+
     def test_full_k_routes_everywhere(self):
         v = ad.Var(np.array([[0.1, 0.9]]))
         out = ad.sum_axis(ad.topk_sum(v, 2), 0)

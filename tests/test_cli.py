@@ -246,6 +246,32 @@ class TestEval:
         assert res.returncode == 2
         assert "line 3" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "row, reason", [("q,0.5,2", "labels must be binary"), ("q,inf,0", "scores must be finite")],
+        ids=["label", "score"],
+    )
+    def test_rejected_csv_value_names_query_and_line(self, tmp_path, out_dir, row, reason):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"query,score,label\np,0.3,1\nq,0.9,1\n{row}\n")
+        res = run_cli(["eval", "--csv", str(csv), "--out", out_dir], tmp_path)
+        assert res.returncode == 2
+        assert reason in res.stderr and "query 'q' (first on line 3)" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "cell, reason", [(("labels", 2.0), "labels must be binary"), (("scores", np.inf), "scores must be finite")],
+        ids=["label", "score"],
+    )
+    def test_rejected_tensor_value_names_row(self, tmp_path, out_dir, cell, reason):
+        tensors = {"scores": np.array([[0.9, 0.1], [0.8, 0.7]]), "labels": np.array([[1.0, 0.0], [0.0, 1.0]])}
+        tensors[cell[0]][1, 0] = cell[1]
+        path = tmp_path / "bad.tensors"
+        write_tensors(path, tensors)
+        res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
+        assert res.returncode == 2
+        assert reason in res.stderr and "row 1" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestAblate:
     def test_k_t_sweep_with_avgpool_cross_check(self, tmp_path, out_dir):

@@ -4,6 +4,8 @@ Gradient correctness lives in test_gradients.py; this module pins the
 piecewise surrogate maps and the listwise/pairwise loss values themselves.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from apranking.losses import (
     infonce_loss,
     infonce_loss_rows,
     matrix_loss,
-    quadlinear_ap_batch_loss,
     quadlinear_ap_risk,
     quadlinear_ap_risk_rows,
     r_minus,
@@ -286,7 +287,7 @@ class TestBatchLoss:
     def test_mean_of_identical_queries(self):
         sim = np.array([[1.0, 0.4, 0.6], [0.4, 1.0, 0.6], [0.6, 0.6, 1.0]])
         p = QuadLinearParams(0.05, 1.0)
-        out = quadlinear_ap_batch_loss(sim, self.rel3(), p)
+        out = matrix_loss(sim, self.rel3(), partial(quadlinear_ap_risk_rows, p=p))
         q0 = quadlinear_ap_risk(QueryContext([0.4], [0.6]), p).value
         assert out.active_queries == 2
         # query 2 has no positives and is skipped; queries 0 and 1 are twins
@@ -295,21 +296,21 @@ class TestBatchLoss:
     def test_all_skipped(self):
         sim = np.eye(3)
         rel = RelevanceMatrix.from_groups([0, 1, 2])
-        out = quadlinear_ap_batch_loss(sim, rel, QuadLinearParams(0.05, 1.0))
+        out = matrix_loss(sim, rel, partial(quadlinear_ap_risk_rows, p=QuadLinearParams(0.05, 1.0)))
         assert out.value == 0.0 and out.active_queries == 0
         assert np.all(out.grad == 0)
 
     def test_symmetric_three_by_three_hand_value(self):
         sim = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.5], [0.3, 0.5, 1.0]])
         p = QuadLinearParams(0.05, 1.0)
-        out = quadlinear_ap_batch_loss(sim, self.rel3(), p)
+        out = matrix_loss(sim, self.rel3(), partial(quadlinear_ap_risk_rows, p=p))
         r0 = quadlinear_ap_risk(QueryContext([0.8], [0.3]), p).value
         r1 = quadlinear_ap_risk(QueryContext([0.8], [0.5]), p).value
         assert out.value == pytest.approx((r0 + r1) / 2, abs=1e-12)
 
     def test_gradient_zero_on_diagonal_and_skipped_rows(self):
         sim = np.array([[1.0, 0.4, 0.6], [0.4, 1.0, 0.6], [0.6, 0.6, 1.0]])
-        out = quadlinear_ap_batch_loss(sim, self.rel3(), QuadLinearParams(0.05, 1.0))
+        out = matrix_loss(sim, self.rel3(), partial(quadlinear_ap_risk_rows, p=QuadLinearParams(0.05, 1.0)))
         assert np.all(np.diag(out.grad) == 0)
         assert np.all(out.grad[2] == 0)
 
