@@ -10,13 +10,10 @@ import argparse
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from apranking.trainer import LossWeights, easy_preset, hard_preset, train
-
-SEEDS = (0, 1, 2, 3, 4)
+from apranking.trainer import HARD_VARIANTS, REFERENCE_SEEDS as SEEDS, easy_preset, hard_variant, train
 
 
 def run_easy(out_dir: str) -> dict:
@@ -47,24 +44,11 @@ def run_easy(out_dir: str) -> dict:
 
 
 def run_hard(out_dir: str) -> dict:
-    variants = {
-        "base": dict(video_loss="quadlinear", lambda_v=0.0, lambda_f=0.0),
-        "quadlinear": dict(video_loss="quadlinear", lambda_f=0.0),
-        "smooth": dict(video_loss="smooth", lambda_f=0.0),
-        "triplet": dict(video_loss="triplet", lambda_f=0.0),
-        "full": dict(video_loss="quadlinear"),
-    }
     table = {}
-    for tag, spec in variants.items():
+    for tag in HARD_VARIANTS:
         rows = []
         for seed in SEEDS:
-            cfg = hard_preset(seed=seed)
-            weights = cfg.weights
-            for key in ("lambda_v", "lambda_f"):
-                if key in spec:
-                    weights = replace(weights, **{key: spec[key]})
-            cfg = replace(cfg, video_loss=spec["video_loss"], weights=weights)
-            result = train(cfg)
+            result = train(hard_variant(tag, seed))
             rows.append({"seed": seed, "map": result.final_report.map,
                          "micro_ap": result.final_report.micro_ap})
             print(f"hard {tag} seed {seed}: mAP={rows[-1]['map']:.4f} "

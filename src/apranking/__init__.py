@@ -40,10 +40,13 @@ from .losses import (
 from .metrics import (
     MetricReport,
     average_precision,
+    average_precision_rows,
     brute_force_ap,
     evaluate_retrieval,
     mean_ap,
     micro_ap,
+    pooled_order,
+    retrieval_report,
 )
 from .pseudolabels import (
     FrameEmbeddings,

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from math import fsum
 
 BENCH_LOSSES = ("quadlinear", "smooth", "heaviside", "triplet", "contrastive")
 
@@ -99,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
             "optimistically (a positive tied with a negative ranks above it), "
             "while micro-AP pools all queries into one list and orders tied "
             "scores by query, then by item. So scores 0.5, 0.5 with labels 0, 1 "
-            "give AP 1.0 but micro-AP 0.5."
+            "give AP 1.0 but micro-AP 0.5. A score of -inf with label 0 is "
+            "padding, an absent item; CSV queries of unequal length are padded so."
         ),
     )
     evalp.add_argument("--scores", default=None, help="tensor file with 'scores' and 'labels'")
@@ -377,79 +377,80 @@ def _run_one(out: str, tag: str, cfg) -> dict:
 
 
 def _read_eval_inputs(args):
+    """The (queries, items) scores and labels of --scores or --csv; CSV
+    queries of unequal length are padded with -inf scores and label 0."""
+    import numpy as np
+
     from .errors import ParameterError, StructuralError
     from .ranking import ScoredList
     from .tensorio import read_tensors
 
     if bool(args.scores) == bool(args.csv):
         raise ParameterError("provide exactly one of --scores or --csv")
-    queries = []
     if args.scores:
         tensors = read_tensors(args.scores)
         if "scores" not in tensors or "labels" not in tensors:
             raise StructuralError("tensor file must contain 'scores' and 'labels'")
-        scores, labels = tensors["scores"], tensors["labels"]
-        if scores.shape != labels.shape or scores.ndim != 2:
-            raise StructuralError(
-                f"scores {scores.shape} and labels {labels.shape} must be equal 2-d shapes"
-            )
-        for q in range(scores.shape[0]):
+        return tensors["scores"], tensors["labels"]
+    by_query: dict[str, tuple[int, list]] = {}  # name -> (first line, rows)
+    with open(args.csv) as fh:
+        header = fh.readline().strip().split(",")
+        if header[:3] != ["query", "score", "label"]:
+            raise StructuralError("CSV header must be query,score,label")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise StructuralError(f"line {line_no}: expected 3 columns")
             try:
-                queries.append(ScoredList(scores[q], labels[q]))  # rejects labels other than 0 and 1
-            except StructuralError as exc:
-                raise StructuralError(f"{args.scores}: row {q}: {exc}") from exc
-    else:
-        by_query: dict[str, tuple[int, list]] = {}  # name -> (first line, rows)
-        with open(args.csv) as fh:
-            header = fh.readline().strip().split(",")
-            if header[:3] != ["query", "score", "label"]:
-                raise StructuralError("CSV header must be query,score,label")
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise StructuralError(f"line {line_no}: expected 3 columns")
-                try:
-                    row = (float(parts[1]), int(parts[2]))
-                except ValueError as exc:
-                    raise StructuralError(
-                        f"line {line_no}: score must be a number and label an integer"
-                    ) from exc
-                by_query.setdefault(parts[0], (line_no, []))[1].append(row)
-        for name, (first, rows) in by_query.items():
-            try:
-                queries.append(ScoredList([s for s, _ in rows], [l for _, l in rows]))
-            except StructuralError as exc:
-                raise StructuralError(f"query {name!r} (first on line {first}): {exc}") from exc
-    return queries
+                row = (float(parts[1]), int(parts[2]))
+            except ValueError as exc:
+                raise StructuralError(
+                    f"line {line_no}: score must be a number and label an integer"
+                ) from exc
+            by_query.setdefault(parts[0], (line_no, []))[1].append(row)
+    width = max((len(rows) for _, rows in by_query.values()), default=0)
+    scores = np.full((len(by_query), width), -np.inf)
+    labels = np.zeros((len(by_query), width), dtype=np.int8)
+    for q, (name, (first, rows)) in enumerate(by_query.items()):
+        try:
+            query = ScoredList([s for s, _ in rows], [l for _, l in rows])  # finite scores, binary labels
+        except StructuralError as exc:
+            raise StructuralError(f"query {name!r} (first on line {first}): {exc}") from exc
+        scores[q, : len(rows)] = query.scores
+        labels[q, : len(rows)] = query.labels
+    return scores, labels
 
 
 def cmd_eval(args) -> int:
-    from .errors import NumericsError, UndefinedMetricError
-    from .metrics import average_precision, brute_force_ap, micro_ap
+    import numpy as np
+
+    from .errors import NumericsError, StructuralError
+    from .metrics import brute_force_ap, retrieval_report
+    from .ranking import ScoredList
     from .tensorio import write_csv, write_json_report
 
     started = time.time()
     out = _ensure_out(args)
-    queries = _read_eval_inputs(args)
-    import numpy as np
-
-    scored = [q for q in queries if np.any(q.labels == 1)]
-    if not scored:
-        raise UndefinedMetricError("no query has a positive label")
-    aps = [average_precision(q) for q in scored]
+    scores, labels = _read_eval_inputs(args)
+    try:
+        metrics = retrieval_report(scores, labels)
+    except StructuralError as exc:
+        raise StructuralError(f"{args.scores or args.csv}: {exc}") from exc
+    aps = list(metrics.ap_per_query)
     report = _stamp(args, {
         "ap_per_query": aps,
-        "map": fsum(aps) / len(aps),  # what mean_ap(scored) returns, without a second AP pass
-        "micro_ap": micro_ap(scored),
-        "num_queries": len(scored),
-        "num_skipped": len(queries) - len(scored),
+        "map": metrics.map,
+        "micro_ap": metrics.micro_ap,
+        "num_queries": metrics.num_queries,
+        "num_skipped": len(scores) - metrics.num_queries,
         "wall_clock_seconds": _wall_clock(args, started),
     })
     if args.verify:
-        mismatches = sum(1 for q, ap in zip(scored, aps) if brute_force_ap(q) != ap)
+        scored = [(s[s > -np.inf], l[s > -np.inf]) for s, l in zip(scores, labels) if (l == 1).any()]
+        mismatches = sum(1 for (s, l), ap in zip(scored, aps) if brute_force_ap(ScoredList(s, l)) != ap)
         report["verify"] = {"oracle_mismatches": mismatches, "pass": mismatches == 0}
     write_json_report(os.path.join(out, "eval_report.json"), report)
     write_csv(
@@ -457,7 +458,7 @@ def cmd_eval(args) -> int:
         ["query", "ap"],
         [{"query": i, "ap": ap} for i, ap in enumerate(aps)],
     )
-    print(f"eval: mAP={report['map']:.6f} microAP={report['micro_ap']:.6f} over {len(scored)} queries")
+    print(f"eval: mAP={report['map']:.6f} microAP={report['micro_ap']:.6f} over {len(aps)} queries")
     if args.verify and report["verify"]["oracle_mismatches"]:
         raise NumericsError(f"{report['verify']['oracle_mismatches']} oracle mismatches")
     return 0

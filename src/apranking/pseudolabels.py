@@ -88,7 +88,7 @@ class PseudoLabelMatrix:
         l = np.asarray(self.labels)
         if l.ndim != 2:
             raise StructuralError(f"expected a (T, T') matrix, got shape {l.shape}")
-        if not np.isin(l, (POSITIVE, NEGATIVE, IGNORE)).all():
+        if not ((l == POSITIVE) | (l == NEGATIVE) | (l == IGNORE)).all():
             raise StructuralError("labels must be in {+1, -1, 0}")
         object.__setattr__(self, "labels", l.astype(np.int8))
 

@@ -93,7 +93,7 @@ class RelevanceMatrix:
         e = np.asarray(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise StructuralError("relevance matrix must be square")
-        if not np.isin(e, (0, 1)).all():
+        if not ((e == 0) | (e == 1)).all():
             raise StructuralError("relevance entries must be 0 or 1")
         object.__setattr__(self, "entries", e.astype(np.int8))
 

@@ -60,30 +60,32 @@ def read_tensors(path) -> dict:
     """Inverse of :func:`write_tensors`; round-trips bit-exactly."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head, sep, rest = raw.partition(b"\nend\n")
-    if not sep:
+    end = raw.find(b"\nend\n")
+    if end < 0:
         raise StructuralError(f"{path}: missing manifest terminator")
-    lines = head.decode("ascii").splitlines()
+    lines = raw[:end].decode("ascii").splitlines()
     if not lines or lines[0] != _TENSOR_HEADER:
         raise StructuralError(f"{path}: not an apranking tensor file")
     out = {}
-    offset = 0
+    offset = end + len(b"\nend\n")
     for line in lines[1:]:
         try:
             name, code, shape_s = line.split(" ")
             shape = tuple(int(s) for s in shape_s.split(","))
             dtype = np.dtype(_DTYPES[code])
+            if min(shape) < 0:
+                raise ValueError("negative extent")
         except (ValueError, KeyError) as exc:
             raise StructuralError(f"{path}: bad manifest line {line!r}") from exc
         count = int(np.prod(shape))
         nbytes = count * dtype.itemsize
-        blob = rest[offset : offset + nbytes]
-        if len(blob) != nbytes:
+        if offset + nbytes > len(raw):
             raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
-        out[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+        # one copy out of the file's bytes, so the result owns writable memory
+        out[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
         offset += nbytes
-    if offset != len(rest):
-        raise StructuralError(f"{path}: {len(rest) - offset} trailing payload bytes")
+    if offset != len(raw):
+        raise StructuralError(f"{path}: {len(raw) - offset} trailing payload bytes")
     return out
 
 

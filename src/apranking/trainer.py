@@ -56,6 +56,9 @@ __all__ = [
     "evaluate_model",
     "easy_preset",
     "hard_preset",
+    "REFERENCE_SEEDS",
+    "HARD_VARIANTS",
+    "hard_variant",
     "config_to_dict",
     "config_from_dict",
     "VIDEO_LOSSES",
@@ -217,6 +220,26 @@ def hard_preset(seed: int = 0, **overrides) -> TrainConfig:
         seed=seed,
     )
     return replace(cfg, **overrides) if overrides else cfg
+
+
+# Seeds of the reference runs, and the hard-preset variants they compare (the
+# loss comparison and hierarchy ablation of acceptance criteria 9 and 10):
+# tag -> (video loss, LossWeights overrides).
+REFERENCE_SEEDS = (0, 1, 2, 3, 4)
+HARD_VARIANTS = {
+    "base": ("quadlinear", {"lambda_v": 0.0, "lambda_f": 0.0}),
+    "quadlinear": ("quadlinear", {"lambda_f": 0.0}),
+    "smooth": ("smooth", {"lambda_f": 0.0}),
+    "triplet": ("triplet", {"lambda_f": 0.0}),
+    "full": ("quadlinear", {}),
+}
+
+
+def hard_variant(tag: str, seed: int) -> TrainConfig:
+    """The hard preset at ``seed`` with the video loss and weights of variant ``tag``."""
+    video_loss, weights = HARD_VARIANTS[tag]
+    cfg = hard_preset(seed=seed)
+    return replace(cfg, video_loss=video_loss, weights=replace(cfg.weights, **weights))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,9 +41,15 @@ from apranking.metrics import average_precision, brute_force_ap, micro_ap
 from apranking.pseudolabels import POSITIVE, LabelRates, generate_pseudo_labels
 from apranking.ranking import QueryContext, ScoredList
 from apranking.synthetic import generate_corpus, planted_correspondence_matrix
-from apranking.trainer import LossWeights, build_losses, easy_preset, hard_preset, train
-
-SEEDS = (0, 1, 2, 3, 4)
+from apranking.trainer import (
+    HARD_VARIANTS,
+    REFERENCE_SEEDS as SEEDS,
+    LossWeights,
+    build_losses,
+    easy_preset,
+    hard_variant,
+    train,
+)
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -69,27 +74,7 @@ def easy_runs():
 @pytest.fixture(scope="session")
 def hard_runs():
     """Per-tag results on the hard preset under identical budgets."""
-    variants = {
-        "base": dict(video_loss="quadlinear", lambda_v=0.0, lambda_f=0.0),
-        "quadlinear": dict(video_loss="quadlinear", lambda_v=None, lambda_f=0.0),
-        "smooth": dict(video_loss="smooth", lambda_v=None, lambda_f=0.0),
-        "triplet": dict(video_loss="triplet", lambda_v=None, lambda_f=0.0),
-        "full": dict(video_loss="quadlinear", lambda_v=None, lambda_f=None),
-    }
-    results = {}
-    for tag, spec in variants.items():
-        runs = []
-        for seed in SEEDS:
-            cfg = hard_preset(seed=seed)
-            weights = cfg.weights
-            if spec["lambda_v"] is not None:
-                weights = replace(weights, lambda_v=spec["lambda_v"])
-            if spec["lambda_f"] is not None:
-                weights = replace(weights, lambda_f=spec["lambda_f"])
-            cfg = replace(cfg, video_loss=spec["video_loss"], weights=weights)
-            runs.append(train(cfg))
-        results[tag] = runs
-    return results
+    return {tag: [train(hard_variant(tag, seed)) for seed in SEEDS] for tag in HARD_VARIANTS}
 
 
 # ---------------------------------------------------------------------------

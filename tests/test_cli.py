@@ -201,9 +201,11 @@ class TestEval:
 
         from apranking import cli, metrics
 
-        calls = []
-        original = metrics.average_precision
-        monkeypatch.setattr(metrics, "average_precision", lambda q: calls.append(1) or original(q))
+        # every AP comes from one rows call over the 15 scored queries
+        rows_calls, single_calls = [], []
+        rows, single = metrics._ap_rows, metrics.average_precision
+        monkeypatch.setattr(metrics, "_ap_rows", lambda s, p: rows_calls.append(s.shape[0]) or rows(s, p))
+        monkeypatch.setattr(metrics, "average_precision", lambda q: single_calls.append(1) or single(q))
         rng = np.random.default_rng(2)
         scores = rng.standard_normal((20, 9))
         labels = np.zeros((20, 9))
@@ -212,9 +214,76 @@ class TestEval:
         path = tmp_path / "s.tensors"
         write_tensors(path, {"scores": scores, "labels": labels})
         assert cli.main(["eval", "--scores", str(path), "--out", out_dir]) == 0
-        assert len(calls) == 15
+        assert rows_calls == [15] and single_calls == []
         report = json.load(open(os.path.join(out_dir, "eval_report.json")))
         assert report["map"] == fsum(report["ap_per_query"]) / 15
+
+    # (SHA-256 of eval_per_query.csv, map, micro_ap, num_queries, num_skipped),
+    # recorded with the per-query ScoredList path and the argsort micro-AP
+    PINNED = {
+        "scores": ("92a3308891a8b6a2463a7a3bfee0d1ee2e83487c2bf084d5e87463eb58b51256",
+                   0.21590708151014773, 0.14260309880613323, 56, 4),
+        "csv": ("2ae793e70bdbf9d8cc0777843849cfebf945067f8069ead3b6743a06cd811fd6",
+                0.47263438015373, 0.3679012985387042, 24, 1),
+    }
+
+    @staticmethod
+    def _tied_score_file(path):
+        """60 x 40 scores at one decimal with signed zeros; four queries without a positive."""
+        rng = np.random.default_rng(31)
+        scores = np.round(rng.standard_normal((60, 40)), 1)
+        scores[rng.uniform(size=scores.shape) < 0.05] = -0.0
+        labels = (rng.uniform(size=scores.shape) < 0.15).astype(np.float64)
+        labels[:4] = 0.0
+        write_tensors(path, {"scores": scores, "labels": labels})
+
+    @staticmethod
+    def _ragged_csv(path):
+        """25 queries of 1-29 tied scores, lines shuffled across queries; query
+        q20 has a positive at the lowest finite score, below any finite pad."""
+        rng = np.random.default_rng(32)
+        lines = []
+        for q in range(25):
+            n = int(rng.integers(1, 30))
+            scores = np.round(rng.standard_normal(n), 1)
+            labels = (rng.uniform(size=n) < 0.3).astype(int)
+            if q == 20:
+                scores[0], labels[0] = -np.finfo(np.float64).max, 1
+            lines += [f"q{q},{s!r},{l}" for s, l in zip(scores.tolist(), labels.tolist())]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        path.write_text("\n".join(["query,score,label"] + lines) + "\n")
+
+    @pytest.mark.parametrize("kind", ["scores", "csv"])
+    def test_pinned_tied_and_ragged_inputs(self, tmp_path, out_dir, kind):
+        import hashlib
+
+        from apranking import cli
+
+        path = tmp_path / f"input.{kind}"
+        (self._tied_score_file if kind == "scores" else self._ragged_csv)(path)
+        assert cli.main(["eval", f"--{kind}", str(path), "--verify", "--deterministic", "--out", out_dir]) == 0
+        report = json.load(open(os.path.join(out_dir, "eval_report.json")))
+        digest = hashlib.sha256(open(os.path.join(out_dir, "eval_per_query.csv"), "rb").read()).hexdigest()
+        got = (digest, report["map"], report["micro_ap"], report["num_queries"], report["num_skipped"])
+        assert got == self.PINNED[kind]
+        assert report["verify"]["pass"] is True
+
+    def test_minus_inf_with_label_0_is_padding(self, tmp_path, out_dir):
+        # a tensor file padded with (-inf, 0) reports what the ragged CSV does
+        from apranking import cli
+
+        csv = tmp_path / "ragged.csv"
+        csv.write_text("query,score,label\nq1,0.5,0\nq2,0.5,1\nq2,0.2,0\nq1,0.5,1\nq1,0.1,1\n")
+        path = tmp_path / "padded.tensors"
+        write_tensors(path, {"scores": np.array([[0.5, 0.5, 0.1], [0.5, 0.2, -np.inf]]),
+                             "labels": np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])})
+        reports = []
+        for flag, f in (("--csv", csv), ("--scores", path)):
+            assert cli.main(["eval", flag, str(f), "--verify", "--deterministic", "--out", out_dir]) == 0
+            report = json.load(open(os.path.join(out_dir, "eval_report.json")))
+            reports.append({k: report[k] for k in ("ap_per_query", "map", "micro_ap", "num_queries", "verify")})
+        assert reports[0] == reports[1]
+        assert reports[0]["ap_per_query"] == [5 / 6, 1.0]
 
     def test_no_positives_exits_2(self, tmp_path, out_dir):
         csv = tmp_path / "scores.csv"

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from apranking import metrics
 from apranking.errors import UndefinedMetricError
 from apranking.losses import heaviside_ap_risk
+from apranking.errors import StructuralError
 from apranking.metrics import (
     average_precision,
+    average_precision_rows,
     brute_force_ap,
     evaluate_retrieval,
     mean_ap,
     micro_ap,
+    pooled_order,
+    retrieval_report,
 )
 from apranking.ranking import RelevanceMatrix, ScoredList
 
@@ -156,6 +160,106 @@ class TestOracleEquivalence:
     def test_signed_zeros_tie(self):
         sl = ScoredList([0.0, -0.0, -0.0, 0.0], [0, 1, 0, 1])
         assert average_precision(sl) == brute_force_ap(sl) == 1.0
+
+
+@st.composite
+def score_stacks(draw):
+    """(queries, items) scores with ties and signed zeros, and binary labels
+    with a positive in every row."""
+    q, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    scores = np.array(draw(st.lists(SCORES, min_size=q * n, max_size=q * n))).reshape(q, n)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=q * n, max_size=q * n))).reshape(q, n)
+    labels[np.arange(q), draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))] = 1
+    return scores, labels
+
+
+class TestAveragePrecisionRows:
+    @given(score_stacks())
+    def test_rows_match_single_query_ap_and_oracles(self, stack):
+        aps = average_precision_rows(*stack)
+        lists = [ScoredList(s, l) for s, l in zip(*stack)]
+        assert aps == [average_precision(q) for q in lists]
+        assert aps == [brute_force_ap(q) for q in lists]
+        assert [1.0 - ap for ap in aps] == [heaviside_ap_risk(q.to_query_context()) for q in lists]
+
+    def test_row_without_positive_raises(self):
+        with pytest.raises(UndefinedMetricError):
+            average_precision_rows([[0.9, 0.1], [0.5, 0.4]], [[1, 0], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "scores, labels, reason",
+        [
+            ([[0.9, 0.1], [0.5, np.nan]], [[1, 0], [1, 0]], "row 1: scores must be finite"),
+            ([[0.9, 0.1], [0.5, -np.inf]], [[1, 0], [0, 1]], "row 1: scores must be finite"),
+            ([[0.9, np.inf], [0.5, 0.4]], [[1, 0], [2, 1]], "row 0: scores must be finite"),
+            ([[0.9, 0.1], [0.5, np.nan]], [[1, 0], [0.5, 1]], "row 1: labels must be binary"),
+        ],
+        ids=["nan", "-inf positive", "+inf", "label before score"],
+    )
+    def test_bad_row_is_named(self, scores, labels, reason):
+        with pytest.raises(StructuralError, match=reason):
+            average_precision_rows(scores, labels)
+
+    def test_padding_changes_no_metric(self):
+        # ragged queries padded with -inf scores and label 0 give the same
+        # per-query APs and micro-AP as the queries themselves
+        rng = np.random.default_rng(11)
+        queries = [q for q in tied_queries(rng, 12, 15) if q.labels.any()]
+        width = max(q.scores.size for q in queries)
+        scores = np.full((len(queries), width), -np.inf)
+        labels = np.zeros((len(queries), width), dtype=int)
+        for row, q in enumerate(queries):
+            scores[row, : q.scores.size], labels[row, : q.scores.size] = q.scores, q.labels
+        report = retrieval_report(scores, labels)
+        assert report.ap_per_query == tuple(average_precision(q) for q in queries)
+        assert report.micro_ap == micro_ap(queries) == reference_micro_ap(queries)
+
+
+def _ulp_steps(x, steps):
+    """x moved steps[i] units in the last place, one nextafter at a time."""
+    with np.errstate(over="ignore"):  # a step from -inf may step back to it
+        for k in range(int(np.abs(steps).max(initial=0))):
+            x = np.where(steps > k, np.nextafter(x, np.inf), np.where(steps < -k, np.nextafter(x, -np.inf), x))
+    return x
+
+
+# n in {1, 2, 2^k, 2^k + 1} puts the pooled index in every bit count at its edges
+POOL_SIZES = st.one_of(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]), st.integers(1, 80))
+POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e-310, -1e-310, -np.inf]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+class TestPooledOrder:
+    @given(st.data())
+    def test_matches_stable_argsort(self, data):
+        # a few ulps apart, keys differ only in their low bits: the packed sort
+        # orders those by index and the repair must put them right
+        n = data.draw(POOL_SIZES)
+        base = np.array(data.draw(st.lists(POOL_VALUES, min_size=n, max_size=n)))
+        steps = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        scores = _ulp_steps(base, steps)
+        assert np.array_equal(pooled_order(scores), np.argsort(-scores, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "scores, order",
+        [
+            ([0.5], [0]),
+            ([-0.0, 0.0, -0.0], [0, 1, 2]),  # one score: pooled order
+            ([0.25, np.nextafter(0.25, 1.0)], [1, 0]),  # keys 1 apart, index order inverted
+            ([-np.inf, 0.1, -np.inf, -1e308], [1, 3, 0, 2]),  # pads last, in pooled order
+        ],
+    )
+    def test_hand_cases(self, scores, order):
+        assert pooled_order(np.array(scores)).tolist() == order
+
+    def test_large_pool_with_collisions(self):
+        # 2^17 + 1 items in runs of values 1 ulp apart, shuffled: 18 index bits
+        rng = np.random.default_rng(12)
+        base = np.repeat(rng.standard_normal(2**15), 4)[: 2**17 + 1]
+        scores = rng.permutation(_ulp_steps(base, rng.integers(-2, 3, size=base.size)))
+        assert np.array_equal(pooled_order(scores), np.argsort(-scores, kind="stable"))
 
 
 class TestMeanAp:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apranking.errors import DegenerateInputError, ParameterError
+from apranking.errors import DegenerateInputError, ParameterError, StructuralError
 from apranking.losses import heaviside_ap_risk
 from apranking.pseudolabels import (
     IGNORE,
@@ -13,6 +13,7 @@ from apranking.pseudolabels import (
     POSITIVE,
     FrameEmbeddings,
     LabelRates,
+    PseudoLabelMatrix,
     generate_pseudo_labels,
     teacher_frame_similarity,
 )
@@ -52,6 +53,25 @@ class TestLabelRates:
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             LabelRates(0.0, 0.35)
+
+
+class TestPseudoLabelMatrix:
+    @pytest.mark.parametrize("bad", [2, -2, 0.5, np.nan])
+    def test_rejects_labels_outside_the_three_values(self, bad):
+        labels = np.array([[POSITIVE, NEGATIVE], [IGNORE, POSITIVE]], dtype=np.float64)
+        labels[1, 0] = bad
+        with pytest.raises(StructuralError):
+            PseudoLabelMatrix(labels)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_accepts_ternary_dtypes(self, dtype):
+        m = PseudoLabelMatrix(np.array([[1, -1], [0, 1]], dtype=dtype))
+        assert m.labels.dtype == np.int8
+        np.testing.assert_array_equal(m.labels, [[1, -1], [0, 1]])
+
+    def test_accepts_bool(self):
+        m = PseudoLabelMatrix(np.array([[True, False], [False, True]]))
+        np.testing.assert_array_equal(m.labels, [[1, 0], [0, 1]])
 
 
 class TestGeneratePseudoLabels:

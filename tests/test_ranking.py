@@ -118,6 +118,19 @@ class TestRelevanceMatrix:
         with pytest.raises(StructuralError):
             RelevanceMatrix(np.array([[1, 2], [0, 1]]))
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_rejects_entries_other_than_zero_and_one(self, bad):
+        entries = np.eye(2)
+        entries[0, 1] = bad
+        with pytest.raises(StructuralError):
+            RelevanceMatrix(entries)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+    def test_accepts_binary_dtypes(self, dtype):
+        rel = RelevanceMatrix(np.array([[1, 0], [1, 1]], dtype=dtype))
+        assert rel.entries.dtype == np.int8
+        np.testing.assert_array_equal(rel.entries, [[1, 0], [1, 1]])
+
     def test_rejects_non_square(self):
         with pytest.raises(StructuralError):
             RelevanceMatrix(np.zeros((2, 3)))

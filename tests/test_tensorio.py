@@ -52,6 +52,23 @@ class TestTensorFile:
         with pytest.raises(StructuralError):
             read_tensors(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.replace(b"\nend\n", b"\n"), "missing manifest terminator"),
+            (lambda raw: raw[:-8], "payload truncated for tensor 'x'"),
+            (lambda raw: raw + b"\0" * 3, "3 trailing payload bytes"),
+            (lambda raw: raw.replace(b"x f64 4", b"x f64 -1,-4"), "bad manifest line 'x f64 -1,-4'"),
+        ],
+        ids=["terminator", "truncated", "trailing", "negative extent"],
+    )
+    def test_rejection_messages(self, tmp_path, edit, message):
+        path = tmp_path / "t.tensors"
+        write_tensors(path, {"x": np.zeros(4)})
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(StructuralError, match=message):
+            read_tensors(path)
+
     def test_rejects_bad_name(self, tmp_path):
         with pytest.raises(StructuralError):
             write_tensors(tmp_path / "x", {"a b": np.zeros(1)})

@@ -20,8 +20,11 @@ from apranking.trainer import (
     TrainConfig,
     config_from_dict,
     config_to_dict,
+    HARD_VARIANTS,
+    REFERENCE_SEEDS,
     easy_preset,
     hard_preset,
+    hard_variant,
     train,
 )
 
@@ -152,6 +155,26 @@ class TestConfigRoundTrip:
         payload["video_loss"] = "nonsense"
         with pytest.raises(ParameterError):
             config_from_dict(payload)
+
+
+class TestHardVariants:
+    def test_table_builds_the_reference_configs(self):
+        # the configs that the criteria 9/10 fixture and scripts/run_reference.py
+        # each spelled out before they shared one table
+        from dataclasses import replace
+
+        assert REFERENCE_SEEDS == (0, 1, 2, 3, 4)
+        for seed in REFERENCE_SEEDS:
+            cfg = hard_preset(seed=seed)
+            w = cfg.weights
+            expected = {
+                "base": replace(cfg, video_loss="quadlinear", weights=replace(w, lambda_v=0.0, lambda_f=0.0)),
+                "quadlinear": replace(cfg, video_loss="quadlinear", weights=replace(w, lambda_f=0.0)),
+                "smooth": replace(cfg, video_loss="smooth", weights=replace(w, lambda_f=0.0)),
+                "triplet": replace(cfg, video_loss="triplet", weights=replace(w, lambda_f=0.0)),
+                "full": replace(cfg, video_loss="quadlinear"),
+            }
+            assert {tag: hard_variant(tag, seed) for tag in HARD_VARIANTS} == expected
 
 
 PINNED_SYN = SyntheticConfig(
