@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The op set is deliberately closed: matrix products, row normalization,
-reshapes, reductions, clamp, tanh, top-K, average pooling, a 3x3
-convolution, and an escape hatch for scalar nodes with hand-derived
-gradients. Top-K routes its gradient through a selection mask. Anything
-else fails loudly at graph-build time; there is no silent fallback that
-could produce wrong gradients.
+The op set is deliberately closed: a linear map, row normalization, the
+fused spatial TopK-Chamfer stage (cosine gram, top-K over candidate
+patches, mean over query patches), axis moves, reductions, clamp, tanh,
+top-K, average pooling, a 3x3 convolution, and an escape hatch for scalar
+nodes with hand-derived gradients. Top-K routes its gradient through a
+selection mask; the spatial stage at k = 1 scatters it at the selected
+patch instead. Anything else fails loudly at graph-build time; there is no
+silent fallback that could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -18,6 +20,8 @@ ill-conditioned samples.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,12 +37,11 @@ __all__ = [
     "mul_scalar",
     "add_scalar",
     "linear",
-    "gram",
     "normalize_rows",
-    "reshape",
     "moveaxis",
     "sum_axis",
     "topk_sum",
+    "spatial_topk_chamfer",
     "clamp",
     "tanh",
     "average_pool_ceil",
@@ -211,20 +214,6 @@ def linear(x, w: Var) -> Var:
     return out
 
 
-def gram(u: Var) -> Var:
-    """u @ u.T for a (N, D) node; the two operands share the parent."""
-    if u.value.ndim != 2:
-        raise StructuralError("gram expects a 2-d node")
-    out = Var(u.value @ u.value.T, parents=(u,))
-    uv = u.value
-
-    def backward(g):
-        u.grad += (g + g.T) @ uv
-
-    out._backward = backward
-    return out
-
-
 def normalize_rows(v: Var, min_norm: float = 1e-12) -> Var:
     """L2-normalize the last axis."""
     norms = np.linalg.norm(v.value, axis=-1, keepdims=True)
@@ -235,16 +224,6 @@ def normalize_rows(v: Var, min_norm: float = 1e-12) -> Var:
 
     def backward(g):
         v.grad += (g - unit * np.sum(g * unit, axis=-1, keepdims=True)) / norms
-
-    out._backward = backward
-    return out
-
-
-def reshape(v: Var, shape) -> Var:
-    out = Var(v.value.reshape(shape), parents=(v,))
-
-    def backward(g):
-        v.grad += g.reshape(v.value.shape)
 
     out._backward = backward
     return out
@@ -321,6 +300,102 @@ def _topk_margins(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     last = values.shape[-1] - 1 - np.argmin(np.where(sel, values, np.inf)[..., ::-1], axis=-1, keepdims=True)
     first = np.argmax(np.where(sel, -np.inf, values), axis=-1, keepdims=True)
     return np.take_along_axis(values, last, axis=-1) - np.take_along_axis(values, first, axis=-1)
+
+
+def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: BreakpointGuard | None = None) -> Var:
+    """The spatial TopK-Chamfer stage of n clips of T frames and R patches:
+    from the (n*T*R, D) unit patch rows ``u``, the (n, T, n, T) frame
+    similarity (query clip, query frame, candidate clip, candidate frame)
+
+        frame[a, i, b, j] = 1/(R k) * sum_p topk_q <u[a, i, p], u[b, j, q]>
+
+    with the top-K of :func:`aggregation.topk_sum_values` over candidate
+    patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a transposed
+    copy rounds differently). Backward builds the symmetric adjoint
+    S = G + G.T of that product directly and leaves through one ``S @ u``.
+    At k = 1 (R > 1) the forward keeps each row's first maximal candidate
+    patch, and backward scatters the upstream gradient there and at the
+    transposed position into the cosine buffer, which is dead once that
+    selection is taken; other k route through :func:`topk_sum`'s selection
+    mask. A guard records each row's top-K margin, as topk_sum does."""
+    uv = u.value
+    size = n * t * r
+    if uv.ndim != 2 or uv.shape[0] != size:
+        raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
+    cosines = uv @ uv.T
+    sim6 = cosines.reshape(n, t, r, n, t, r)
+    summed = aggregation.topk_sum_values(sim6, k)  # (n, T, R, n, T)
+    if guard is not None and k < r:
+        guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
+    c = 1.0 / (r * k)
+    out = Var(summed.sum(axis=2) * c, parents=(u,))
+    scatter = k == 1 and r > 1
+    if scatter:
+        # the index of the first maximal column is the count of the columns
+        # before it, all below the max
+        below = sim6[..., 0] != summed
+        first = below.astype(np.min_scalar_type(r - 1))
+        for q in range(1, r - 1):
+            below &= sim6[..., q] != summed
+            first += below
+
+    def backward(g):
+        gs = g * c
+        gs += 0.0  # -0.0 -> +0.0, as a sum into a zero gradient gives
+        if scatter:
+            adjoint = _scatter_plan(n, t, r).adjoint(cosines, first, gs)
+        else:
+            spread = gs[:, :, None, :, :, None]
+            if k == r:
+                grad6 = np.broadcast_to(spread, sim6.shape)
+            else:
+                grad6 = np.where(_topk_mask(sim6, summed, k), spread, 0.0)
+            grad = grad6.reshape(size, size)
+            adjoint = grad + grad.T
+        u.grad += adjoint @ uv
+
+    out._backward = backward
+    return out
+
+
+class _ScatterPlan:
+    """Flat positions and scratch of the k = 1 adjoint scatter for one
+    (n, T, R). Kept across calls, because allocating these ~512 KB arrays on
+    every backward costs about a thousand minor page faults per training
+    step. The scratch is written only inside one backward call, so two
+    threads must not run backward on graphs of the same shape at once."""
+
+    def __init__(self, n: int, t: int, r: int):
+        size = n * t * r
+        patch = np.arange(size).reshape(n, t, r, 1, 1)
+        frame = np.arange(0, size, r).reshape(n, t)  # first patch of each frame
+        # (query patch i, candidate frame f) -> i * size + first patch of f
+        self.rows = patch * size + frame
+        # the transposed positions, candidate frame first, so that each
+        # frame's R rows of the adjoint are written in one sweep
+        self.cols = frame[:, :, None, None, None] * size + patch.reshape(n, t, r)
+        self.index = np.empty(self.rows.shape, np.intp)
+        self.index_t = np.empty(self.cols.shape, np.intp)
+        self.taken = np.empty(self.cols.shape)
+
+    def adjoint(self, buf: np.ndarray, first: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        """S = G + G.T in ``buf``, where row i of G holds gs at its ``first``
+        candidate patch of each candidate frame and +0.0 elsewhere."""
+        buf.fill(0.0)
+        flat = buf.reshape(-1)
+        np.add(self.rows, first, out=self.index)
+        flat[self.index] = gs[:, :, None]
+        np.multiply(first.transpose(3, 4, 0, 1, 2), np.intp(buf.shape[0]), out=self.index_t)
+        self.index_t += self.cols
+        np.take(flat, self.index_t, out=self.taken, mode="clip")
+        self.taken += gs.transpose(2, 3, 0, 1)[..., None]
+        flat[self.index_t] = self.taken
+        return buf
+
+
+@functools.lru_cache(maxsize=8)
+def _scatter_plan(n: int, t: int, r: int) -> _ScatterPlan:
+    return _ScatterPlan(n, t, r)
 
 
 def clamp(v: Var, lo: float, hi: float, guard: BreakpointGuard | None = None) -> Var:

@@ -10,6 +10,7 @@ pinned to one thread before numpy loads, and wall-clock fields are nulled.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -153,7 +154,10 @@ def _stamp(args, extra=None) -> dict:
     return stamp
 
 
+@functools.cache
 def _git_rev() -> str:
+    """Short revision of the checkout holding this module, looked up once
+    per process: the loaded code cannot change revision mid-process."""
     import subprocess
 
     try:

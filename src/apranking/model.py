@@ -108,6 +108,12 @@ def forward_similarity(
 ) -> tuple[ad.Var, ad.Var]:
     """Build the batch similarity graph.
 
+    The head maps and normalises every patch; one fused node,
+    :func:`autodiff.spatial_topk_chamfer`, takes the cosine gram, the
+    spatial top-K and the mean over query patches to (n, T, n, T) frame
+    similarities, so no (n, T, R, n, T, R) tensor or adjoint enters the
+    graph; the refiner and the temporal top-K follow as separate nodes.
+
     ``batch_data`` is the stacked student view (n, T, R, D). Returns the
     (n, n) video-similarity node and the (n, n, T*, T*) refined
     frame-similarity node (query clip, candidate clip, query frame,
@@ -120,14 +126,8 @@ def forward_similarity(
 
     mapped = ad.linear(batch_data.reshape(n * t * r, d), model.weight)
     unit = ad.normalize_rows(mapped)
-    cosines = ad.gram(unit)  # (nTR, nTR)
-    # (query clip, query frame, query patch, candidate clip, candidate frame,
-    #  candidate patch); the candidate patch axis is last, ready for top-K
-    sim6 = ad.reshape(cosines, (n, t, r, n, t, r))
-
     k_s = topk_count(params.k_s, r)
-    spatial = ad.topk_sum(sim6, k_s, guard=guard)  # (n, T, R, n, T)
-    frame = ad.scale(ad.sum_axis(spatial, 2), 1.0 / (r * k_s))  # (n, T, n, T)
+    frame = ad.spatial_topk_chamfer(unit, n, t, r, k_s, guard=guard)  # (n, T, n, T)
     frame = ad.moveaxis(frame, 1, 2)  # (n, n, T, T)
 
     if model.refiner_kind == "identity":

@@ -23,15 +23,17 @@ def fd_scalar(fn, x, h=1e-7):
     return g
 
 
+def total(v):
+    """Scalar node: the sum of every entry of ``v``."""
+    return ad.scalar_node(v, lambda values: (values.sum(), np.ones_like(values)))
+
+
 def check_unary(op, x, tol=1e-7):
     def value(arr):
         return float(op(ad.Var(arr)).value.sum())
 
     v = ad.Var(x.copy())
-    out = op(v)
-    total = ad.reshape(out, (-1,))
-    total = ad.sum_axis(total, 0)
-    total.backward()
+    total(op(v)).backward()
     fd = fd_scalar(value, x.copy())
     np.testing.assert_allclose(v.grad, fd, atol=tol, rtol=1e-5)
 
@@ -41,16 +43,10 @@ class TestBasicOps:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 3))
         w = ad.Var(rng.standard_normal((4, 3)))
-        out = ad.linear(x, w)
-        loss = ad.sum_axis(ad.reshape(out, (-1,)), 0)
-        loss.backward()
+        total(ad.linear(x, w)).backward()
         # d(sum(x W^T))/dW = ones^T x, column-replicated
         expected = np.tile(x.sum(axis=0), (4, 1))
         np.testing.assert_allclose(w.grad, expected, atol=1e-12)
-
-    def test_gram_fd(self):
-        rng = np.random.default_rng(1)
-        check_unary(ad.gram, rng.standard_normal((4, 3)))
 
     def test_normalize_rows_fd(self):
         rng = np.random.default_rng(2)
@@ -84,9 +80,7 @@ class TestBasicOps:
             return float(out.value.sum())
 
         vx, vw, vb = ad.Var(x.copy()), ad.Var(w.copy()), ad.Var(b.copy())
-        out = ad.conv3x3(vx, vw, vb, stride=2)
-        loss = ad.sum_axis(ad.reshape(out, (-1,)), 0)
-        loss.backward()
+        total(ad.conv3x3(vx, vw, vb, stride=2)).backward()
         np.testing.assert_allclose(vx.grad, fd_scalar(lambda a: value("x", a), x.copy()), atol=1e-6)
         np.testing.assert_allclose(vw.grad, fd_scalar(lambda a: value("w", a), w.copy()), atol=1e-6)
         np.testing.assert_allclose(vb.grad, fd_scalar(lambda a: value("b", a), b.copy()), atol=1e-6)
@@ -154,9 +148,134 @@ class TestGraphMechanics:
         def run():
             v = ad.Var(x)
             u = ad.normalize_rows(v)
-            g = ad.gram(u)
-            out = ad.sum_axis(ad.reshape(ad.topk_sum(g, 2), (-1,)), 0)
-            out.backward()
+            total(ad.spatial_topk_chamfer(u, 3, 1, 2, 1)).backward()
             return v.grad.copy()
 
         assert np.array_equal(run(), run())
+
+
+def same_bits(a, b):
+    """Equal values, shapes and signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def composed_chain(u, n, t, r, k, guard=None):
+    """Oracle: the spatial stage as five generic nodes, gram -> reshape ->
+    topk_sum -> sum_axis -> scale, with the gram's adjoint (G + G.T) @ u."""
+    uv = u.value
+    cosines = ad.Var(uv @ uv.T, parents=(u,))
+
+    def gram_backward(g):
+        u.grad += (g + g.T) @ uv
+
+    cosines._backward = gram_backward
+    sim6 = ad.Var(cosines.value.reshape(n, t, r, n, t, r), parents=(cosines,))
+
+    def reshape_backward(g):
+        cosines.grad += g.reshape(cosines.value.shape)
+
+    sim6._backward = reshape_backward
+    spatial = ad.topk_sum(sim6, k, guard=guard)
+    return ad.scale(ad.sum_axis(spatial, 2), 1.0 / (r * k))
+
+
+def backward_from(out, g):
+    """Reverse sweep down a chain of one-parent nodes from upstream ``g``,
+    which reaches the first node as given, signed zeros included."""
+    node = out
+    node._backward(g)
+    while node._parents and node._parents[0]._backward is not None:
+        node = node._parents[0]
+        node._backward(node.grad)
+
+
+def tied_unit_rows(rng, size, d):
+    """Unit rows drawn from a small pool of signed basis vectors and rounded
+    random directions, so that cosines tie exactly, duplicated patches
+    occur, and exact (signed) zeros appear."""
+    basis = np.concatenate([np.eye(d), -np.eye(d)])
+    other = np.round(rng.standard_normal((4, d)), 1) + 0.05
+    pool = np.concatenate([basis, other / np.linalg.norm(other, axis=1, keepdims=True)])
+    return pool[rng.integers(0, len(pool), size=size)]
+
+
+def signed_upstream(rng, shape):
+    """Rounded upstream gradients with +0.0 and -0.0 entries."""
+    g = np.round(rng.uniform(-1, 1, size=shape), 1)
+    return np.where(rng.random(shape) < 0.2, rng.choice([-0.0, 0.0], size=shape), g)
+
+
+class TestSpatialTopkChamfer:
+    """ad.spatial_topk_chamfer against the composed chain it replaces:
+    values, input gradients and guard margins, bit for bit."""
+
+    # (n, T, R, k): k = 1 on short axes and on the np.max path (R = 9, 10),
+    # in-between k, k = extent, and R = 1
+    CASES = [
+        (2, 3, 4, 1), (3, 2, 2, 1), (1, 2, 8, 1), (2, 2, 9, 1), (2, 1, 10, 1),
+        (2, 2, 5, 2), (2, 3, 4, 3), (1, 2, 9, 4), (2, 2, 3, 3), (3, 2, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("n,t,r,k", CASES)
+    def test_matches_composed_chain(self, n, t, r, k):
+        rng = np.random.default_rng(n * 1000 + t * 100 + r * 10 + k)
+        for _ in range(30):
+            rows = tied_unit_rows(rng, n * t * r, int(rng.integers(2, 5)))
+            g = signed_upstream(rng, (n, t, n, t))
+            fused_guard, chain_guard = ad.BreakpointGuard(), ad.BreakpointGuard()
+            u_fused, u_chain = ad.Var(rows), ad.Var(rows)
+            fused = ad.spatial_topk_chamfer(u_fused, n, t, r, k, guard=fused_guard)
+            chain = composed_chain(u_chain, n, t, r, k, guard=chain_guard)
+            assert same_bits(fused.value, chain.value)
+            assert same_bits(fused_guard.margins, chain_guard.margins)
+            backward_from(fused, g)
+            backward_from(chain, g)
+            assert same_bits(u_fused.grad, u_chain.grad), (rows, g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fd_every_k_path(self, k):
+        from apranking.gradcheck import rel_err
+
+        rng = np.random.default_rng(40 + k)
+        n, t, r = 2, 2, 3
+        x = rng.standard_normal((n * t * r, 4))
+        w = rng.standard_normal((n, t, n, t))
+
+        def value(arr):
+            return float(np.sum(ad.spatial_topk_chamfer(ad.Var(arr), n, t, r, k).value * w))
+
+        guard = ad.BreakpointGuard()
+        v = ad.Var(x.copy())
+        out = ad.spatial_topk_chamfer(v, n, t, r, k, guard=guard)
+        assert guard.min_margin() > 1e-3  # the kinks stay out of the stencil
+        ad.scalar_node(out, lambda values: (np.sum(values * w), w)).backward()
+        assert rel_err(v.grad, fd_scalar(value, x.copy())) < 1e-6
+
+    def test_backward_again_after_another_graph(self):
+        # backward writes the adjoint into the node's own cosine buffer and
+        # shares per-shape scratch between graphs; the selection it scatters
+        # at is held per node
+        rng = np.random.default_rng(41)
+        n, t, r = 3, 2, 4
+
+        def graph():
+            u = ad.Var(tied_unit_rows(rng, n * t * r, 3))
+            out = ad.spatial_topk_chamfer(u, n, t, r, 1)
+            w = rng.standard_normal(out.shape)
+            return u, out, ad.scalar_node(out, lambda values: (np.sum(values * w), w))
+
+        def gradient(nodes):
+            for node in nodes:
+                node.zero_grad()
+            nodes[-1].backward()
+            return nodes[0].grad.copy()
+
+        first, second = graph(), graph()
+        expected = gradient(first)
+        gradient(second)
+        assert same_bits(gradient(first), expected)
+
+    def test_rejects_rows_of_another_shape(self):
+        with pytest.raises(StructuralError):
+            ad.spatial_topk_chamfer(ad.Var(np.eye(4)), 1, 2, 3, 1)

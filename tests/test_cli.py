@@ -218,6 +218,26 @@ class TestEval:
         report = json.load(open(os.path.join(out_dir, "eval_report.json")))
         assert report["map"] == fsum(report["ap_per_query"]) / 15
 
+    def test_git_revision_looked_up_once_per_process(self, tmp_path, out_dir, monkeypatch):
+        from apranking import cli
+
+        runs = []
+        real_run = subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            runs.append(argv[0])
+            return real_run(argv, *args, **kwargs)
+
+        cli._git_rev.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        path = tmp_path / "s.tensors"
+        write_tensors(path, {"scores": np.array([[0.9, 0.1]]), "labels": np.array([[1.0, 0.0]])})
+        stamps = []
+        for _ in range(2):
+            assert cli.main(["eval", "--scores", str(path), "--deterministic", "--out", out_dir]) == 0
+            stamps.append(json.load(open(os.path.join(out_dir, "eval_report.json")))["git"])
+        assert runs == ["git"] and stamps[0] == stamps[1]
+
     # (SHA-256 of eval_per_query.csv, map, micro_ap, num_queries, num_skipped),
     # recorded with the per-query ScoredList path and the argsort micro-AP
     PINNED = {

@@ -160,3 +160,23 @@ class TestPipelineGradients:
         total, comps = build_losses(base_cfg, model, clips, {})
         base_value = comps["loss_nce"] + base_cfg.weights.lambda_s * comps["loss_sshn"]
         assert total.item() == pytest.approx(base_value, abs=1e-15)
+
+
+class TestGraphFootprint:
+    def test_no_node_larger_than_the_frame_tensor(self):
+        # the spatial stage is one node: no (n, T, R, n, T, R) value or
+        # adjoint enters the graph at the hard preset's batch
+        n, t, r, d = 16, 8, 4, 16
+        rng = np.random.default_rng(5)
+        model = init_model(d, seed=0)
+        sim, refined = forward_similarity(model, rng.standard_normal((n, t, r, d)), AggregationParams())
+        ad.scalar_node(sim, lambda v: (v.sum(), np.ones_like(v))).backward()
+        seen, stack = set(), [sim, refined]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            assert max(node.value.size, node.grad.size) <= n * t * n * t, node.shape
+            stack.extend(node._parents)
+        assert model.weight.grad.any()
