@@ -8,9 +8,11 @@ to max-based (Chamfer) matching and K=n to plain average pooling, bit for
 bit.
 
 :func:`video_similarity` runs the pipeline on one clip pair and is the
-oracle; :func:`batch_similarity_matrix` runs the same stages on tiles of
-clip pairs at once and reproduces the oracle bitwise. Both top-K stages, like
-the training graph's, sum through the one top-K, :func:`topk_sum_values`.
+oracle; :func:`batch_similarity_matrix` reproduces it bitwise on a whole
+batch, running the gram and the spatial stage per tile of clip pairs and the
+refiner and the temporal stage once per block of query rows. Both top-K
+stages, like the training graph's, sum through the one top-K,
+:func:`topk_sum_values`.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ __all__ = [
     "normalize_rows",
 ]
 
-# Byte cap of the gram slab of one tile in batch_similarity_matrix; bounds
-# the engine's working memory independently of the batch size.
+# Byte cap of the gram slab of one tile and of the frame-matrix buffer of one
+# block of query rows in batch_similarity_matrix; bounds the engine's working
+# memory independently of the batch size.
 SLAB_BYTES = 1 << 18
 
 # Longest top-K axis that topk_sum_values selects from with elementwise
@@ -164,7 +167,7 @@ def topk_count(rate: float, extent: int) -> int:
 
 def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
     """Sum of the k largest entries along the last axis: the one top-K, run
-    by the tiled engine and by :func:`autodiff.topk_sum`.
+    by the batch engine and by :func:`autodiff.topk_sum`.
 
     Entries are summed in descending order, as a stable descending argsort
     orders them (which of two tied entries is picked changes no bit); k ==
@@ -333,14 +336,18 @@ def batch_similarity_matrix(
     bitwise ``video_similarity(batch[i], batch[j], params, refiner)``. Not
     symmetric in general: the query side drives the top-K selections.
 
-    The clips must share one (T, R, D) shape. They are normalized and
-    stacked once; the (n, n) matrix is then filled tile by tile, a block of
-    query clips against a block of candidate clips, with a gram slab of at
-    most SLAB_BYTES per tile (or one clip pair, if that is larger). The slab
-    is one stacked matmul that makes the same BLAS call per clip pair as
+    The clips must share one (T, R, D) shape. They are stacked and
+    normalized once; the (n, n) matrix is then filled a block of query rows
+    at a time, in two stages. Per tile, a few query clips against a few
+    candidate clips with a gram slab of at most SLAB_BYTES (or one clip
+    pair, if that is larger), the spatial stage writes the tile's (T, T')
+    frame matrices into the block's (rows, n, T, T') buffer. The slab is one
+    stacked matmul that makes the same BLAS call per clip pair as
     :func:`patch_similarity`: a single gemm over the whole tile rounds some
-    cosines differently on some BLAS kernels. The per-pair stages then run
-    on the slab with the clip pair as leading axes.
+    cosines differently on some BLAS kernels. Per block of whole query tiles,
+    whose frame buffer holds at most SLAB_BYTES (or one query tile, if that
+    is larger), the refiner and the temporal stage then run once with the
+    clip pair as leading axes.
     """
     if len(batch) == 0:
         raise StructuralError("batch must be nonempty")
@@ -349,31 +356,28 @@ def batch_similarity_matrix(
         raise StructuralError(f"batch clips must share one (T, R, D) shape, got {sorted(shapes)}")
     n = len(batch)
     t, r, d = batch[0].data.shape
-    units = np.stack([normalize_rows(clip.data) for clip in batch]).reshape(n, t * r, d)
+    units = normalize_rows(np.stack([clip.data for clip in batch])).reshape(n, t * r, d)
     pairs = max(1, SLAB_BYTES // (8 * (t * r) ** 2))
     cand_tile = min(n, pairs)
     query_tile = min(n, max(1, pairs // cand_tile))
+    rows = max(1, SLAB_BYTES // (8 * n * t * t) // query_tile) * query_tile
+    frames = np.empty((min(n, rows), n, t, t), dtype=np.float64)
+    contiguous = topk_count(params.k_s, r) == r
     out = np.empty((n, n), dtype=np.float64)
-    for q0 in range(0, n, query_tile):
-        # a buffer of its own: numpy sends the product of a matrix with its
-        # own transpose (the diagonal pairs) to syrk, not to the per-pair gemm
-        query = units[q0 : q0 + query_tile].copy()
-        for c0 in range(0, n, cand_tile):
-            out[q0 : q0 + query_tile, c0 : c0 + cand_tile] = _tile_similarity(
-                query, units[c0 : c0 + cand_tile], t, r, params, refiner
-            )
+    for b0 in range(0, n, rows):
+        block = frames[: n - b0]
+        for q0 in range(0, len(block), query_tile):
+            # a buffer of its own: numpy sends the product of a matrix with
+            # its own transpose (the diagonal pairs) to syrk, not to the
+            # per-pair gemm
+            query = units[b0 + q0 : b0 + q0 + query_tile].copy()
+            for c0 in range(0, n, cand_tile):
+                gram = np.matmul(query[:, None], units[c0 : c0 + cand_tile].transpose(0, 2, 1)[None])
+                sim = gram.reshape(len(query), -1, t, r, t, r).swapaxes(-1, -2)  # (q, c, T, R, R', T')
+                if contiguous:
+                    # the plain sum over R' adds in memory order: lay each pair
+                    # out as patch_similarity does (top-K and max do not care)
+                    sim = np.ascontiguousarray(sim)
+                block[q0 : q0 + query_tile, c0 : c0 + cand_tile] = spatial_topk_chamfer(sim, params.k_s)
+        out[b0 : b0 + len(block)] = temporal_topk_chamfer(refine(block, refiner), params.k_t)
     return out
-
-
-def _tile_similarity(query, cand, t: int, r: int, params, refiner) -> np.ndarray:
-    """(q, c) video similarities of stacked unit clips (q, T*R, D) against
-    (c, T*R, D)."""
-    q, c = query.shape[0], cand.shape[0]
-    gram = np.matmul(query[:, None], cand.transpose(0, 2, 1)[None])  # (q, c, T*R, T'*R')
-    sim = gram.reshape(q, c, t, r, t, r).swapaxes(-1, -2)  # (q, c, T, R, R', T') view
-    if topk_count(params.k_s, r) == r:
-        # the plain sum over R' adds in memory order: lay each pair out as
-        # patch_similarity does (the top-K and max paths do not depend on it)
-        sim = np.ascontiguousarray(sim)
-    frame = spatial_topk_chamfer(sim, params.k_s)
-    return temporal_topk_chamfer(refine(frame, refiner), params.k_t)

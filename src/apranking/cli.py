@@ -552,17 +552,23 @@ def _override_axis(cfg, axis: str, value: float):
 
 def _ablate_k_axis(args, cfg, entries):
     from .aggregation import AggregationParams
-    from .trainer import evaluate_model, init_heldout_and_model
+    from .errors import ParameterError
     from .tensorio import read_checkpoint
+    from .trainer import evaluate_model, init_heldout_and_model
 
     clips, model = init_heldout_and_model(cfg)
     if args.checkpoint:
         tensors, _ = read_checkpoint(args.checkpoint)
-        for name, p in model.parameters():
-            if name in tensors:
-                p.value = tensors[name]
+        params = dict(model.parameters())
+        for name in sorted(params.keys() | tensors.keys()):
+            got = f"shape {tensors[name].shape}" if name in tensors else "missing"
+            want = f"shape {params[name].shape}" if name in params else "no such parameter"
+            if got != want:
+                raise ParameterError(f"checkpoint {args.checkpoint}: {name!r} is {got}; the model has {want}")
+            params[name].value = tensors[name]
 
     rows = []
+    reports = {}
     for entry in entries:
         rate = float(entry)
         agg = (
@@ -570,13 +576,18 @@ def _ablate_k_axis(args, cfg, entries):
             if args.axis == "k_t"
             else AggregationParams(k_s=rate, k_t=cfg.agg.k_t)
         )
-        report = evaluate_model(model, clips, agg)
+        if rate not in reports:  # a repeated rate is the identical evaluation
+            reports[rate] = evaluate_model(model, clips, agg)
+        report = reports[rate]
         rows.append({"value": rate, "map": report.map, "micro_ap": report.micro_ap})
 
     extra = {}
     if args.axis == "k_t":
-        # average pooling over candidate frames is the top-K engine at k_t = 1
-        pool = evaluate_model(model, clips, AggregationParams(k_s=cfg.agg.k_s, k_t=1.0))
+        # average pooling over candidate frames is the top-K engine at k_t = 1,
+        # the grid's own row when it has one
+        pool = reports[1.0] if 1.0 in reports else evaluate_model(
+            model, clips, AggregationParams(k_s=cfg.agg.k_s, k_t=1.0)
+        )
         extra["avgpool"] = {"map": pool.map, "micro_ap": pool.micro_ap}
     return rows, extra
 

@@ -3,7 +3,7 @@
 The head is a D-by-D map applied to every patch embedding before cosine
 similarity; the refiner re-maps the frame-similarity matrix. Training runs
 through the autodiff graph built in :func:`forward_similarity`. Evaluation,
-:func:`eval_similarity_matrix`, runs the same parameters through the tiled
+:func:`eval_similarity_matrix`, runs the same parameters through the batch
 numpy engine :func:`~apranking.aggregation.batch_similarity_matrix`, which
 is pinned bitwise to the per-pair oracle
 :func:`~apranking.aggregation.video_similarity`; the graph and the engine
@@ -154,7 +154,7 @@ def forward_similarity(
 
 def eval_similarity_matrix(model: Model, clips, params: AggregationParams) -> np.ndarray:
     """Similarity matrix for evaluation: map each clip through the trained
-    head, then run the tiled engine on all clip pairs at once."""
+    head, then run the batch engine on all clip pairs at once."""
     w = model.weight.value
     mapped = [PatchEmbeddings(c.student.data @ w.T) for c in clips]
     return batch_similarity_matrix(mapped, params, model_refiner_params(model))

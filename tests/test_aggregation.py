@@ -455,3 +455,63 @@ class TestEngineMatchesOracle:
         clips = [random_embeddings(rng, t, r, 6) for _ in range(7)]
         for refiner in (REFINERS["identity"], REFINERS["conv-s2"]):
             self.assert_matches(clips, AggregationParams(0.5, 0.5), refiner)
+
+    @staticmethod
+    def record_stages(monkeypatch):
+        """Patch the engine's stage functions to record the leading (clip
+        pair) shape of each batched call; the oracle's per-pair calls, of
+        one (T, R, R', T') or (T, T') pair, are not recorded."""
+        calls = {"spatial_topk_chamfer": [], "refine": [], "temporal_topk_chamfer": []}
+        for name, seen in calls.items():
+            real, pair_ndim = getattr(aggregation, name), (4 if name == "spatial_topk_chamfer" else 2)
+
+            def wrapped(x, *args, real=real, seen=seen, pair_ndim=pair_ndim):
+                if np.ndim(x) > pair_ndim:
+                    seen.append(np.shape(x)[:-pair_ndim])
+                return real(x, *args)
+
+            monkeypatch.setattr(aggregation, name, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("t, r, slab_bytes, tiles, blocks", [
+        # a slab smaller than one clip pair: 1x1 tiles, and a frame block
+        # smaller than one row raised to one query tile
+        (4, 3, 8, [(1, 1)] * 49, [1] * 7),
+        # blocks of 1, 2 and 3 query rows, larger than their 1-row tiles
+        (4, 3, 1 * 1152, [(1, 1)] * 49, [1] * 7),
+        (4, 3, 2 * 1152, [(1, 2), (1, 2), (1, 2), (1, 1)] * 7, [2, 2, 2, 1]),
+        (4, 3, 3 * 1152, [(1, 3), (1, 3), (1, 1)] * 7, [3, 3, 1]),
+        # 3x7 tiles in one block of all 7 rows
+        (4, 3, 23 * 1152, [(3, 7), (3, 7), (1, 7)], [7]),
+        # one patch per frame: a block of exactly one 2x7 tile
+        (4, 1, 20 * 128, [(2, 7), (2, 7), (2, 7), (1, 7)], [2, 2, 2, 1]),
+    ])
+    def test_row_blocks_not_dividing_n(self, monkeypatch, t, r, slab_bytes, tiles, blocks):
+        monkeypatch.setattr(aggregation, "SLAB_BYTES", slab_bytes)
+        rng = np.random.default_rng(22)
+        clips = [random_embeddings(rng, t, r, 6) for _ in range(7)]
+        calls = self.record_stages(monkeypatch)
+        for refiner in (REFINERS["identity"], REFINERS["conv-s2"], REFINERS["affine-s2"]):
+            for rates in self.rates(rng):
+                for seen in calls.values():
+                    seen.clear()
+                self.assert_matches(clips, AggregationParams(*rates), refiner)
+                assert calls["spatial_topk_chamfer"] == tiles
+                assert calls["refine"] == calls["temporal_topk_chamfer"] == [(b, 7) for b in blocks]
+
+    @pytest.mark.parametrize("refiner", REFINERS.values(), ids=REFINERS.keys())
+    def test_single_clip_batch(self, refiner):
+        rng = np.random.default_rng(23)
+        clip = [random_embeddings(rng, 5, 3, 4)]
+        for rates in self.rates(rng):
+            self.assert_matches(clip, AggregationParams(*rates), refiner)
+
+    def test_refiner_and_temporal_stage_run_once_per_row_block(self, monkeypatch):
+        # 48 clips of 8x4 patches: 32 clip pairs per gram slab, so 1x32 and
+        # 1x16 tiles, two per query row; frame blocks of 10 rows
+        calls = self.record_stages(monkeypatch)
+        rng = np.random.default_rng(24)
+        clips = [random_embeddings(rng, 8, 4, 16) for _ in range(48)]
+        batch_similarity_matrix(clips, AggregationParams(0.5, 0.3), REFINERS["conv"])
+        assert len(calls["spatial_topk_chamfer"]) == 96
+        assert calls["refine"] == calls["temporal_topk_chamfer"] == [(10, 48)] * 4 + [(8, 48)]

@@ -415,6 +415,53 @@ class TestAblate:
         assert report["avgpool"] == avgpool
         assert [(r["value"], r["map"], r["micro_ap"]) for r in report["rows"]] == rows
 
+    def test_k_t_grid_with_full_rate_evaluates_each_rate_once(self, tmp_path, out_dir, monkeypatch):
+        from apranking import cli, trainer
+
+        calls = []
+        real = trainer.evaluate_model
+        monkeypatch.setattr(trainer, "evaluate_model", lambda *a: calls.append(a[2].k_t) or real(*a))
+        config = tiny_config(tmp_path)
+        grid = ["0.0", "1.0", "0.3"]
+        assert cli.main(["ablate", "--axis", "k_t", "--grid", ",".join(grid), "--config", config,
+                         "--out", out_dir]) == 0
+        assert calls == [0.0, 1.0, 0.3]  # the avgpool row reuses the k_t = 1.0 evaluation
+        report = json.load(open(os.path.join(out_dir, "ablate_k_t.json")))
+        assert report["avgpool"] == {k: report["rows"][1][k] for k in ("map", "micro_ap")}
+
+    def test_initialization_checkpoint_reproduces_untrained_rows(self, tmp_path, out_dir):
+        config = tiny_config(tmp_path, refiner_kind="conv")
+        res = run_cli(["train", "--config", config, "--iterations", "0", "--out", out_dir], tmp_path)
+        assert res.returncode == 0, res.stderr
+        reports = []
+        for extra in ([], ["--checkpoint", os.path.join(out_dir, "checkpoint.bin")]):
+            out = os.path.join(out_dir, f"ablate{len(extra)}")
+            res = run_cli(["ablate", "--axis", "k_s", "--grid", "0.5", "--config", config, "--out", out] + extra,
+                          tmp_path)
+            assert res.returncode == 0, res.stderr
+            reports.append(json.load(open(os.path.join(out, "ablate_k_s.json")))["rows"])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("refiner_kind, tensors, named", [
+        # a conv model given an identity model's checkpoint
+        ("conv", {"weight": np.eye(8)}, "'conv_bias' is missing"),
+        # an identity model given a conv model's checkpoint
+        ("identity", {"weight": np.eye(8), "conv_weights": np.eye(3), "conv_bias": np.float64(0.0)},
+         "'conv_bias' is shape ()"),
+        # a head for another embedding dim
+        ("identity", {"weight": np.eye(4)}, "'weight' is shape (4, 4); the model has shape (8, 8)"),
+    ], ids=["missing", "extra", "shape"])
+    def test_checkpoint_not_matching_the_model_exits_2(self, tmp_path, out_dir, refiner_kind, tensors, named):
+        from apranking.tensorio import write_checkpoint
+
+        config = tiny_config(tmp_path, refiner_kind=refiner_kind)
+        ckpt = str(tmp_path / "ckpt.bin")
+        write_checkpoint(ckpt, tensors, {})
+        res = run_cli(["ablate", "--axis", "k_t", "--grid", "0.3", "--config", config, "--checkpoint", ckpt,
+                       "--out", out_dir], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr and "Traceback" not in res.stderr
+
     def test_delta_v_sweep_trains_per_value(self, tmp_path, out_dir):
         config = tiny_config(tmp_path)
         res = run_cli(
