@@ -21,21 +21,14 @@ from .aggregation import (
     video_similarity,
 )
 from .losses import (
-    LossOutput,
     QuadLinearParams,
     SmoothApParams,
-    contrastive_loss,
     heaviside_ap_risk,
-    infonce_loss,
-    quadlinear_ap_risk,
     r_minus,
     r_minus_grad,
     r_plus,
     sigmoid_surrogate,
     sigmoid_surrogate_grad,
-    smooth_ap_risk,
-    sshn_loss,
-    triplet_loss,
 )
 from .metrics import (
     MetricReport,
@@ -43,7 +36,6 @@ from .metrics import (
     average_precision_rows,
     brute_force_ap,
     evaluate_retrieval,
-    mean_ap,
     micro_ap,
     pooled_order,
     retrieval_report,
@@ -59,7 +51,6 @@ from .ranking import (
     QueryContext,
     RelevanceMatrix,
     ScoredList,
-    descending_rank,
     heaviside,
     partition_query,
 )

@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The op set is deliberately closed: a linear map, row normalization, the
+The op set is deliberately closed: scalings and weighted sums of nodes,
+scalar-node products and shifts, a linear map, row normalization, the
 fused spatial TopK-Chamfer stage (cosine gram, top-K over candidate
 patches, mean over query patches), axis moves, reductions, clamp, tanh,
 top-K, average pooling, a 3x3 convolution, and an escape hatch for scalar
@@ -31,7 +32,6 @@ from .errors import StructuralError
 __all__ = [
     "Var",
     "BreakpointGuard",
-    "add",
     "scale",
     "add_scaled",
     "mul_scalar",
@@ -112,32 +112,6 @@ class Var:
 
 def _as_value(x):
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b) -> Var:
-    """Elementwise a + b with numpy broadcasting; either side may be constant."""
-    av, bv = _as_value(a), _as_value(b)
-    out = Var(av + bv, parents=tuple(x for x in (a, b) if isinstance(x, Var)))
-
-    def backward(g):
-        if isinstance(a, Var):
-            a.grad += _unbroadcast(g, a.value.shape)
-        if isinstance(b, Var):
-            b.grad += _unbroadcast(g, b.value.shape)
-
-    out._backward = backward
-    return out
 
 
 def scale(v: Var, c: float) -> Var:

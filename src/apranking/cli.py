@@ -271,10 +271,10 @@ def cmd_bench_loss(args) -> int:
     ratio = float("inf") if sg_grad == 0.0 else ql_grad / sg_grad
 
     context_losses = {
-        "quadlinear": lambda q: L.quadlinear_ap_risk(q, L.QuadLinearParams(args.delta, args.rho)),
-        "smooth": lambda q: L.smooth_ap_risk(q, L.SmoothApParams(args.tau)),
-        "triplet": lambda q: L.triplet_loss(q, args.margin),
-        "contrastive": lambda q: L.contrastive_loss(q, args.margin),
+        "quadlinear": functools.partial(L.quadlinear_ap_risk_rows, p=L.QuadLinearParams(args.delta, args.rho)),
+        "smooth": functools.partial(L.smooth_ap_risk_rows, p=L.SmoothApParams(args.tau)),
+        "triplet": functools.partial(L.triplet_loss_rows, margin=args.margin),
+        "contrastive": functools.partial(L.contrastive_loss_rows, margin=args.margin),
     }
     checks = {}
     for name in names:

@@ -36,11 +36,12 @@ def rel_err(a, b, floor: float = 1e-2) -> float:
     return float(np.max(np.abs(a - b)) / scale)
 
 
-def fd_context_gradients(value_fn, ctx: QueryContext, h: float = 1e-6):
-    """Central differences of a QueryContext loss wrt every score."""
+def fd_context_gradients(rows_fn, ctx: QueryContext, h: float = 1e-6):
+    """Central differences wrt every score of the value a rows function
+    (a ``*_rows`` loss) gives ``ctx`` as a stack of one row."""
 
     def value_at(pos, neg):
-        return value_fn(QueryContext(pos, neg))
+        return rows_fn(pos[None, :], neg[None, :])[0][0]
 
     pos, neg = ctx.positives.copy(), ctx.negatives.copy()
     gpos = np.zeros_like(pos)
@@ -62,14 +63,15 @@ def fd_context_gradients(value_fn, ctx: QueryContext, h: float = 1e-6):
     return gpos, gneg
 
 
-def max_gradient_error(loss_fn, contexts, h: float = 1e-6, floor: float = 1e-3) -> float:
-    """Max relative error between analytic and FD gradients over contexts."""
+def max_gradient_error(rows_fn, contexts, h: float = 1e-6, floor: float = 1e-3) -> float:
+    """Max relative error between the analytic and FD gradients of a rows
+    function over contexts, each run as a stack of one row."""
     worst = 0.0
     for ctx in contexts:
-        out = loss_fn(ctx)
-        gpos, gneg = fd_context_gradients(lambda c: loss_fn(c).value, ctx, h=h)
-        worst = max(worst, rel_err(out.grad_positives, gpos, floor))
-        worst = max(worst, rel_err(out.grad_negatives, gneg, floor))
+        _, grad_pos, grad_neg = rows_fn(ctx.positives[None, :], ctx.negatives[None, :])
+        gpos, gneg = fd_context_gradients(rows_fn, ctx, h=h)
+        worst = max(worst, rel_err(grad_pos[0], gpos, floor))
+        worst = max(worst, rel_err(grad_neg[0], gneg, floor))
     return worst
 
 

@@ -1,10 +1,9 @@
 """Listwise AP surrogate losses and pairwise baselines over stacks of query rows.
 
-Each loss is written once, as a rows function: it maps a (Q, P) stack of
-positive scores and a (Q, M) stack of negative scores to the Q loss values
-and closed-form gradients with respect to every score. The per-query
-functions are one-row views of it over a QueryContext, and
-:func:`matrix_loss` runs it on the query rows of a similarity matrix.
+Each loss is one rows function: it maps a (Q, P) stack of positive scores
+and a (Q, M) stack of negative scores to the Q loss values and closed-form
+gradients with respect to every score. :func:`matrix_loss` runs it on the
+query rows of a similarity matrix; one query is a stack of one row.
 
 The quad-linear surrogate replaces the step penalty on positive-negative
 gaps with a piecewise map that is zero in the dead zone (gap < -delta),
@@ -14,8 +13,9 @@ pairs keep a constant-slope gradient instead of the vanishing sigmoid tail.
 Conventions shared by all losses here:
 
 * gaps are d = s_neg - s_pos (positive d means the pair is mis-ranked);
-* a query with no positives is "skipped": value 0, empty gradients, and it
-  does not count toward a batch mean's denominator;
+* every row passed to a rows function has at least one positive;
+  :func:`matrix_loss` skips a query with no positives (it gets zero
+  gradient and does not count toward the batch mean's denominator);
 * positive-positive rank weights in the quad-linear risk use the exact strict
   step and are treated as constants during differentiation;
 * everything is computed in float64.
@@ -23,7 +23,7 @@ Conventions shared by all losses here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,25 +34,18 @@ from .ranking import QueryContext, RelevanceMatrix, heaviside
 __all__ = [
     "QuadLinearParams",
     "SmoothApParams",
-    "LossOutput",
     "MatrixLossOutput",
     "r_minus",
     "r_minus_grad",
     "r_plus",
     "sigmoid_surrogate",
     "sigmoid_surrogate_grad",
-    "quadlinear_ap_risk",
     "quadlinear_ap_risk_rows",
     "heaviside_ap_risk",
-    "smooth_ap_risk",
     "smooth_ap_risk_rows",
-    "triplet_loss",
     "triplet_loss_rows",
-    "contrastive_loss",
     "contrastive_loss_rows",
-    "infonce_loss",
     "infonce_loss_rows",
-    "sshn_loss",
     "sshn_loss_rows",
     "query_masks",
     "matrix_loss",
@@ -88,39 +81,12 @@ class SmoothApParams:
 
 
 @dataclass(frozen=True)
-class LossOutput:
-    """Scalar loss plus per-score gradients, aligned with the input context."""
-
-    value: float
-    grad_positives: np.ndarray
-    grad_negatives: np.ndarray
-    skipped: bool = field(default=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "grad_positives", np.asarray(self.grad_positives, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "grad_negatives", np.asarray(self.grad_negatives, dtype=np.float64)
-        )
-
-
-@dataclass(frozen=True)
 class MatrixLossOutput:
     """Batch loss over a similarity matrix; gradient is conformal to it."""
 
     value: float
     grad: np.ndarray
     active_queries: int
-
-
-def _query_loss(q: QueryContext, rows_fn) -> LossOutput:
-    """One query through a rows function, as a stack of one row; a query
-    without positives is skipped and the rows function is not called."""
-    if q.num_positives == 0:
-        return LossOutput(0.0, np.zeros(0), np.zeros(0), skipped=True)
-    values, grad_pos, grad_neg = rows_fn(q.positives[None, :], q.negatives[None, :])
-    return LossOutput(float(values[0]), grad_pos[0], grad_neg[0])
 
 
 def _rows(pos, neg):
@@ -208,23 +174,16 @@ def sigmoid_surrogate_grad(x, tau: float):
 # ---------------------------------------------------------------------------
 
 
-def quadlinear_ap_risk(q: QueryContext, p: QuadLinearParams) -> LossOutput:
-    """Quad-linear AP risk of one query, with analytic gradients.
-
-    value = mean over positives i of h(A_i / B_i) where
-    A_i = sum_j r_minus(s_neg_j - s_pos_i), B_i = 1 + rho * (#positives
-    strictly above i), and h(u) = u / (1 + u). The rank-weight denominator
-    B_i is a constant during differentiation.
-    """
-    return _query_loss(q, lambda pos, neg: quadlinear_ap_risk_rows(pos, neg, p))
-
-
 def quadlinear_ap_risk_rows(pos: np.ndarray, neg: np.ndarray, p: QuadLinearParams):
-    """Rows form of :func:`quadlinear_ap_risk`.
+    """Quad-linear AP risk of each row, with analytic gradients.
 
     ``pos`` is (Q, P) and ``neg`` is (Q, M); returns (values (Q,),
-    grad_pos (Q, P), grad_neg (Q, M)). Runs the video loss on each stack of
-    equal-count matrix rows and the frame loss on its pseudo-labeled rows.
+    grad_pos (Q, P), grad_neg (Q, M)). A row's value is the mean over its
+    positives i of h(A_i / B_i), where A_i = sum_j r_minus(s_neg_j - s_pos_i),
+    B_i = 1 + rho * (#positives strictly above i), and h(u) = u / (1 + u).
+    The rank-weight denominator B_i is a constant during differentiation.
+    Runs the video loss on each stack of equal-count matrix rows and the
+    frame loss on its pseudo-labeled rows.
     """
     pos, neg = _rows(pos, neg)
     nq, npos = pos.shape
@@ -266,20 +225,16 @@ def heaviside_ap_risk(q: QueryContext) -> float:
     return 1.0 - float(1 - risk)
 
 
-def smooth_ap_risk(q: QueryContext, p: SmoothApParams) -> LossOutput:
-    """Sigmoid-smoothed AP risk with every step replaced by G(.; tau).
-
-    value = mean over positives i of N_i / (1 + P_i + N_i) where N_i sums
-    G over negatives and P_i sums G over all positives including i itself
-    (the self gap is 0, contributing the constant G(0) = 1/2). Gradients
-    flow through both sums.
-    """
-    return _query_loss(q, lambda pos, neg: smooth_ap_risk_rows(pos, neg, p))
-
-
 def smooth_ap_risk_rows(pos: np.ndarray, neg: np.ndarray, p: SmoothApParams):
-    """Rows form of :func:`smooth_ap_risk`: (Q, P) and (Q, M) score stacks
-    to (values (Q,), grad_pos (Q, P), grad_neg (Q, M))."""
+    """Sigmoid-smoothed AP risk of each row, with every step replaced by
+    G(.; tau): (Q, P) and (Q, M) score stacks to (values (Q,),
+    grad_pos (Q, P), grad_neg (Q, M)).
+
+    A row's value is the mean over its positives i of N_i / (1 + P_i + N_i),
+    where N_i sums G over the negatives and P_i sums G over all positives
+    including i itself (the self gap is 0, contributing the constant
+    G(0) = 1/2). Gradients flow through both sums.
+    """
     pos, neg = _rows(pos, neg)
     npos = pos.shape[1]
     d_neg = neg[:, None, :] - pos[:, :, None]  # (Q, P, M)
@@ -308,13 +263,9 @@ def smooth_ap_risk_rows(pos: np.ndarray, neg: np.ndarray, p: SmoothApParams):
 # ---------------------------------------------------------------------------
 
 
-def triplet_loss(q: QueryContext, margin: float = 0.2) -> LossOutput:
-    """Mean hinge over all positive-negative pairs: max(0, s_neg - s_pos + m)."""
-    return _query_loss(q, lambda pos, neg: triplet_loss_rows(pos, neg, margin))
-
-
 def triplet_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2):
-    """Rows form of :func:`triplet_loss`; rows without negatives give 0."""
+    """Mean hinge over all positive-negative pairs of each row:
+    max(0, s_neg - s_pos + margin). Rows without negatives give 0."""
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
     pos, neg = _rows(pos, neg)
@@ -331,15 +282,10 @@ def triplet_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2):
     return values, grad_pos, grad_neg
 
 
-def contrastive_loss(q: QueryContext, margin: float = 0.2) -> LossOutput:
-    """Mean of per-item terms: (1 - s_pos) for positives, max(0, s_neg - m)
-    for negatives. Pulls positives toward similarity 1 and pushes negatives
-    below the margin."""
-    return _query_loss(q, lambda pos, neg: contrastive_loss_rows(pos, neg, margin))
-
-
 def contrastive_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2):
-    """Rows form of :func:`contrastive_loss`."""
+    """Mean of per-item terms of each row: (1 - s_pos) for positives,
+    max(0, s_neg - margin) for negatives. Pulls positives toward similarity
+    1 and pushes negatives below the margin."""
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
     pos, neg = _rows(pos, neg)
@@ -353,17 +299,13 @@ def contrastive_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2)
     return values, grad_pos, grad_neg
 
 
-def infonce_loss(q: QueryContext, tau: float) -> LossOutput:
-    """InfoNCE over one query: each positive against the shared negatives.
+def infonce_loss_rows(pos: np.ndarray, neg: np.ndarray, tau: float):
+    """InfoNCE of each row: every positive against the row's negatives.
 
     value = -(1/P) sum_i log[ exp(s_i/tau) / (exp(s_i/tau) +
-    sum_j exp(s_neg_j/tau)) ], computed through log-sum-exp.
+    sum_j exp(s_neg_j/tau)) ], computed through log-sum-exp. Rows without
+    negatives give 0.
     """
-    return _query_loss(q, lambda pos, neg: infonce_loss_rows(pos, neg, tau))
-
-
-def infonce_loss_rows(pos: np.ndarray, neg: np.ndarray, tau: float):
-    """Rows form of :func:`infonce_loss`; rows without negatives give 0."""
     if not (np.isfinite(tau) and tau > 0):
         raise ParameterError(f"tau must be positive, got {tau}")
     pos, neg = _rows(pos, neg)
@@ -387,22 +329,15 @@ def infonce_loss_rows(pos: np.ndarray, neg: np.ndarray, tau: float):
     return values, grad_pos, grad_neg
 
 
-def sshn_loss(self_sim: float, hardest_negative: float) -> LossOutput:
-    """Self-similarity / hardest-negative log loss.
-
-    value = -log(s_self) - log(1 - s_neg), with s_self clamped to
-    [eps, 1] and s_neg to [0, 1 - eps] (eps = 1e-6) before the logs.
-    grad_positives holds d/d(self_sim); grad_negatives holds
-    d/d(hardest_negative); the gradient is zero on a clamped side.
-    """
-    values, g_self, g_neg = sshn_loss_rows([self_sim], [hardest_negative])
-    return LossOutput(float(values[0]), g_self, g_neg)
-
-
 def sshn_loss_rows(self_sim, hardest_negative):
-    """Rows form of :func:`sshn_loss` over (Q,) arrays of self similarities
-    and hardest negatives; returns (values, d/d(self_sim),
-    d/d(hardest_negative)), each (Q,)."""
+    """Self-similarity / hardest-negative log loss over (Q,) arrays of self
+    similarities and hardest negatives; returns (values, d/d(self_sim),
+    d/d(hardest_negative)), each (Q,).
+
+    value = -log(s_self) - log(1 - s_neg), with s_self clamped to [eps, 1]
+    and s_neg to [0, 1 - eps] (eps = 1e-6) before the logs; the gradient is
+    zero on a clamped side.
+    """
     s_raw = np.asarray(self_sim, dtype=np.float64)
     n_raw = np.asarray(hardest_negative, dtype=np.float64)
     for name, v in (("self_sim", s_raw), ("hardest_negative", n_raw)):

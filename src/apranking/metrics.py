@@ -42,7 +42,6 @@ __all__ = [
     "average_precision",
     "average_precision_rows",
     "brute_force_ap",
-    "mean_ap",
     "micro_ap",
     "pooled_order",
     "retrieval_report",
@@ -187,15 +186,6 @@ def brute_force_ap(sl: ScoredList) -> float:
         seen += end - start
         start = end
     return float(sum(precisions) / hits)
-
-
-def mean_ap(queries) -> float:
-    """Macro mAP: arithmetic mean of per-query APs, skipping queries that
-    have no positive labels."""
-    aps = [average_precision(q) for q in queries if np.any(q.labels == 1)]
-    if not aps:
-        raise UndefinedMetricError("no query has a positive label")
-    return fsum(aps) / len(aps)
 
 
 _SIGN = np.int64(-(2**63))  # the sign bit of an int64

@@ -1,5 +1,5 @@
-"""Core ranking primitives: the strict step function, descending ranks, and
-the positive/negative score partition that every listwise loss consumes.
+"""Core ranking primitives: the strict step function and the
+positive/negative score partition of one query.
 
 All computation here is exact 64-bit arithmetic on immutable inputs; callers
 may share these objects across threads freely.
@@ -15,7 +15,6 @@ from .errors import StructuralError
 
 __all__ = [
     "heaviside",
-    "descending_rank",
     "partition_query",
     "QueryContext",
     "RelevanceMatrix",
@@ -31,17 +30,6 @@ def heaviside(x):
     x = np.asarray(x, dtype=np.float64)
     out = (x > 0.0).astype(np.float64)
     return float(out) if out.ndim == 0 else out
-
-
-def descending_rank(s: float, pool) -> int:
-    """1-based rank of score ``s`` within ``pool`` when sorted descending.
-
-    Computed as 1 + #{s' in pool : s' > s}; ties are optimistic (a tied
-    element does not worsen the rank). ``s`` itself may or may not be a
-    member of the pool; if it is, it contributes nothing either way.
-    """
-    pool = np.asarray(pool, dtype=np.float64)
-    return 1 + int(np.count_nonzero(pool > s))
 
 
 @dataclass(frozen=True)
@@ -72,10 +60,6 @@ class QueryContext:
     @property
     def num_negatives(self) -> int:
         return self.negatives.size
-
-    def shifted(self, c: float) -> "QueryContext":
-        """Same context with a constant added to every score."""
-        return QueryContext(self.positives + c, self.negatives + c)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -56,6 +57,20 @@ def write_tensors(path, tensors: dict) -> None:
             fh.write(blob)
 
 
+def _tensor_at(path, raw: bytes, offset: int, dtype: np.dtype, shape: tuple, name: str):
+    """The tensor ``name`` stored at ``offset`` of a file's bytes, and the
+    offset after it. One copy out of the bytes, so the result owns writable
+    memory."""
+    count = math.prod(shape)
+    if count * dtype.itemsize > len(raw) - offset:
+        raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
+    try:
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+    except ValueError as exc:  # a zero extent beside extents too large to address
+        raise StructuralError(f"{path}: tensor {name!r} has shape {shape}") from exc
+    return arr.copy(), offset + count * dtype.itemsize
+
+
 def read_tensors(path) -> dict:
     """Inverse of :func:`write_tensors`; round-trips bit-exactly."""
     with open(path, "rb") as fh:
@@ -63,7 +78,10 @@ def read_tensors(path) -> dict:
     end = raw.find(b"\nend\n")
     if end < 0:
         raise StructuralError(f"{path}: missing manifest terminator")
-    lines = raw[:end].decode("ascii").splitlines()
+    try:
+        lines = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{path}: manifest is not ASCII") from exc
     if not lines or lines[0] != _TENSOR_HEADER:
         raise StructuralError(f"{path}: not an apranking tensor file")
     out = {}
@@ -77,13 +95,7 @@ def read_tensors(path) -> dict:
                 raise ValueError("negative extent")
         except (ValueError, KeyError) as exc:
             raise StructuralError(f"{path}: bad manifest line {line!r}") from exc
-        count = int(np.prod(shape))
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(raw):
-            raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
-        # one copy out of the file's bytes, so the result owns writable memory
-        out[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
+        out[name], offset = _tensor_at(path, raw, offset, dtype, shape, name)
     if offset != len(raw):
         raise StructuralError(f"{path}: {len(raw) - offset} trailing payload bytes")
     return out
@@ -114,27 +126,39 @@ def write_checkpoint(path, tensors: dict, config: dict) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, str]:
-    """Returns (tensors, config_hash_hex)."""
+    """Returns (tensors, config_hash_hex). A file cut short, or with bytes
+    after its last tensor, raises StructuralError."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _CKPT_MAGIC:
-            raise StructuralError(f"{path}: not an apranking checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CKPT_VERSION:
-            raise StructuralError(f"{path}: unsupported checkpoint version {version}")
-        digest = fh.read(32).hex()
-        (count,) = struct.unpack("<I", fh.read(4))
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
-            blob = fh.read(8 * n)
-            if len(blob) != 8 * n:
-                raise StructuralError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-    return tensors, digest
+        raw = fh.read()
+    if raw[:8] != _CKPT_MAGIC:
+        raise StructuralError(f"{path}: not an apranking checkpoint")
+    offset = 8
+
+    def unpack(fmt: str) -> tuple:
+        nonlocal offset
+        size = struct.calcsize(fmt)
+        if size > len(raw) - offset:
+            raise StructuralError(f"{path}: truncated at byte {len(raw)}")
+        offset += size
+        return struct.unpack_from(fmt, raw, offset - size)
+
+    (version,) = unpack("<I")
+    if version != _CKPT_VERSION:
+        raise StructuralError(f"{path}: unsupported checkpoint version {version}")
+    digest, count = unpack("<32sI")
+    tensors = {}
+    for _ in range(count):
+        (name_len,) = unpack("<H")
+        try:
+            name = unpack(f"<{name_len}s")[0].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"{path}: tensor name is not UTF-8") from exc
+        (ndim,) = unpack("<I")
+        shape = unpack(f"<{ndim}Q")
+        tensors[name], offset = _tensor_at(path, raw, offset, np.dtype("<f8"), shape, name)
+    if offset != len(raw):
+        raise StructuralError(f"{path}: {len(raw) - offset} trailing bytes after the last tensor")
+    return tensors, digest.hex()
 
 
 def write_json_report(path, payload: dict) -> None:

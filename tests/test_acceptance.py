@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,18 +29,18 @@ from apranking.losses import (
     QuadLinearParams,
     SmoothApParams,
     heaviside_ap_risk,
-    infonce_loss,
-    quadlinear_ap_risk,
+    infonce_loss_rows,
+    quadlinear_ap_risk_rows,
     r_minus,
     r_minus_grad,
     r_plus,
     sigmoid_surrogate_grad,
-    smooth_ap_risk,
-    sshn_loss,
+    smooth_ap_risk_rows,
+    sshn_loss_rows,
 )
 from apranking.metrics import average_precision, brute_force_ap, micro_ap
 from apranking.pseudolabels import POSITIVE, LabelRates, generate_pseudo_labels
-from apranking.ranking import QueryContext, ScoredList
+from apranking.ranking import ScoredList
 from apranking.synthetic import generate_corpus, planted_correspondence_matrix
 from apranking.trainer import (
     HARD_VARIANTS,
@@ -138,24 +139,27 @@ def test_criterion_2_gradient_oracle():
 
     ctxs = make_contexts(200, (0.0, -delta))
     errs["quadlinear"] = max_gradient_error(
-        lambda q: quadlinear_ap_risk(q, QuadLinearParams(delta, 0.7)), ctxs
+        partial(quadlinear_ap_risk_rows, p=QuadLinearParams(delta, 0.7)), ctxs
     )
     errs["smooth"] = max_gradient_error(
-        lambda q: smooth_ap_risk(q, SmoothApParams(0.05)), make_contexts(200, ())
+        partial(smooth_ap_risk_rows, p=SmoothApParams(0.05)), make_contexts(200, ())
     )
-    errs["infonce"] = max_gradient_error(lambda q: infonce_loss(q, 0.1), make_contexts(200, ()))
+    errs["infonce"] = max_gradient_error(partial(infonce_loss_rows, tau=0.1), make_contexts(200, ()))
+
+    def sshn_value(self_sim, hardest_negative):
+        return sshn_loss_rows([self_sim], [hardest_negative])[0][0]
 
     worst_sshn = 0.0
     h = 1e-6
     for _ in range(200):
         s, n_ = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
-        out = sshn_loss(s, n_)
-        fd_s = (sshn_loss(s + h, n_).value - sshn_loss(s - h, n_).value) / (2 * h)
-        fd_n = (sshn_loss(s, n_ + h).value - sshn_loss(s, n_ - h).value) / (2 * h)
+        _, g_self, g_neg = sshn_loss_rows([s], [n_])
+        fd_s = (sshn_value(s + h, n_) - sshn_value(s - h, n_)) / (2 * h)
+        fd_n = (sshn_value(s, n_ + h) - sshn_value(s, n_ - h)) / (2 * h)
         worst_sshn = max(
             worst_sshn,
-            rel_err(out.grad_positives, [fd_s]),
-            rel_err(out.grad_negatives, [fd_n]),
+            rel_err(g_self, [fd_s]),
+            rel_err(g_neg, [fd_n]),
         )
     errs["sshn"] = worst_sshn
 
@@ -250,7 +254,7 @@ def test_criterion_3_ap_oracle_equivalence():
 def test_criterion_4_hand_anchors():
     ap = average_precision(ScoredList([0.9, 0.8, 0.7], [1, 0, 1]))
     pooled = micro_ap([ScoredList([0.9, 0.1], [1, 0]), ScoredList([0.8, 0.7], [0, 1])])
-    ql = quadlinear_ap_risk(QueryContext([0.8, 0.4], [0.6]), QuadLinearParams(0.05, 1.0)).value
+    ql = quadlinear_ap_risk_rows([[0.8, 0.4]], [[0.6]], QuadLinearParams(0.05, 1.0))[0][0]
     ok = ap == 5 / 6 and pooled == 5 / 6 and abs(ql - 9 / 22) < 1e-12
     report(4, ok, f"AP={ap:.12f} (5/6), microAP={pooled:.12f} (5/6), quadlinear={ql:.12f} (9/22)")
 

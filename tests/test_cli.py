@@ -52,6 +52,22 @@ class TestBenchLoss:
         for name, err in report["fd_max_rel_err"].items():
             assert err < 1e-6
 
+    def test_deterministic_report_pinned(self, tmp_path, out_dir):
+        # the finite-difference check and the contrast make no BLAS call, so
+        # BLAS threading cannot move these bits
+        res = run_cli(["bench-loss", "--losses", "quadlinear,smooth,heaviside,triplet,contrastive",
+                       "--deterministic", "--out", out_dir], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.load(open(os.path.join(out_dir, "bench_loss_report.json")))
+        assert report["fd_max_rel_err"] == {
+            "contrastive": 7.484004527213983e-10,
+            "quadlinear": 8.083776330936108e-09,
+            "smooth": 1.6889743591338643e-08,
+            "triplet": 5.838671209767374e-10,
+        }
+        assert report["gradient_contrast"]["ratio"] == 2.073882211434829e+21
+        assert report["gradient_contrast"]["sigmoid_grad"] == 1.9287498479639178e-20
+
     def test_unknown_loss_usage_error(self, tmp_path, out_dir):
         res = run_cli(["bench-loss", "--losses", "nonsense", "--out", out_dir], tmp_path)
         assert res.returncode == 2
@@ -361,6 +377,14 @@ class TestEval:
         assert reason in res.stderr and "row 1" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_non_ascii_manifest_exits_2(self, tmp_path, out_dir):
+        path = tmp_path / "bad.tensors"
+        write_tensors(path, {"scores": np.zeros((1, 2)), "labels": np.ones((1, 2))})
+        path.write_bytes(path.read_bytes().replace(b"scores f64", b"sc\xffres f64"))
+        res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
+        assert res.returncode == 2
+        assert "manifest is not ASCII" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestAblate:
     def test_k_t_sweep_with_avgpool_cross_check(self, tmp_path, out_dir):
@@ -461,6 +485,18 @@ class TestAblate:
                        "--out", out_dir], tmp_path)
         assert res.returncode == 2, res.stderr
         assert named in res.stderr and "Traceback" not in res.stderr
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, out_dir):
+        from apranking.tensorio import write_checkpoint
+
+        config = tiny_config(tmp_path)
+        ckpt = tmp_path / "ckpt.bin"
+        write_checkpoint(ckpt, {"weight": np.eye(8)}, {})
+        ckpt.write_bytes(ckpt.read_bytes()[:50])
+        res = run_cli(["ablate", "--axis", "k_t", "--grid", "0.3", "--config", config, "--checkpoint", str(ckpt),
+                       "--out", out_dir], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "truncated" in res.stderr and "Traceback" not in res.stderr
 
     def test_delta_v_sweep_trains_per_value(self, tmp_path, out_dir):
         config = tiny_config(tmp_path)

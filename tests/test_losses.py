@@ -15,27 +15,37 @@ from apranking.errors import DegenerateInputError, ParameterError, StructuralErr
 from apranking.losses import (
     QuadLinearParams,
     SmoothApParams,
-    contrastive_loss,
     contrastive_loss_rows,
     heaviside_ap_risk,
-    infonce_loss,
     infonce_loss_rows,
     matrix_loss,
-    quadlinear_ap_risk,
     quadlinear_ap_risk_rows,
     r_minus,
     r_minus_grad,
     r_plus,
     sigmoid_surrogate,
     sigmoid_surrogate_grad,
-    smooth_ap_risk,
     smooth_ap_risk_rows,
-    sshn_loss,
+    sshn_loss_rows,
     sshn_matrix_loss,
-    triplet_loss,
     triplet_loss_rows,
 )
 from apranking.ranking import QueryContext, RelevanceMatrix, partition_query
+
+
+def one_query(rows_fn, pos, neg, *params):
+    """(value, grad_pos, grad_neg) of one query: the rows function on a
+    stack of one row."""
+    values, grad_pos, grad_neg = rows_fn(
+        np.atleast_2d(np.asarray(pos, dtype=np.float64)),
+        np.atleast_2d(np.asarray(neg, dtype=np.float64)),
+        *params,
+    )
+    return values[0], grad_pos[0], grad_neg[0]
+
+
+def value(rows_fn, pos, neg, *params):
+    return one_query(rows_fn, pos, neg, *params)[0]
 
 
 class TestRMinus:
@@ -123,35 +133,34 @@ class TestSigmoidSurrogate:
 
 class TestQuadLinearRisk:
     def test_hand_anchor(self):
-        out = quadlinear_ap_risk(QueryContext([0.8, 0.4], [0.6]), QuadLinearParams(0.05, 1.0))
-        assert out.value == pytest.approx(9 / 22, abs=1e-12)
+        risk = value(quadlinear_ap_risk_rows, [0.8, 0.4], [0.6], QuadLinearParams(0.05, 1.0))
+        assert risk == pytest.approx(9 / 22, abs=1e-12)
 
     def test_dead_zone_gives_zero(self):
-        out = quadlinear_ap_risk(QueryContext([0.9], [0.1]), QuadLinearParams(0.05, 1.0))
-        assert out.value == 0.0
-        assert np.all(out.grad_positives == 0) and np.all(out.grad_negatives == 0)
+        risk, gpos, gneg = one_query(quadlinear_ap_risk_rows, [0.9], [0.1], QuadLinearParams(0.05, 1.0))
+        assert risk == 0.0
+        assert np.all(gpos == 0) and np.all(gneg == 0)
 
     def test_empty_negatives(self):
-        out = quadlinear_ap_risk(QueryContext([0.5], []), QuadLinearParams(0.05, 1.0))
-        assert out.value == 0.0 and not out.skipped
+        assert value(quadlinear_ap_risk_rows, [0.5], [], QuadLinearParams(0.05, 1.0)) == 0.0
 
     def test_empty_positives_skipped(self):
-        out = quadlinear_ap_risk(QueryContext([], [0.5]), QuadLinearParams(0.05, 1.0))
-        assert out.skipped and out.value == 0.0
-        assert out.grad_positives.size == 0 and out.grad_negatives.size == 0
+        # a rows function takes only rows with a positive; matrix_loss skips
+        # a query without one (TestBatchLoss)
+        with pytest.raises(StructuralError):
+            quadlinear_ap_risk_rows(np.zeros((1, 0)), [[0.5]], QuadLinearParams(0.05, 1.0))
 
     def test_rho_weighting_shrinks_terms(self):
-        q = QueryContext([0.8, 0.4], [0.6])
-        low = quadlinear_ap_risk(q, QuadLinearParams(0.05, 0.0)).value
-        high = quadlinear_ap_risk(q, QuadLinearParams(0.05, 5.0)).value
+        low = value(quadlinear_ap_risk_rows, [0.8, 0.4], [0.6], QuadLinearParams(0.05, 0.0))
+        high = value(quadlinear_ap_risk_rows, [0.8, 0.4], [0.6], QuadLinearParams(0.05, 5.0))
         assert high < low
 
     @given(st.floats(-0.5, 0.5))
     def test_score_shift_invariance(self, c):
-        q = QueryContext([0.8, 0.41], [0.57, 0.13])
+        pos, neg = np.array([0.8, 0.41]), np.array([0.57, 0.13])
         p = QuadLinearParams(0.05, 0.7)
-        assert quadlinear_ap_risk(q.shifted(c), p).value == pytest.approx(
-            quadlinear_ap_risk(q, p).value, abs=1e-12
+        assert value(quadlinear_ap_risk_rows, pos + c, neg + c, p) == pytest.approx(
+            value(quadlinear_ap_risk_rows, pos, neg, p), abs=1e-12
         )
 
     def test_vectorized_rows_match_scalar_path(self):
@@ -161,10 +170,10 @@ class TestQuadLinearRisk:
         neg = rng.uniform(-1, 1, size=(40, 5))
         values, gpos, gneg = quadlinear_ap_risk_rows(pos, neg, p)
         for q in range(40):
-            out = quadlinear_ap_risk(QueryContext(pos[q], neg[q]), p)
-            assert values[q] == pytest.approx(out.value, abs=1e-14)
-            np.testing.assert_allclose(gpos[q], out.grad_positives, atol=1e-14)
-            np.testing.assert_allclose(gneg[q], out.grad_negatives, atol=1e-14)
+            risk, gpos_q, gneg_q = one_query(quadlinear_ap_risk_rows, pos[q], neg[q], p)
+            assert values[q] == pytest.approx(risk, abs=1e-14)
+            np.testing.assert_allclose(gpos[q], gpos_q, atol=1e-14)
+            np.testing.assert_allclose(gneg[q], gneg_q, atol=1e-14)
 
 
 class TestHeavisideRisk:
@@ -202,82 +211,86 @@ class TestSmoothApRisk:
         # all positives above all negatives by at least 0.2: the smoothed
         # risk collapses to the exact (zero) risk as tau -> 0
         q = QueryContext([0.8, 0.7], [0.5, 0.3])
-        smooth = smooth_ap_risk(q, SmoothApParams(0.001)).value
+        smooth = value(smooth_ap_risk_rows, q.positives, q.negatives, SmoothApParams(0.001))
         exact = heaviside_ap_risk(q)
         assert abs(smooth - exact) < 1e-6
 
     def test_symmetric_point(self):
-        out = smooth_ap_risk(QueryContext([0.5], [0.5]), SmoothApParams(0.3))
-        assert out.value == pytest.approx(0.5 / (1 + 0.5 + 0.5), abs=1e-12)
+        risk = value(smooth_ap_risk_rows, [0.5], [0.5], SmoothApParams(0.3))
+        assert risk == pytest.approx(0.5 / (1 + 0.5 + 0.5), abs=1e-12)
 
     def test_empty_negatives(self):
-        out = smooth_ap_risk(QueryContext([0.5], []), SmoothApParams(0.1))
-        assert out.value == 0.0
+        assert value(smooth_ap_risk_rows, [0.5], [], SmoothApParams(0.1)) == 0.0
 
     @given(st.floats(-0.5, 0.5))
     def test_score_shift_invariance(self, c):
-        q = QueryContext([0.8, 0.41], [0.57, 0.13])
+        pos, neg = np.array([0.8, 0.41]), np.array([0.57, 0.13])
         p = SmoothApParams(0.05)
-        assert smooth_ap_risk(q.shifted(c), p).value == pytest.approx(
-            smooth_ap_risk(q, p).value, abs=1e-12
+        assert value(smooth_ap_risk_rows, pos + c, neg + c, p) == pytest.approx(
+            value(smooth_ap_risk_rows, pos, neg, p), abs=1e-12
         )
 
 
 class TestPairwiseBaselines:
     def test_triplet_satisfied_margin(self):
-        assert triplet_loss(QueryContext([0.9], [0.1]), 0.2).value == 0.0
+        assert value(triplet_loss_rows, [0.9], [0.1], 0.2) == 0.0
 
     def test_triplet_violated_margin(self):
-        assert triplet_loss(QueryContext([0.4], [0.6]), 0.2).value == pytest.approx(0.4)
+        assert value(triplet_loss_rows, [0.4], [0.6], 0.2) == pytest.approx(0.4)
 
     def test_triplet_shift_invariant(self):
-        q = QueryContext([0.4, 0.2], [0.6, 0.1])
-        assert triplet_loss(q.shifted(0.3), 0.2).value == pytest.approx(
-            triplet_loss(q, 0.2).value, abs=1e-12
+        pos, neg = np.array([0.4, 0.2]), np.array([0.6, 0.1])
+        assert value(triplet_loss_rows, pos + 0.3, neg + 0.3, 0.2) == pytest.approx(
+            value(triplet_loss_rows, pos, neg, 0.2), abs=1e-12
         )
 
     def test_contrastive_perfect(self):
-        assert contrastive_loss(QueryContext([1.0], [0.0]), 0.2).value == 0.0
+        assert value(contrastive_loss_rows, [1.0], [0.0], 0.2) == 0.0
 
     def test_contrastive_pulls_and_pushes(self):
-        out = contrastive_loss(QueryContext([0.6], [0.5]), 0.2)
-        assert out.value == pytest.approx(((1 - 0.6) + (0.5 - 0.2)) / 2)
+        loss = value(contrastive_loss_rows, [0.6], [0.5], 0.2)
+        assert loss == pytest.approx(((1 - 0.6) + (0.5 - 0.2)) / 2)
 
     def test_rejects_negative_margin(self):
         with pytest.raises(ParameterError):
-            triplet_loss(QueryContext([0.5], [0.1]), -0.1)
+            triplet_loss_rows([[0.5]], [[0.1]], -0.1)
 
 
 class TestInfoNce:
     def test_hand_anchor(self):
-        out = infonce_loss(QueryContext([0.8], [0.2]), tau=1.0)
-        assert out.value == pytest.approx(np.log1p(np.exp(-0.6)), abs=1e-12)
+        loss = value(infonce_loss_rows, [0.8], [0.2], 1.0)
+        assert loss == pytest.approx(np.log1p(np.exp(-0.6)), abs=1e-12)
 
     def test_dominant_positive_vanishes(self):
-        out = infonce_loss(QueryContext([50.0], [0.0]), tau=1.0)
-        assert out.value == pytest.approx(0.0, abs=1e-12)
+        assert value(infonce_loss_rows, [50.0], [0.0], 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_point(self):
-        out = infonce_loss(QueryContext([0.5], [0.5]), tau=1.0)
-        assert out.value == pytest.approx(np.log(2.0), abs=1e-12)
+        assert value(infonce_loss_rows, [0.5], [0.5], 1.0) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_empty_positives_skipped(self):
-        assert infonce_loss(QueryContext([], [0.5]), tau=1.0).skipped
+        with pytest.raises(StructuralError):
+            infonce_loss_rows(np.zeros((1, 0)), [[0.5]], 1.0)
+
+
+def sshn(self_sim, hardest_negative):
+    """(value, d/d(self_sim), d/d(hardest_negative)) of one row."""
+    values, g_self, g_neg = sshn_loss_rows([self_sim], [hardest_negative])
+    return values[0], g_self[0], g_neg[0]
 
 
 class TestSshn:
     def test_perfect(self):
-        assert sshn_loss(1.0, 0.0).value == 0.0
+        assert sshn(1.0, 0.0)[0] == 0.0
 
     def test_hand_anchor(self):
-        assert sshn_loss(0.5, 0.5).value == pytest.approx(2 * np.log(2.0), abs=1e-12)
+        assert sshn(0.5, 0.5)[0] == pytest.approx(2 * np.log(2.0), abs=1e-12)
 
     def test_singularity_clamped(self):
-        assert sshn_loss(0.0, 0.0).value == pytest.approx(-np.log(1e-6))
+        assert sshn(0.0, 0.0)[0] == pytest.approx(-np.log(1e-6))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DegenerateInputError):
-            sshn_loss(1.5, 0.0)
+            sshn(1.5, 0.0)
 
 
 class TestBatchLoss:
@@ -288,7 +301,7 @@ class TestBatchLoss:
         sim = np.array([[1.0, 0.4, 0.6], [0.4, 1.0, 0.6], [0.6, 0.6, 1.0]])
         p = QuadLinearParams(0.05, 1.0)
         out = matrix_loss(sim, self.rel3(), partial(quadlinear_ap_risk_rows, p=p))
-        q0 = quadlinear_ap_risk(QueryContext([0.4], [0.6]), p).value
+        q0 = value(quadlinear_ap_risk_rows, [0.4], [0.6], p)
         assert out.active_queries == 2
         # query 2 has no positives and is skipped; queries 0 and 1 are twins
         assert out.value == pytest.approx(q0, abs=1e-12)
@@ -304,8 +317,8 @@ class TestBatchLoss:
         sim = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.5], [0.3, 0.5, 1.0]])
         p = QuadLinearParams(0.05, 1.0)
         out = matrix_loss(sim, self.rel3(), partial(quadlinear_ap_risk_rows, p=p))
-        r0 = quadlinear_ap_risk(QueryContext([0.8], [0.3]), p).value
-        r1 = quadlinear_ap_risk(QueryContext([0.8], [0.5]), p).value
+        r0 = value(quadlinear_ap_risk_rows, [0.8], [0.3], p)
+        r1 = value(quadlinear_ap_risk_rows, [0.8], [0.5], p)
         assert out.value == pytest.approx((r0 + r1) / 2, abs=1e-12)
 
     def test_gradient_zero_on_diagonal_and_skipped_rows(self):
@@ -315,29 +328,32 @@ class TestBatchLoss:
         assert np.all(out.grad[2] == 0)
 
 
-def _per_row_matrix_loss(sim, rel, per_query):
-    """Reference: one QueryContext per row through the per-query API, the
-    loop the rows form of matrix_loss replaces."""
+def _per_row_matrix_loss(sim, rel, rows_fn):
+    """Reference: one partition_query per row, each through the rows
+    function as a stack of one row, summed in a Python loop; the grouping
+    matrix_loss does is not used."""
     n = rel.n
     grad = np.zeros_like(sim)
     total = 0.0
     active = 0
     for k in range(n):
-        out = per_query(partition_query(sim[k], rel.entries[k], k))
-        if out.skipped:
+        q = partition_query(sim[k], rel.entries[k], k)
+        if q.num_positives == 0:
             continue
+        values, grad_pos, grad_neg = rows_fn(q.positives[None, :], q.negatives[None, :])
         active += 1
-        total += out.value
+        total += float(values[0])
         keep = np.arange(n) != k
-        grad[k, keep & (rel.entries[k] == 1)] = out.grad_positives
-        grad[k, keep & (rel.entries[k] == 0)] = out.grad_negatives
+        grad[k, keep & (rel.entries[k] == 1)] = grad_pos[0]
+        grad[k, keep & (rel.entries[k] == 0)] = grad_neg[0]
     if active == 0:
         return 0.0, np.zeros_like(sim), 0
     return total / active, grad / active, active
 
 
 def _per_row_sshn(sim, rel):
-    """Reference: sshn_loss row by row against the first maximal negative."""
+    """Reference: the SSHN loss row by row, each as a stack of one row,
+    against the first maximal negative."""
     n = rel.n
     grad = np.zeros_like(sim)
     total = 0.0
@@ -345,12 +361,12 @@ def _per_row_sshn(sim, rel):
         neg_idx = np.flatnonzero((np.arange(n) != k) & (rel.entries[k] == 0))
         if neg_idx.size:
             j = neg_idx[int(np.argmax(sim[k, neg_idx]))]
-            out = sshn_loss(sim[k, k], sim[k, j])
-            grad[k, j] += out.grad_negatives[0]
+            loss, g_self, g_neg = sshn(sim[k, k], sim[k, j])
+            grad[k, j] += g_neg
         else:
-            out = sshn_loss(sim[k, k], 0.0)
-        grad[k, k] += out.grad_positives[0]
-        total += out.value
+            loss, g_self, _ = sshn(sim[k, k], 0.0)
+        grad[k, k] += g_self
+        total += float(loss)
     return total / n, grad / n, n
 
 
@@ -381,48 +397,34 @@ def _matrices(seed, count=60):
 
 
 ROW_FORMS = {
-    "quadlinear": (
-        lambda pos, neg: quadlinear_ap_risk_rows(pos, neg, QuadLinearParams(0.05, 0.7)),
-        lambda q: quadlinear_ap_risk(q, QuadLinearParams(0.05, 0.7)),
-    ),
-    "smooth": (
-        lambda pos, neg: smooth_ap_risk_rows(pos, neg, SmoothApParams(0.05)),
-        lambda q: smooth_ap_risk(q, SmoothApParams(0.05)),
-    ),
-    "triplet": (
-        lambda pos, neg: triplet_loss_rows(pos, neg, 0.2),
-        lambda q: triplet_loss(q, 0.2),
-    ),
-    "contrastive": (
-        lambda pos, neg: contrastive_loss_rows(pos, neg, 0.2),
-        lambda q: contrastive_loss(q, 0.2),
-    ),
-    "infonce": (
-        lambda pos, neg: infonce_loss_rows(pos, neg, 0.1),
-        lambda q: infonce_loss(q, 0.1),
-    ),
+    "quadlinear": partial(quadlinear_ap_risk_rows, p=QuadLinearParams(0.05, 0.7)),
+    "smooth": partial(smooth_ap_risk_rows, p=SmoothApParams(0.05)),
+    "triplet": partial(triplet_loss_rows, margin=0.2),
+    "contrastive": partial(contrastive_loss_rows, margin=0.2),
+    "infonce": partial(infonce_loss_rows, tau=0.1),
 }
 
 
 class TestMatrixLossMatchesPerQuery:
-    """The grouped rows form of each loss equals the per-row loop over the
-    per-query API bit for bit: value, every gradient entry, active count."""
+    """matrix_loss's stacks of equal-count rows give what the per-row loop
+    over one-row stacks gives, bit for bit: value, every gradient entry,
+    active count."""
 
     @pytest.mark.parametrize("name", sorted(ROW_FORMS))
     def test_rows_form_bitwise(self, name):
-        rows_fn, per_query = ROW_FORMS[name]
+        rows_fn = ROW_FORMS[name]
         for sim, rel in _matrices(seed=len(name)):
             out = matrix_loss(sim, rel, rows_fn)
-            value, grad, active = _per_row_matrix_loss(sim, rel, per_query)
-            assert _bits(out.value) == _bits(value)
+            loss, grad, active = _per_row_matrix_loss(sim, rel, rows_fn)
+            assert _bits(out.value) == _bits(loss)
             assert _bits(out.grad) == _bits(grad)
             assert out.active_queries == active
 
     def test_sshn_bitwise(self):
         for sim, rel in _matrices(seed=11):
             out = sshn_matrix_loss(sim, rel)
-            value, grad, n = _per_row_sshn(sim, rel)
-            assert _bits(out.value) == _bits(value)
+            loss, grad, n = _per_row_sshn(sim, rel)
+            assert _bits(out.value) == _bits(loss)
             assert _bits(out.grad) == _bits(grad)
             assert out.active_queries == n
 
@@ -435,7 +437,7 @@ class TestMatrixLossMatchesPerQuery:
         rel = RelevanceMatrix.from_groups([0, 0, 1])
         sim = np.full((3, 3), 0.5)
         sim[1, 1] = np.nan  # the diagonal is neither positive nor negative
-        matrix_loss(sim, rel, ROW_FORMS["triplet"][0])
+        matrix_loss(sim, rel, ROW_FORMS["triplet"])
         sim[0, 2] = np.inf
         with pytest.raises(StructuralError, match="finite"):
-            matrix_loss(sim, rel, ROW_FORMS["triplet"][0])
+            matrix_loss(sim, rel, ROW_FORMS["triplet"])

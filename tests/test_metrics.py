@@ -17,7 +17,6 @@ from apranking.metrics import (
     average_precision_rows,
     brute_force_ap,
     evaluate_retrieval,
-    mean_ap,
     micro_ap,
     pooled_order,
     retrieval_report,
@@ -262,24 +261,29 @@ class TestPooledOrder:
         assert np.array_equal(pooled_order(scores), np.argsort(-scores, kind="stable"))
 
 
+def macro_map(queries) -> float:
+    """mAP of equal-length queries, from the one report path."""
+    return retrieval_report([q.scores for q in queries], [q.labels for q in queries]).map
+
+
 class TestMeanAp:
     def test_mean(self):
         q1 = ScoredList([0.9, 0.1], [1, 0])  # AP 1.0
         q2 = ScoredList([0.9, 0.8], [0, 1])  # AP 0.5
-        assert mean_ap([q1, q2]) == 0.75
+        assert macro_map([q1, q2]) == 0.75
 
     def test_single_query(self):
         q = ScoredList([0.9, 0.8, 0.7], [1, 0, 1])
-        assert mean_ap([q]) == average_precision(q)
+        assert macro_map([q]) == average_precision(q)
 
     def test_skips_positive_free_queries(self):
         q1 = ScoredList([0.9, 0.1], [1, 0])
         q2 = ScoredList([0.9, 0.8], [0, 0])
-        assert mean_ap([q1, q2]) == 1.0
+        assert macro_map([q1, q2]) == 1.0
 
     def test_no_valid_queries_raises(self):
         with pytest.raises(UndefinedMetricError):
-            mean_ap([ScoredList([0.5], [0])])
+            macro_map([ScoredList([0.5], [0])])
 
 
 class TestMicroAp:
@@ -296,12 +300,12 @@ class TestMicroAp:
     def test_miscalibration_hurts_micro_but_not_macro(self):
         q1 = ScoredList([0.6, 0.5], [1, 0])
         q2 = ScoredList([0.9, 0.8], [1, 0])
-        assert mean_ap([q1, q2]) == 1.0
-        assert micro_ap([q1, q2]) < mean_ap([q1, q2])
+        assert macro_map([q1, q2]) == 1.0
+        assert micro_ap([q1, q2]) < macro_map([q1, q2])
 
     def test_single_query_equals_ap(self):
         q = ScoredList([0.9, 0.8, 0.7], [1, 0, 1])
-        assert micro_ap([q]) == average_precision(q) == mean_ap([q])
+        assert micro_ap([q]) == average_precision(q) == macro_map([q])
 
     def test_tie_rules_differ_from_per_query_ap(self):
         # per-query AP ranks a tied positive above its negative; micro-AP
@@ -311,7 +315,7 @@ class TestMicroAp:
         assert micro_ap([tied]) == 0.5
         q1 = ScoredList([0.9, 0.5], [1, 0])
         q2 = ScoredList([0.5, 0.1], [1, 0])
-        assert mean_ap([q1, q2]) == 1.0
+        assert macro_map([q1, q2]) == 1.0
         assert micro_ap([q1, q2]) == float(5 / 6)
 
     def test_global_monotone_transform_invariant(self):

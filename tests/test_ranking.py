@@ -1,4 +1,4 @@
-"""Ranking primitives: strict step, descending ranks, query partitioning."""
+"""Ranking primitives: strict step, query partitioning."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from apranking.ranking import (
     QueryContext,
     RelevanceMatrix,
     ScoredList,
-    descending_rank,
     heaviside,
     partition_query,
 )
@@ -28,45 +27,6 @@ class TestHeaviside:
 
     def test_vectorized(self):
         np.testing.assert_array_equal(heaviside([-1.0, 0.0, 2.0]), [0.0, 0.0, 1.0])
-
-
-class TestDescendingRank:
-    def test_max_is_rank_one(self):
-        assert descending_rank(0.9, [0.8, 0.7]) == 1
-
-    def test_counts_strict_exceeders(self):
-        assert descending_rank(0.7, [0.9, 0.8]) == 3
-
-    def test_ties_do_not_worsen_rank(self):
-        assert descending_rank(0.5, [0.5, 0.5]) == 1
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30), st.floats(-10, 10))
-    def test_rank_in_range(self, pool, s):
-        assert 1 <= descending_rank(s, pool) <= len(pool) + 1
-
-    @given(
-        st.lists(st.floats(-10, 10), min_size=2, max_size=20),
-        st.floats(-10, 10),
-        st.randoms(use_true_random=False),
-    )
-    def test_permutation_invariant(self, pool, s, rnd):
-        shuffled = list(pool)
-        rnd.shuffle(shuffled)
-        assert descending_rank(s, pool) == descending_rank(s, shuffled)
-
-    @given(
-        st.lists(st.integers(-5000, 5000), min_size=1, max_size=20),
-        st.integers(-5000, 5000),
-    )
-    def test_monotone_transform_invariant(self, pool_m, s_m):
-        # milli-unit grid keeps transformed values distinguishable in floats
-        pool = np.asarray(pool_m) / 1000.0
-        s = s_m / 1000.0
-
-        def transform(x):
-            return 3.0 * np.asarray(x) + 1.0
-
-        assert descending_rank(s, pool) == descending_rank(float(transform(s)), transform(pool))
 
 
 class TestPartitionQuery:

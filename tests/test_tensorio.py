@@ -59,8 +59,12 @@ class TestTensorFile:
             (lambda raw: raw[:-8], "payload truncated for tensor 'x'"),
             (lambda raw: raw + b"\0" * 3, "3 trailing payload bytes"),
             (lambda raw: raw.replace(b"x f64 4", b"x f64 -1,-4"), "bad manifest line 'x f64 -1,-4'"),
+            (lambda raw: raw.replace(b"x f64", b"\xff f64"), "manifest is not ASCII"),
+            # 2^32 x 2^32 elements overflow an int64 product to 0
+            (lambda raw: raw.replace(b"x f64 4", b"x f64 4294967296,4294967296"), "payload truncated"),
+            (lambda raw: raw.replace(b"x f64 4", b"x f64 0,4611686018427387904"), r"shape \(0, 4611686018427387904\)"),
         ],
-        ids=["terminator", "truncated", "trailing", "negative extent"],
+        ids=["terminator", "truncated", "trailing", "negative extent", "non-ascii", "overflow", "unaddressable"],
     )
     def test_rejection_messages(self, tmp_path, edit, message):
         path = tmp_path / "t.tensors"
@@ -90,6 +94,22 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(StructuralError):
+            read_checkpoint(path)
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        path, cut = tmp_path / "ckpt.bin", tmp_path / "cut.bin"
+        write_checkpoint(path, {"weight": np.eye(2), "bias": np.asarray(0.5)}, {})
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(StructuralError):
+                read_checkpoint(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        write_checkpoint(path, {"weight": np.eye(2)}, {})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(StructuralError, match="1 trailing bytes after the last tensor"):
             read_checkpoint(path)
 
     def test_config_hash_is_canonical(self):
