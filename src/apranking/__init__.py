@@ -45,6 +45,8 @@ from .pseudolabels import (
     LabelRates,
     PseudoLabelMatrix,
     generate_pseudo_labels,
+    pseudo_label_indices,
+    teacher_frame_similarities,
     teacher_frame_similarity,
 )
 from .ranking import (

@@ -287,31 +287,57 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
     patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a transposed
     copy rounds differently). Backward builds the symmetric adjoint
     S = G + G.T of that product directly and leaves through one ``S @ u``.
-    At k = 1 (R > 1) the forward keeps each row's first maximal candidate
-    patch, and backward scatters the upstream gradient there and at the
-    transposed position into the cosine buffer, which is dead once that
-    selection is taken; other k route through :func:`topk_sum`'s selection
-    mask. A guard records each row's top-K margin, as topk_sum does."""
+
+    At k = 1 (R > 1) the forward reads the selection along rows: numpy
+    mirrors syrk's triangle, so the buffer is exactly symmetric, and
+    candidate patch q of candidate frame f against every query patch is one
+    contiguous row. The max over q is a chain of ``np.maximum`` over those
+    rows in q order (``np.max`` of the transposed layout from R = 9, where
+    topk_sum_values takes it), the first maximal q is counted on the same
+    rows, and the query patches are added in p order, as ``sum(axis=2)``
+    adds them. Backward scatters the upstream gradient at each selected
+    position and adds it at the transposed one, in the cosine buffer, which
+    is dead once the selection is taken. Other k route through
+    :func:`topk_sum`'s selection mask. A guard records each row's top-K
+    margin, as topk_sum does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
         raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
     cosines = uv @ uv.T
     sim6 = cosines.reshape(n, t, r, n, t, r)
-    summed = aggregation.topk_sum_values(sim6, k)  # (n, T, R, n, T)
-    if guard is not None and k < r:
-        guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
     c = 1.0 / (r * k)
-    out = Var(summed.sum(axis=2) * c, parents=(u,))
     scatter = k == 1 and r > 1
     if scatter:
-        # the index of the first maximal column is the count of the columns
-        # before it, all below the max
-        below = sim6[..., 0] != summed
+        rows = cosines.reshape(n * t, r, size)  # (candidate frame, q, query patch)
+        if r <= aggregation.SELECT_MAX_EXTENT:
+            top = np.maximum(rows[:, 0], rows[:, 1])
+            for q in range(2, r):
+                np.maximum(top, rows[:, q], out=top)
+        else:  # a chain may keep another signed zero than np.max
+            top = np.ascontiguousarray(np.max(sim6, axis=-1).transpose(3, 4, 0, 1, 2)).reshape(n * t, size)
+        # the index of the first maximal candidate patch is the count of the
+        # patches before it, all below the max
+        below = rows[:, 0] != top
         first = below.astype(np.min_scalar_type(r - 1))
         for q in range(1, r - 1):
-            below &= sim6[..., q] != summed
+            below &= rows[:, q] != top
             first += below
+        if guard is not None:
+            summed = top.reshape(n, t, n, t, r).transpose(2, 3, 4, 0, 1)
+            guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
+        by_patch = top.reshape(n * t, n * t, r)  # (candidate frame, query frame, p)
+        frames = by_patch[..., 0] + by_patch[..., 1]
+        for p in range(2, r):
+            frames += by_patch[..., p]
+        frames *= c
+        value = np.ascontiguousarray(frames.T).reshape(n, t, n, t)
+    else:
+        summed = aggregation.topk_sum_values(sim6, k)  # (n, T, R, n, T)
+        if guard is not None and k < r:
+            guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
+        value = summed.sum(axis=2) * c
+    out = Var(value, parents=(u,))
 
     def backward(g):
         gs = g * c
@@ -343,23 +369,26 @@ class _ScatterPlan:
         size = n * t * r
         patch = np.arange(size).reshape(n, t, r, 1, 1)
         frame = np.arange(0, size, r).reshape(n, t)  # first patch of each frame
-        # (query patch i, candidate frame f) -> i * size + first patch of f
+        # (query patch x, candidate frame f) -> x * size + first patch of f,
+        # so that each row of the adjoint is written in one sweep
         self.rows = patch * size + frame
-        # the transposed positions, candidate frame first, so that each
-        # frame's R rows of the adjoint are written in one sweep
+        # the transposed positions, laid out as the selection (f, x), so
+        # that each frame's R rows of the adjoint are written in one sweep
         self.cols = frame[:, :, None, None, None] * size + patch.reshape(n, t, r)
         self.index = np.empty(self.rows.shape, np.intp)
         self.index_t = np.empty(self.cols.shape, np.intp)
         self.taken = np.empty(self.cols.shape)
 
     def adjoint(self, buf: np.ndarray, first: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        """S = G + G.T in ``buf``, where row i of G holds gs at its ``first``
-        candidate patch of each candidate frame and +0.0 elsewhere."""
+        """S = G + G.T in ``buf``, where row x of G holds gs at the
+        ``first[f, x]``-th candidate patch of each candidate frame f and +0.0
+        elsewhere."""
         buf.fill(0.0)
         flat = buf.reshape(-1)
-        np.add(self.rows, first, out=self.index)
+        first = first.reshape(self.cols.shape)
+        np.add(self.rows, first.transpose(2, 3, 4, 0, 1), out=self.index)
         flat[self.index] = gs[:, :, None]
-        np.multiply(first.transpose(3, 4, 0, 1, 2), np.intp(buf.shape[0]), out=self.index_t)
+        np.multiply(first, np.intp(buf.shape[0]), out=self.index_t)
         self.index_t += self.cols
         np.take(flat, self.index_t, out=self.taken, mode="clip")
         self.taken += gs.transpose(2, 3, 0, 1)[..., None]

@@ -5,6 +5,12 @@ and the lowest become negatives; everything in between is ignored. Counts
 are fixed by rank (ceil for positives, floor for negatives) rather than by
 value thresholds, so batch shapes are stable and ties resolve
 deterministically.
+
+Both steps have a stacked form over clip pairs, which training uses to
+label all of a batch's new pairs at once: :func:`teacher_frame_similarities`
+and :func:`pseudo_label_indices`. The one-pair functions
+:func:`teacher_frame_similarity` and :func:`generate_pseudo_labels` are
+their views.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ __all__ = [
     "LabelRates",
     "PseudoLabelMatrix",
     "teacher_frame_similarity",
+    "teacher_frame_similarities",
     "generate_pseudo_labels",
+    "pseudo_label_indices",
 ]
 
 POSITIVE = 1
@@ -97,34 +105,63 @@ class PseudoLabelMatrix:
         return tuple(self.labels.shape)
 
 
+def _unit_frames(clips) -> np.ndarray:
+    """The (P, T, D') stack of the clips' frame features, each frame scaled
+    to unit norm."""
+    shapes = sorted({c.data.shape for c in clips})
+    if len(shapes) != 1:
+        raise StructuralError(f"teacher frame matrices differ in shape: {shapes}")
+    data = np.stack([c.data for c in clips])
+    norms = np.linalg.norm(data, axis=2, keepdims=True)
+    if np.any(norms <= 1e-12):
+        raise DegenerateInputError("zero-norm frame embedding")
+    return data / norms
+
+
+def teacher_frame_similarities(queries, candidates) -> np.ndarray:
+    """Frame-pair cosine matrices (P, T, T') of the clip pairs
+    (queries[p], candidates[p]), from one stacked ``np.matmul``, which makes
+    the same BLAS call per pair as the product of one pair. The queries
+    share one (T, D') shape, the candidates one (T', D') shape."""
+    if len(queries) != len(candidates) or not queries:
+        raise StructuralError(f"expected equal nonzero pair counts, got {len(queries)} and {len(candidates)}")
+    if queries[0].dim != candidates[0].dim:
+        raise StructuralError(f"teacher dims differ: {queries[0].dim} vs {candidates[0].dim}")
+    return np.matmul(_unit_frames(queries), _unit_frames(candidates).transpose(0, 2, 1))
+
+
 def teacher_frame_similarity(a: FrameEmbeddings, b: FrameEmbeddings) -> np.ndarray:
     """Frame-pair cosine matrix (T, T') between two clips' teacher features."""
-    if a.dim != b.dim:
-        raise StructuralError(f"teacher dims differ: {a.dim} vs {b.dim}")
-    na = np.linalg.norm(a.data, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
-    if np.any(na <= 1e-12) or np.any(nb <= 1e-12):
-        raise DegenerateInputError("zero-norm frame embedding")
-    return (a.data / na) @ (b.data / nb).T
+    return teacher_frame_similarities([a], [b])[0]
+
+
+def pseudo_label_indices(teacher_stack: np.ndarray, rates: LabelRates) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-threshold labeling of a (..., T, T') stack of teacher similarity
+    matrices, as column indices: (positives (..., T, npos), negatives (...,
+    T, nneg)), each row's indices ascending.
+
+    Per row, the top ceil(r_t * T') columns are positive and the bottom
+    floor(r_b * T') are negative, from one stable descending argsort of the
+    whole stack. Ties follow that order, so for equal values the lower
+    column index ranks higher (wins a positive slot, avoids a negative one).
+    """
+    s = np.asarray(teacher_stack, dtype=np.float64)
+    if s.ndim < 2:
+        raise StructuralError(f"expected a (..., T, T') stack, got shape {s.shape}")
+    tc = s.shape[-1]
+    npos, nneg = rates.counts(tc)
+    order = np.argsort(-s, axis=-1, kind="stable")
+    return np.sort(order[..., :npos], axis=-1), np.sort(order[..., tc - nneg :], axis=-1)
 
 
 def generate_pseudo_labels(teacher_sim: np.ndarray, rates: LabelRates) -> PseudoLabelMatrix:
-    """Rank-threshold labeling of a (T, T') teacher similarity matrix.
-
-    Per row, the top ceil(r_t * T') columns are positive and the bottom
-    floor(r_b * T') are negative. Ties follow the stable descending order,
-    so for equal values the lower column index ranks higher (wins a positive
-    slot, avoids a negative one).
-    """
+    """The ternary label grid of one (T, T') teacher similarity matrix, by
+    :func:`pseudo_label_indices`."""
     s = np.asarray(teacher_sim, dtype=np.float64)
     if s.ndim != 2:
         raise StructuralError(f"expected a (T, T') matrix, got shape {s.shape}")
-    t, tc = s.shape
-    npos, nneg = rates.counts(tc)
-    order = np.argsort(-s, axis=1, kind="stable")
-    labels = np.zeros((t, tc), dtype=np.int8)
-    rows = np.arange(t)[:, None]
-    labels[rows, order[:, :npos]] = POSITIVE
-    if nneg:
-        labels[rows, order[:, tc - nneg :]] = NEGATIVE
+    pos, neg = pseudo_label_indices(s, rates)
+    labels = np.zeros(s.shape, dtype=np.int8)
+    np.put_along_axis(labels, pos, POSITIVE, axis=1)
+    np.put_along_axis(labels, neg, NEGATIVE, axis=1)
     return PseudoLabelMatrix(labels)

@@ -95,6 +95,8 @@ def read_tensors(path) -> dict:
                 raise ValueError("negative extent")
         except (ValueError, KeyError) as exc:
             raise StructuralError(f"{path}: bad manifest line {line!r}") from exc
+        if name in out:
+            raise StructuralError(f"{path}: tensor {name!r} named twice")
         out[name], offset = _tensor_at(path, raw, offset, dtype, shape, name)
     if offset != len(raw):
         raise StructuralError(f"{path}: {len(raw) - offset} trailing payload bytes")
@@ -153,6 +155,8 @@ def read_checkpoint(path) -> tuple[dict, str]:
             name = unpack(f"<{name_len}s")[0].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise StructuralError(f"{path}: tensor name is not UTF-8") from exc
+        if name in tensors:
+            raise StructuralError(f"{path}: tensor {name!r} named twice")
         (ndim,) = unpack("<I")
         shape = unpack(f"<{ndim}Q")
         tensors[name], offset = _tensor_at(path, raw, offset, np.dtype("<f8"), shape, name)

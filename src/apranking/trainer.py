@@ -2,11 +2,13 @@
 apply the hierarchical loss, and update the head/refiner parameters.
 
 Per iteration: a group-balanced batch is drawn, pseudo labels come from the
-frozen teacher view of each relevant clip pair, the video-level matrix feeds
-the listwise ranking loss plus the InfoNCE/self-similarity base terms, the
-frame-level matrices feed the same ranking loss under the pseudo labels, and
-the weighted total backpropagates to every trainable parameter. Single
-threaded and fully seeded: identical configs produce identical parameters.
+frozen teacher view of each relevant clip pair (cached per pair; the pairs
+a batch meets for the first time are labeled in one stacked pass), the
+video-level matrix feeds the listwise ranking loss plus the
+InfoNCE/self-similarity base terms, the frame-level matrices feed the same
+ranking loss under the pseudo labels, and the weighted total backpropagates
+to every trainable parameter. Single threaded and fully seeded: identical
+configs produce identical parameters.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .losses import (
 )
 from .metrics import MetricReport, evaluate_retrieval
 from .model import Model, eval_similarity_matrix, forward_similarity, init_model
-from .pseudolabels import LabelRates, generate_pseudo_labels, teacher_frame_similarity
+from .pseudolabels import LabelRates, pseudo_label_indices, teacher_frame_similarities
 from .ranking import RelevanceMatrix
 from .synthetic import AugmentToggles, SyntheticConfig, generate_corpus
 
@@ -292,55 +294,53 @@ class _FrameLossSpec:
 
 
 def _frame_loss_spec(batch_clips, batch_rel: RelevanceMatrix, label_cache, rates: LabelRates):
-    pairs = []
-    pos_parts = []
-    neg_parts = []
-    n = len(batch_clips)
-    for a in range(n):
-        for b in range(n):
-            if a == b or batch_rel.entries[a, b] != 1:
-                continue
-            key = (id(batch_clips[a]), id(batch_clips[b]))
-            if key not in label_cache:
-                teacher = teacher_frame_similarity(batch_clips[a].teacher, batch_clips[b].teacher)
-                labels = generate_pseudo_labels(teacher, rates).labels
-                t = labels.shape[0]
-                pos = np.stack([np.flatnonzero(labels[x] == 1) for x in range(t)])
-                neg = np.stack([np.flatnonzero(labels[x] == -1) for x in range(t)])
-                label_cache[key] = (pos, neg)
-            pos, neg = label_cache[key]
-            pairs.append((a, b))
-            pos_parts.append(pos)
-            neg_parts.append(neg)
-    if not pairs:
+    """The pseudo labels of every relevant ordered pair (a, b), a != b, in
+    row-major order. ``label_cache`` maps (id(a), id(b)) to (a, b, pos, neg);
+    an entry holds its clips, so their ids cannot be reused by other clips
+    while it lives. The pairs it lacks are labeled in one stacked pass."""
+    entries = batch_rel.entries == 1
+    np.fill_diagonal(entries, False)
+    pairs = np.argwhere(entries)
+    if not len(pairs):
         return None
+    clips = [(batch_clips[a], batch_clips[b]) for a, b in pairs.tolist()]
+    missing = [(a, b) for a, b in clips if (id(a), id(b)) not in label_cache]
+    if missing:
+        teacher = teacher_frame_similarities([a.teacher for a, _ in missing], [b.teacher for _, b in missing])
+        for (a, b), pos, neg in zip(missing, *pseudo_label_indices(teacher, rates)):
+            label_cache[id(a), id(b)] = (a, b, pos, neg)
+    found = [label_cache[id(a), id(b)] for a, b in clips]
     return _FrameLossSpec(
-        np.asarray(pairs, dtype=np.int64), np.stack(pos_parts), np.stack(neg_parts)
+        pairs, np.stack([entry[2] for entry in found]), np.stack([entry[3] for entry in found])
     )
 
 
 def _frame_loss(frame_values, spec: _FrameLossSpec, p: QuadLinearParams, guard=None):
     """Quad-linear risk over pseudo-labeled frame rows, averaged per pair and
-    then over pairs; returns (value, grad wrt the frame tensor)."""
+    then over pairs; returns (value, grad wrt the frame tensor). Scores are
+    gathered and gradients written through flat indices into the (n, n, T,
+    T') tensor; no position is labeled twice."""
     npairs, t, npos = spec.pos_idx.shape
     nneg = spec.neg_idx.shape[2]
-    a_idx = spec.pairs[:, 0][:, None, None]
-    b_idx = spec.pairs[:, 1][:, None, None]
-    rows = np.arange(t)[None, :, None]
-    pos_scores = frame_values[a_idx, b_idx, rows, spec.pos_idx].reshape(npairs * t, npos)
-    neg_scores = frame_values[a_idx, b_idx, rows, spec.neg_idx].reshape(npairs * t, nneg)
+    n, _, _, tc = frame_values.shape
+    rows = ((spec.pairs[:, 0] * n + spec.pairs[:, 1])[:, None] * t + np.arange(t)) * tc
+    pos_flat = spec.pos_idx + rows[:, :, None]
+    neg_flat = spec.neg_idx + rows[:, :, None]
+    flat = frame_values.reshape(-1)
+    pos_scores = flat[pos_flat].reshape(npairs * t, npos)
+    neg_scores = flat[neg_flat].reshape(npairs * t, nneg)
     if guard is not None:
         gaps = neg_scores[:, None, :] - pos_scores[:, :, None]
         pos_gaps = (pos_scores[:, None, :] - pos_scores[:, :, None])[:, ~np.eye(npos, dtype=bool)]
         _gap_margins(gaps, pos_gaps, p.delta, guard)
     values, gpos, gneg = quadlinear_ap_risk_rows(pos_scores, neg_scores, p)
     value = float(values.reshape(npairs, t).mean(axis=1).mean())
-    grad = np.zeros_like(frame_values)
+    grad = np.zeros(frame_values.shape)
     scale = 1.0 / (npairs * t)
-    gpos = gpos.reshape(npairs, t, npos) * scale
-    gneg = gneg.reshape(npairs, t, nneg) * scale
-    np.add.at(grad, (a_idx, b_idx, rows, spec.pos_idx), gpos)
-    np.add.at(grad, (a_idx, b_idx, rows, spec.neg_idx), gneg)
+    grad_flat = grad.reshape(-1)
+    # + 0.0 turns -0.0 into +0.0, as adding into the zero gradient does
+    grad_flat[pos_flat] = gpos.reshape(npairs, t, npos) * scale + 0.0
+    grad_flat[neg_flat] = gneg.reshape(npairs, t, nneg) * scale + 0.0
     return value, grad
 
 

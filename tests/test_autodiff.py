@@ -210,10 +210,11 @@ class TestSpatialTopkChamfer:
     """ad.spatial_topk_chamfer against the composed chain it replaces:
     values, input gradients and guard margins, bit for bit."""
 
-    # (n, T, R, k): k = 1 on short axes and on the np.max path (R = 9, 10),
-    # in-between k, k = extent, and R = 1
+    # (n, T, R, k): k = 1 on every short axis and on the np.max path
+    # (R = 9, 10), in-between k, k = extent, and R = 1
     CASES = [
         (2, 3, 4, 1), (3, 2, 2, 1), (1, 2, 8, 1), (2, 2, 9, 1), (2, 1, 10, 1),
+        (2, 2, 3, 1), (1, 3, 5, 1), (2, 2, 6, 1), (2, 1, 7, 1),
         (2, 2, 5, 2), (2, 3, 4, 3), (1, 2, 9, 4), (2, 2, 3, 3), (3, 2, 1, 1),
     ]
 
@@ -232,6 +233,16 @@ class TestSpatialTopkChamfer:
             backward_from(fused, g)
             backward_from(chain, g)
             assert same_bits(u_fused.grad, u_chain.grad), (rows, g)
+
+    def test_gram_is_exactly_symmetric(self):
+        # the k = 1 forward reads candidate patches along rows of u @ u.T,
+        # which holds because numpy mirrors one computed triangle
+        rng = np.random.default_rng(42)
+        for size, d in [(1, 3), (7, 1), (32, 5), (96, 16), (512, 16), (130, 39)]:
+            u = rng.standard_normal((size, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            cosines = u @ u.T
+            assert same_bits(cosines, cosines.T)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fd_every_k_path(self, k):

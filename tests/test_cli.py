@@ -377,6 +377,20 @@ class TestEval:
         assert reason in res.stderr and "row 1" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_tensor_named_twice_exits_2(self, tmp_path, out_dir):
+        # blocks scores, labels, scores: the first scores give AP 1.0 and
+        # the second 0.5, so keeping either one would be a silent choice
+        path = tmp_path / "twice.tensors"
+        write_tensors(
+            path,
+            {"scores": np.array([[0.9, 0.1]]), "labels": np.array([[1.0, 0.0]]), "scorez": np.array([[0.1, 0.9]])},
+        )
+        path.write_bytes(path.read_bytes().replace(b"scorez f64", b"scores f64"))
+        res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
+        assert res.returncode == 2
+        assert "tensor 'scores' named twice" in res.stderr and "Traceback" not in res.stderr
+        assert not os.path.exists(os.path.join(out_dir, "eval_report.json"))
+
     def test_non_ascii_manifest_exits_2(self, tmp_path, out_dir):
         path = tmp_path / "bad.tensors"
         write_tensors(path, {"scores": np.zeros((1, 2)), "labels": np.ones((1, 2))})

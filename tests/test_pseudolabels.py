@@ -15,6 +15,8 @@ from apranking.pseudolabels import (
     LabelRates,
     PseudoLabelMatrix,
     generate_pseudo_labels,
+    pseudo_label_indices,
+    teacher_frame_similarities,
     teacher_frame_similarity,
 )
 from apranking.ranking import QueryContext
@@ -133,3 +135,84 @@ class TestGeneratePseudoLabels:
             ctx = QueryContext(row[row_labels == POSITIVE], row[row_labels == NEGATIVE])
             assert heaviside_ap_risk(ctx) == 0.0
 
+
+
+def one_pair_teacher(a, b):
+    """Oracle: the frame-pair cosines of one clip pair as one product."""
+    na = np.linalg.norm(a.data, axis=1, keepdims=True)
+    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
+    return (a.data / na) @ (b.data / nb).T
+
+
+def argsort_labels(sim, rates):
+    """Oracle: the label grid from a stable descending argsort per matrix."""
+    t, tc = sim.shape
+    npos, nneg = rates.counts(tc)
+    order = np.argsort(-sim, axis=1, kind="stable")
+    labels = np.zeros((t, tc), dtype=np.int8)
+    rows = np.arange(t)[:, None]
+    labels[rows, order[:, :npos]] = POSITIVE
+    if nneg:
+        labels[rows, order[:, tc - nneg :]] = NEGATIVE
+    return labels
+
+
+def tied_frames(rng, t, d):
+    """Frame features drawn from a small pool, so that frames repeat within
+    and across clips and teacher cosines tie exactly."""
+    pool = np.concatenate([np.eye(d), -np.eye(d), np.round(rng.standard_normal((3, d)), 1) + 0.05])
+    return FrameEmbeddings(pool[rng.integers(0, len(pool), size=t)])
+
+
+class TestStackedLabels:
+    """The stacked teacher gram and labeling that training runs, against
+    per-pair oracles, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stack_matches_per_pair(self, seed):
+        rng = np.random.default_rng(seed)
+        t, tc, d = int(rng.integers(1, 9)), int(rng.integers(2, 12)), int(rng.integers(2, 6))
+        rates = LabelRates(float(rng.uniform(0.05, 0.45)), float(rng.uniform(0.05, 0.45)))
+        pairs = int(rng.integers(1, 12))
+        if seed % 2:
+            queries = [tied_frames(rng, t, d) for _ in range(pairs)]
+            candidates = [tied_frames(rng, tc, d) for _ in range(pairs)]
+        else:
+            queries = [FrameEmbeddings(rng.standard_normal((t, d))) for _ in range(pairs)]
+            candidates = [FrameEmbeddings(rng.standard_normal((tc, d))) for _ in range(pairs)]
+        stack = teacher_frame_similarities(queries, candidates)
+        pos, neg = pseudo_label_indices(stack, rates)
+        for p, (a, b) in enumerate(zip(queries, candidates)):
+            sim = one_pair_teacher(a, b)
+            assert np.array_equal(stack[p], sim) and np.array_equal(np.signbit(stack[p]), np.signbit(sim))
+            assert np.array_equal(teacher_frame_similarity(a, b), sim)
+            expected = argsort_labels(sim, rates)
+            assert np.array_equal(generate_pseudo_labels(sim, rates).labels, expected)
+            for x in range(t):
+                assert np.array_equal(pos[p, x], np.flatnonzero(expected[x] == POSITIVE))
+                assert np.array_equal(neg[p, x], np.flatnonzero(expected[x] == NEGATIVE))
+
+    def test_tied_rows_prefer_lower_columns(self):
+        stack = np.array([[[0.5, 0.5, 0.5, 0.5, 0.5]], [[0.0, 1.0, 0.0, 1.0, 0.0]]])
+        pos, neg = pseudo_label_indices(stack, LabelRates(0.4, 0.4))
+        assert pos.tolist() == [[[0, 1]], [[1, 3]]]
+        assert neg.tolist() == [[[3, 4]], [[2, 4]]]
+
+    def test_zero_norm_frame_rejected(self):
+        good = FrameEmbeddings([[1.0, 0.0], [0.0, 1.0]])
+        zero = FrameEmbeddings([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateInputError):
+            teacher_frame_similarities([good, good], [good, zero])
+        with pytest.raises(DegenerateInputError):
+            teacher_frame_similarities([zero], [good])
+
+    def test_shape_checks(self):
+        a, b = FrameEmbeddings(np.ones((2, 3))), FrameEmbeddings(np.ones((4, 3)))
+        with pytest.raises(StructuralError):
+            teacher_frame_similarities([a], [FrameEmbeddings(np.ones((2, 2)))])
+        with pytest.raises(StructuralError):
+            teacher_frame_similarities([a, b], [a, a])
+        with pytest.raises(StructuralError):
+            teacher_frame_similarities([a], [])
+        with pytest.raises(StructuralError):
+            pseudo_label_indices(np.zeros(4), LabelRates())

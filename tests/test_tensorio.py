@@ -77,6 +77,14 @@ class TestTensorFile:
         with pytest.raises(StructuralError):
             write_tensors(tmp_path / "x", {"a b": np.zeros(1)})
 
+    def test_rejects_a_name_given_twice(self, tmp_path):
+        # the manifest names "scores" twice; neither block may win silently
+        path = tmp_path / "twice.tensors"
+        write_tensors(path, {"scores": np.ones(2), "labels": np.ones(2), "scorez": np.zeros(2)})
+        path.write_bytes(path.read_bytes().replace(b"scorez f64", b"scores f64"))
+        with pytest.raises(StructuralError, match=f"{path}: tensor 'scores' named twice"):
+            read_tensors(path)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -110,6 +118,15 @@ class TestCheckpoint:
         write_checkpoint(path, {"weight": np.eye(2)}, {})
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(StructuralError, match="1 trailing bytes after the last tensor"):
+            read_checkpoint(path)
+
+    def test_rejects_a_name_given_twice(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        write_checkpoint(path, {"weight": np.eye(2), "weighz": np.zeros((2, 2))}, {})
+        raw = path.read_bytes()
+        assert raw.count(b"weighz") == 1
+        path.write_bytes(raw.replace(b"weighz", b"weight"))
+        with pytest.raises(StructuralError, match=f"{path}: tensor 'weight' named twice"):
             read_checkpoint(path)
 
     def test_config_hash_is_canonical(self):

@@ -10,6 +10,7 @@ import pytest
 
 from apranking.errors import NumericsError, ParameterError
 from apranking.losses import QuadLinearParams
+from apranking.pseudolabels import LabelRates
 from apranking.ranking import partition_query
 from apranking.synthetic import SyntheticConfig
 from apranking.trainer import (
@@ -334,3 +335,117 @@ class TestLossMargins:
                     found += [*np.abs(d).ravel(), *np.abs(d + p.delta).ravel()]
                     found += list(np.abs(dp[~np.eye(3, dtype=bool)]))
             assert guard.min_margin() == min(found)
+
+
+def add_at_frame_loss(frame_values, spec, p):
+    """Oracle: the frame loss gathered by 4-array fancy indexing and
+    scattered by np.add.at."""
+    from apranking.losses import quadlinear_ap_risk_rows
+
+    npairs, t, npos = spec.pos_idx.shape
+    nneg = spec.neg_idx.shape[2]
+    a_idx = spec.pairs[:, 0][:, None, None]
+    b_idx = spec.pairs[:, 1][:, None, None]
+    rows = np.arange(t)[None, :, None]
+    pos_scores = frame_values[a_idx, b_idx, rows, spec.pos_idx].reshape(npairs * t, npos)
+    neg_scores = frame_values[a_idx, b_idx, rows, spec.neg_idx].reshape(npairs * t, nneg)
+    values, gpos, gneg = quadlinear_ap_risk_rows(pos_scores, neg_scores, p)
+    value = float(values.reshape(npairs, t).mean(axis=1).mean())
+    grad = np.zeros_like(frame_values)
+    scale = 1.0 / (npairs * t)
+    np.add.at(grad, (a_idx, b_idx, rows, spec.pos_idx), gpos.reshape(npairs, t, npos) * scale)
+    np.add.at(grad, (a_idx, b_idx, rows, spec.neg_idx), gneg.reshape(npairs, t, nneg) * scale)
+    return value, grad
+
+
+def per_pair_spec(batch_clips, rel, rates):
+    """Oracle: the frame-loss labels of every relevant ordered pair from a
+    loop over all n^2 pairs, one teacher product and label grid each."""
+    from apranking.pseudolabels import generate_pseudo_labels
+
+    pairs, pos, neg = [], [], []
+    for a, ca in enumerate(batch_clips):
+        for b, cb in enumerate(batch_clips):
+            if a == b or rel.entries[a, b] != 1:
+                continue
+            na = np.linalg.norm(ca.teacher.data, axis=1, keepdims=True)
+            nb = np.linalg.norm(cb.teacher.data, axis=1, keepdims=True)
+            labels = generate_pseudo_labels((ca.teacher.data / na) @ (cb.teacher.data / nb).T, rates).labels
+            pairs.append((a, b))
+            pos.append(np.stack([np.flatnonzero(row == 1) for row in labels]))
+            neg.append(np.stack([np.flatnonzero(row == -1) for row in labels]))
+    return np.asarray(pairs), np.stack(pos), np.stack(neg)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFrameLossPaths:
+    """The stacked labeling and the flat-index frame loss against the
+    per-pair and add.at forms they replace, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spec_matches_per_pair_labels(self, seed):
+        from dataclasses import replace
+
+        from apranking.ranking import RelevanceMatrix
+        from apranking.synthetic import generate_corpus
+        from apranking.trainer import _frame_loss_spec
+
+        corpus = generate_corpus(replace(PINNED_SYN, seed=seed))
+        rng = np.random.default_rng(seed)
+        batch = [corpus[i] for i in rng.choice(len(corpus), size=9, replace=False)]
+        rel = RelevanceMatrix.from_groups([c.group for c in batch])
+        rates = LabelRates(0.35, 0.35)
+        cache = {}
+        for _ in range(2):  # labeled, then read from the cache
+            spec = _frame_loss_spec(batch, rel, cache, rates)
+            pairs, pos, neg = per_pair_spec(batch, rel, rates)
+            assert np.array_equal(spec.pairs, pairs)
+            assert np.array_equal(spec.pos_idx, pos) and np.array_equal(spec.neg_idx, neg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flat_index_loss_matches_add_at(self, seed):
+        from apranking.trainer import _frame_loss, _FrameLossSpec
+
+        rng = np.random.default_rng(seed)
+        n, t, tc = int(rng.integers(2, 5)), int(rng.integers(1, 6)), int(rng.integers(3, 9))
+        npos = int(rng.integers(1, tc - 1))
+        nneg = int(rng.integers(1, tc - npos + 1))
+        values = rng.uniform(-1.0, 1.0, size=(n, n, t, tc))
+        if seed % 2:  # ties, exact gaps on the kinks, and signed zeros
+            values = np.round(values, 1)
+            values[rng.random(values.shape) < 0.2] = -0.0
+        pairs = np.argwhere(~np.eye(n, dtype=bool))[rng.random(n * (n - 1)) < 0.7]
+        if not len(pairs):
+            pairs = np.array([[0, 1]])
+        cols = np.array([[rng.permutation(tc) for _ in range(t)] for _ in range(len(pairs))])
+        spec = _FrameLossSpec(pairs, np.sort(cols[..., :npos]), np.sort(cols[..., npos : npos + nneg]))
+        for p in (QuadLinearParams(0.05, 5.0), QuadLinearParams(0.5, 0.1)):
+            value, grad = _frame_loss(values, spec, p)
+            expected_value, expected_grad = add_at_frame_loss(values, spec, p)
+            assert same_bits(value, expected_value)
+            assert same_bits(grad, expected_grad)
+
+    def test_label_cache_survives_reused_object_ids(self):
+        # a cache keyed by object ids alone hands a freed batch's labels to
+        # the next batch whose clips reuse those ids
+        import gc
+        from dataclasses import replace
+
+        from apranking.model import init_model
+        from apranking.synthetic import generate_corpus
+        from apranking.trainer import build_losses
+
+        cfg = TrainConfig(synthetic=replace(hard_preset().synthetic, num_clips=16, num_groups=4))
+        model = init_model(cfg.synthetic.dim, seed=0)
+        shared = {}
+        for seed in range(39):
+            batch = generate_corpus(replace(cfg.synthetic, seed=seed))
+            _, fresh = build_losses(cfg, model, batch, {})
+            _, cached = build_losses(cfg, model, batch, shared)
+            assert cached["loss_frame"] == fresh["loss_frame"], seed
+            del batch
+            gc.collect()
