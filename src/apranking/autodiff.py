@@ -1,23 +1,22 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The op set is deliberately closed: scalings and weighted sums of nodes,
-scalar-node products and shifts, a linear map, row normalization, the
-fused spatial TopK-Chamfer stage (cosine gram, top-K over candidate
-patches, mean over query patches), axis moves, reductions, clamp, tanh,
-top-K, average pooling, a 3x3 convolution, and an escape hatch for scalar
-nodes with hand-derived gradients. Top-K routes its gradient through a
-selection mask; the spatial stage at k = 1 scatters it at the selected
-patch instead. Anything else fails loudly at graph-build time; there is no
-silent fallback that could produce wrong gradients.
+The op set is deliberately closed: scalings and weighted sums of nodes, a
+linear map, row normalization, the fused spatial TopK-Chamfer stage (cosine
+gram, top-K over candidate patches, mean over query patches), the refiner
+(:func:`aggregation.refine` as one node), an axis sum, top-K, and an escape
+hatch for scalar nodes with hand-derived gradients. Top-K routes its
+gradient through a selection mask; the spatial stage at k = 1 scatters it at
+the selected patch instead. Anything else fails loudly at graph-build time;
+there is no silent fallback that could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
 accumulation order is deterministic for a fixed graph.
 
-A :class:`BreakpointGuard` can be threaded through kinked ops (top-K, clamp,
-piecewise maps); it records how far the forward pass stayed from each
-non-differentiable point, which finite-difference checks use to exclude
-ill-conditioned samples.
+A :class:`BreakpointGuard` can be threaded through kinked ops (top-K, the
+affine refiner's clamp, piecewise maps); it records how far the forward
+pass stayed from each non-differentiable point, which finite-difference
+checks use to exclude ill-conditioned samples.
 """
 
 from __future__ import annotations
@@ -34,18 +33,12 @@ __all__ = [
     "BreakpointGuard",
     "scale",
     "add_scaled",
-    "mul_scalar",
-    "add_scalar",
     "linear",
     "normalize_rows",
-    "moveaxis",
     "sum_axis",
     "topk_sum",
     "spatial_topk_chamfer",
-    "clamp",
-    "tanh",
-    "average_pool_ceil",
-    "conv3x3",
+    "refine",
     "scalar_node",
 ]
 
@@ -143,35 +136,6 @@ def add_scaled(terms) -> Var:
     return out
 
 
-def mul_scalar(v: Var, s: Var) -> Var:
-    """Tensor times a 0-d parameter node."""
-    if s.value.ndim != 0:
-        raise StructuralError("mul_scalar expects a 0-d parameter")
-    out = Var(v.value * s.value, parents=(v, s))
-    v_value = v.value
-
-    def backward(g):
-        v.grad += g * s.value
-        s.grad += np.sum(g * v_value)
-
-    out._backward = backward
-    return out
-
-
-def add_scalar(v: Var, s: Var) -> Var:
-    """Tensor plus a 0-d parameter node."""
-    if s.value.ndim != 0:
-        raise StructuralError("add_scalar expects a 0-d parameter")
-    out = Var(v.value + s.value, parents=(v, s))
-
-    def backward(g):
-        v.grad += g
-        s.grad += np.sum(g)
-
-    out._backward = backward
-    return out
-
-
 def linear(x, w: Var) -> Var:
     """x @ w.T for a constant input batch x (..., D_in) and parameter w
     (D_out, D_in)."""
@@ -198,16 +162,6 @@ def normalize_rows(v: Var, min_norm: float = 1e-12) -> Var:
 
     def backward(g):
         v.grad += (g - unit * np.sum(g * unit, axis=-1, keepdims=True)) / norms
-
-    out._backward = backward
-    return out
-
-
-def moveaxis(v: Var, source, destination) -> Var:
-    out = Var(np.ascontiguousarray(np.moveaxis(v.value, source, destination)), parents=(v,))
-
-    def backward(g):
-        v.grad += np.moveaxis(g, destination, source)
 
     out._backward = backward
     return out
@@ -278,10 +232,10 @@ def _topk_margins(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
 
 def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: BreakpointGuard | None = None) -> Var:
     """The spatial TopK-Chamfer stage of n clips of T frames and R patches:
-    from the (n*T*R, D) unit patch rows ``u``, the (n, T, n, T) frame
-    similarity (query clip, query frame, candidate clip, candidate frame)
+    from the (n*T*R, D) unit patch rows ``u``, the (n, n, T, T) frame
+    similarity (query clip, candidate clip, query frame, candidate frame)
 
-        frame[a, i, b, j] = 1/(R k) * sum_p topk_q <u[a, i, p], u[b, j, q]>
+        frame[a, b, i, j] = 1/(R k) * sum_p topk_q <u[a, i, p], u[b, j, q]>
 
     with the top-K of :func:`aggregation.topk_sum_values` over candidate
     patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a transposed
@@ -298,7 +252,9 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
     adds them. Backward scatters the upstream gradient at each selected
     position and adds it at the transposed one, in the cosine buffer, which
     is dead once the selection is taken. Other k route through
-    :func:`topk_sum`'s selection mask. A guard records each row's top-K
+    :func:`topk_sum`'s selection mask. Either way one permuting copy lays
+    the frames out clip pair first, and backward reads the upstream gradient
+    back through a ``moveaxis`` view. A guard records each row's top-K
     margin, as topk_sum does."""
     uv = u.value
     size = n * t * r
@@ -331,16 +287,16 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
         for p in range(2, r):
             frames += by_patch[..., p]
         frames *= c
-        value = np.ascontiguousarray(frames.T).reshape(n, t, n, t)
+        value = np.ascontiguousarray(frames.reshape(n, t, n, t).transpose(2, 0, 3, 1))
     else:
         summed = aggregation.topk_sum_values(sim6, k)  # (n, T, R, n, T)
         if guard is not None and k < r:
             guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
-        value = summed.sum(axis=2) * c
+        value = np.ascontiguousarray(np.moveaxis(summed.sum(axis=2) * c, 1, 2))
     out = Var(value, parents=(u,))
 
     def backward(g):
-        gs = g * c
+        gs = np.moveaxis(g, 2, 1) * c  # (n, T, n, T)
         gs += 0.0  # -0.0 -> +0.0, as a sum into a zero gradient gives
         if scatter:
             adjoint = _scatter_plan(n, t, r).adjoint(cosines, first, gs)
@@ -401,67 +357,55 @@ def _scatter_plan(n: int, t: int, r: int) -> _ScatterPlan:
     return _ScatterPlan(n, t, r)
 
 
-def clamp(v: Var, lo: float, hi: float, guard: BreakpointGuard | None = None) -> Var:
-    """Hard clamp; gradient is zero outside [lo, hi]."""
-    inside = (v.value > lo) & (v.value < hi)
-    if guard is not None:
-        guard.record(np.minimum(np.abs(v.value - lo), np.abs(v.value - hi)))
-    out = Var(np.clip(v.value, lo, hi), parents=(v,))
+def refine(v: Var, r: aggregation.RefinerParams, params, guard: BreakpointGuard | None = None) -> Var:
+    """The refiner as one node: forward is :func:`aggregation.refine` of
+    ``v`` under ``r``, and ``params`` are the Vars ``r`` was read from,
+    (scale, bias) for the affine kind and (kernel, bias) for the conv kind.
+    The identity kind returns ``v`` itself.
 
-    def backward(g):
-        v.grad += g * inside
-
-    out._backward = backward
-    return out
-
-
-def tanh(v: Var) -> Var:
-    t = np.tanh(v.value)
-    out = Var(t, parents=(v,))
-
-    def backward(g):
-        v.grad += g * (1.0 - t * t)
-
-    out._backward = backward
-    return out
-
-
-def average_pool_ceil(v: Var, stride: int) -> Var:
-    """Stride-s average pooling over the last two axes (ceil semantics)."""
-    if stride == 1:
+    Backward is the closed-form gradient: for the affine kind, the clamp
+    gate (zero outside [-1, 1]), the scale, and the pooling windows' mean;
+    for the conv kind, tanh' and each kernel tap's strided window. Backward
+    recomputes the pooled map rather than holding it. A guard records each
+    pre-clamp value's distance to +-1."""
+    if r.kind == "identity":
         return v
-    pooled = aggregation.average_pool_ceil(v.value, stride)
-    _, row_sizes = aggregation.pool_windows(v.value.shape[-2], stride)
-    _, col_sizes = aggregation.pool_windows(v.value.shape[-1], stride)
-    counts = np.outer(row_sizes, col_sizes)
-    out = Var(pooled, parents=(v,))
-
-    def backward(g):
-        spread = np.repeat(np.repeat(g / counts, row_sizes, axis=-2), col_sizes, axis=-1)
-        v.grad += spread
-
-    out._backward = backward
-    return out
-
-
-def conv3x3(v: Var, weights: Var, bias: Var, stride: int = 1) -> Var:
-    """Single-channel 3x3 convolution with zero padding 1 and the given
-    stride, applied over the last two axes of ``v``."""
-    if weights.value.shape != (3, 3) or bias.value.ndim != 0:
-        raise StructuralError("conv3x3 expects a (3, 3) kernel and 0-d bias")
     x = v.value
-    out = Var(aggregation.conv3x3(x, weights.value, bias.value, stride), parents=(v, weights, bias))
-    wv = weights.value.copy()
+    weight, bias = params
+    out = Var(aggregation.refine(x, r), parents=(v, weight, bias))
+    if r.kind == "affine":
+        if guard is not None:
+            pre = r.scale * aggregation.average_pool_ceil(x, r.downsample) + r.bias
+            guard.record(np.minimum(np.abs(pre + 1.0), np.abs(pre - 1.0)))
 
-    def backward(g):
-        bias.grad += np.sum(g)
-        padded, windows = aggregation.conv3x3_taps(x, stride)
-        gpad = np.zeros_like(padded)
-        for (a, b), win in windows.items():
-            weights.grad[a, b] += np.sum(g * padded[win])
-            gpad[win] += wv[a, b] * g
-        h, w = x.shape[-2], x.shape[-1]
-        v.grad += gpad[..., 1 : h + 1, 1 : w + 1]
+        def backward(g):
+            pooled = aggregation.average_pool_ceil(x, r.downsample)
+            # open where the clamp left the value; each "+ 0.0" turns -0.0
+            # into +0.0, as a sum into a zero gradient gives
+            gate = g * (np.abs(out.value) < 1.0) + 0.0
+            bias.grad += np.sum(gate)
+            weight.grad += np.sum(gate * pooled)
+            gp = gate * r.scale + 0.0
+            if r.downsample == 1:
+                v.grad += gp
+                return
+            _, row_sizes = aggregation.pool_windows(x.shape[-2], r.downsample)
+            _, col_sizes = aggregation.pool_windows(x.shape[-1], r.downsample)
+            gp /= np.outer(row_sizes, col_sizes)
+            v.grad += np.repeat(np.repeat(gp, row_sizes, axis=-2), col_sizes, axis=-1)
+
+    else:
+        t = out.value
+
+        def backward(g):
+            gc = g * (1.0 - t * t) + 0.0
+            bias.grad += np.sum(gc)
+            padded, windows = aggregation.conv3x3_taps(x, r.downsample)
+            gpad = np.zeros_like(padded)
+            for (a, b), win in windows.items():
+                weight.grad[a, b] += np.sum(gc * padded[win])
+                gpad[win] += r.conv_weights[a, b] * gc
+            v.grad += gpad[..., 1 : x.shape[-2] + 1, 1 : x.shape[-1] + 1]
 
     out._backward = backward
     return out

@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--preset", choices=("easy", "hard"), default="easy")
     ablate.add_argument("--config", default=None)
     ablate.add_argument("--iterations", type=int, default=300, help="budget per training run on trained axes")
-    ablate.add_argument("--checkpoint", default=None, help="evaluate k-axis sweeps with these trained parameters")
+    ablate.add_argument("--checkpoint", default=None, help="k_t/k_s only: evaluate with these trained parameters")
 
     return parser
 
@@ -474,6 +474,10 @@ def cmd_ablate(args) -> int:
     from .errors import ParameterError
     from .tensorio import write_csv, write_json_report
 
+    if args.checkpoint and args.axis not in ("k_t", "k_s"):
+        raise ParameterError(
+            f"--checkpoint applies only to the k_t and k_s axes; the {args.axis} axis trains a model per grid value"
+        )
     started = time.time()
     out = _ensure_out(args)
     cfg = _load_train_config(args)

@@ -2,7 +2,8 @@
 
 The head is a D-by-D map applied to every patch embedding before cosine
 similarity; the refiner re-maps the frame-similarity matrix. Training runs
-through the autodiff graph built in :func:`forward_similarity`. Evaluation,
+through the autodiff graph built in :func:`forward_similarity`, whose
+refiner node runs :func:`~apranking.aggregation.refine` itself. Evaluation,
 :func:`eval_similarity_matrix`, runs the same parameters through the batch
 numpy engine :func:`~apranking.aggregation.batch_similarity_matrix`, which
 is pinned bitwise to the per-pair oracle
@@ -60,7 +61,6 @@ def init_model(
     downsample: int = 1,
     seed: int = 0,
     init_noise: float = 0.02,
-    affine_init: tuple[float, float] = (1.0, 0.0),
 ) -> Model:
     """Head initialized near the identity; refiner initialized near a pass-through."""
     if refiner_kind not in ("identity", "affine", "conv"):
@@ -71,8 +71,8 @@ def init_model(
     w = np.eye(dim) + init_noise * rng.standard_normal((dim, dim))
     model = Model(weight=ad.Var(w), refiner_kind=refiner_kind, downsample=downsample)
     if refiner_kind == "affine":
-        model.refiner_scale = ad.Var(float(affine_init[0]))
-        model.refiner_bias = ad.Var(float(affine_init[1]))
+        model.refiner_scale = ad.Var(1.0)
+        model.refiner_bias = ad.Var(0.0)
     elif refiner_kind == "conv":
         kernel = np.zeros((3, 3))
         kernel[1, 1] = 1.0
@@ -108,11 +108,14 @@ def forward_similarity(
 ) -> tuple[ad.Var, ad.Var]:
     """Build the batch similarity graph.
 
-    The head maps and normalises every patch; one fused node,
+    The graph is linear -> normalize -> spatial -> refine -> top-K -> sum
+    -> scale. The head maps and normalises every patch; one fused node,
     :func:`autodiff.spatial_topk_chamfer`, takes the cosine gram, the
-    spatial top-K and the mean over query patches to (n, T, n, T) frame
+    spatial top-K and the mean over query patches to (n, n, T, T) frame
     similarities, so no (n, T, R, n, T, R) tensor or adjoint enters the
-    graph; the refiner and the temporal top-K follow as separate nodes.
+    graph. One node, :func:`autodiff.refine`, runs the evaluation refiner
+    :func:`~apranking.aggregation.refine` on them, and the temporal top-K
+    follows.
 
     ``batch_data`` is the stacked student view (n, T, R, D). Returns the
     (n, n) video-similarity node and the (n, n, T*, T*) refined
@@ -127,23 +130,9 @@ def forward_similarity(
     mapped = ad.linear(batch_data.reshape(n * t * r, d), model.weight)
     unit = ad.normalize_rows(mapped)
     k_s = topk_count(params.k_s, r)
-    frame = ad.spatial_topk_chamfer(unit, n, t, r, k_s, guard=guard)  # (n, T, n, T)
-    frame = ad.moveaxis(frame, 1, 2)  # (n, n, T, T)
-
-    if model.refiner_kind == "identity":
-        refined = frame
-    elif model.refiner_kind == "affine":
-        pooled = ad.average_pool_ceil(frame, model.downsample)
-        refined = ad.clamp(
-            ad.add_scalar(ad.mul_scalar(pooled, model.refiner_scale), model.refiner_bias),
-            -1.0,
-            1.0,
-            guard=guard,
-        )
-    else:
-        refined = ad.tanh(
-            ad.conv3x3(frame, model.conv_weights, model.conv_bias, stride=model.downsample)
-        )
+    frame = ad.spatial_topk_chamfer(unit, n, t, r, k_s, guard=guard)  # (n, n, T, T)
+    refiner_vars = [p for name, p in model.parameters() if name != "weight"]
+    refined = ad.refine(frame, model_refiner_params(model), refiner_vars, guard=guard)
 
     t_ref, tc_ref = refined.shape[-2], refined.shape[-1]
     k_t = topk_count(params.k_t, tc_ref)

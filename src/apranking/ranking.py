@@ -7,7 +7,7 @@ may share these objects across threads freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class RelevanceMatrix:
     """
 
     entries: np.ndarray
-    diagonal_is_self: bool = field(default=True)
 
     def __post_init__(self):
         e = np.asarray(self.entries)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from apranking import autodiff as ad
+from apranking.aggregation import RefinerParams
 from apranking.errors import StructuralError
+from apranking.gradcheck import rel_err
 
 
 def fd_scalar(fn, x, h=1e-7):
@@ -51,40 +53,6 @@ class TestBasicOps:
     def test_normalize_rows_fd(self):
         rng = np.random.default_rng(2)
         check_unary(ad.normalize_rows, rng.standard_normal((5, 4)) + 0.5)
-
-    def test_tanh_fd(self):
-        rng = np.random.default_rng(3)
-        check_unary(ad.tanh, rng.standard_normal((3, 3)))
-
-    def test_clamp_gates_gradient(self):
-        v = ad.Var(np.array([-2.0, 0.0, 2.0]))
-        out = ad.sum_axis(ad.clamp(v, -1.0, 1.0), 0)
-        out.backward()
-        np.testing.assert_array_equal(v.grad, [0.0, 1.0, 0.0])
-
-    def test_avgpool_fd(self):
-        rng = np.random.default_rng(6)
-        check_unary(lambda v: ad.average_pool_ceil(v, 2), rng.standard_normal((5, 7)))
-
-    def test_conv3x3_fd_all_inputs(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 5, 4))
-        w = rng.standard_normal((3, 3))
-        b = rng.standard_normal(())
-
-        def value(which, arr):
-            vx = ad.Var(x if which != "x" else arr)
-            vw = ad.Var(w if which != "w" else arr)
-            vb = ad.Var(b if which != "b" else arr)
-            out = ad.conv3x3(vx, vw, vb, stride=2)
-            return float(out.value.sum())
-
-        vx, vw, vb = ad.Var(x.copy()), ad.Var(w.copy()), ad.Var(b.copy())
-        total(ad.conv3x3(vx, vw, vb, stride=2)).backward()
-        np.testing.assert_allclose(vx.grad, fd_scalar(lambda a: value("x", a), x.copy()), atol=1e-6)
-        np.testing.assert_allclose(vw.grad, fd_scalar(lambda a: value("w", a), w.copy()), atol=1e-6)
-        np.testing.assert_allclose(vb.grad, fd_scalar(lambda a: value("b", a), b.copy()), atol=1e-6)
-
 
 class TestTopkGradientRouting:
     def test_routes_only_to_selected(self):
@@ -135,12 +103,6 @@ class TestGraphMechanics:
         with pytest.raises(StructuralError):
             ad.scalar_node(v, lambda values: (0.0, np.zeros(3)))
 
-    def test_mul_scalar_requires_0d(self):
-        v = ad.Var(np.zeros((2, 2)))
-        s = ad.Var(np.zeros(2))
-        with pytest.raises(StructuralError):
-            ad.mul_scalar(v, s)
-
     def test_repeated_backward_is_deterministic(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 4))
@@ -161,8 +123,9 @@ def same_bits(a, b):
 
 
 def composed_chain(u, n, t, r, k, guard=None):
-    """Oracle: the spatial stage as five generic nodes, gram -> reshape ->
-    topk_sum -> sum_axis -> scale, with the gram's adjoint (G + G.T) @ u."""
+    """Oracle: the spatial stage as six generic nodes, gram -> reshape ->
+    topk_sum -> sum_axis -> scale -> move to (n, n, T, T), with the gram's
+    adjoint (G + G.T) @ u."""
     uv = u.value
     cosines = ad.Var(uv @ uv.T, parents=(u,))
 
@@ -177,7 +140,14 @@ def composed_chain(u, n, t, r, k, guard=None):
 
     sim6._backward = reshape_backward
     spatial = ad.topk_sum(sim6, k, guard=guard)
-    return ad.scale(ad.sum_axis(spatial, 2), 1.0 / (r * k))
+    frames = ad.scale(ad.sum_axis(spatial, 2), 1.0 / (r * k))  # (n, T, n, T)
+    moved = ad.Var(np.ascontiguousarray(np.moveaxis(frames.value, 1, 2)), parents=(frames,))
+
+    def move_backward(g):
+        frames.grad += np.moveaxis(g, 2, 1)
+
+    moved._backward = move_backward
+    return moved
 
 
 def backward_from(out, g):
@@ -223,7 +193,7 @@ class TestSpatialTopkChamfer:
         rng = np.random.default_rng(n * 1000 + t * 100 + r * 10 + k)
         for _ in range(30):
             rows = tied_unit_rows(rng, n * t * r, int(rng.integers(2, 5)))
-            g = signed_upstream(rng, (n, t, n, t))
+            g = signed_upstream(rng, (n, n, t, t))
             fused_guard, chain_guard = ad.BreakpointGuard(), ad.BreakpointGuard()
             u_fused, u_chain = ad.Var(rows), ad.Var(rows)
             fused = ad.spatial_topk_chamfer(u_fused, n, t, r, k, guard=fused_guard)
@@ -246,12 +216,10 @@ class TestSpatialTopkChamfer:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fd_every_k_path(self, k):
-        from apranking.gradcheck import rel_err
-
         rng = np.random.default_rng(40 + k)
         n, t, r = 2, 2, 3
         x = rng.standard_normal((n * t * r, 4))
-        w = rng.standard_normal((n, t, n, t))
+        w = rng.standard_normal((n, n, t, t))
 
         def value(arr):
             return float(np.sum(ad.spatial_topk_chamfer(ad.Var(arr), n, t, r, k).value * w))
@@ -290,3 +258,70 @@ class TestSpatialTopkChamfer:
     def test_rejects_rows_of_another_shape(self):
         with pytest.raises(StructuralError):
             ad.spatial_topk_chamfer(ad.Var(np.eye(4)), 1, 2, 3, 1)
+
+
+def refiner(kind, stride, weight, bias):
+    """The RefinerParams read from the refiner Vars (scale or kernel, bias)."""
+    if kind == "affine":
+        return RefinerParams("affine", scale=weight.item(), bias=bias.item(), downsample=stride)
+    return RefinerParams("conv", conv_weights=weight.value.copy(), conv_bias=bias.item(), downsample=stride)
+
+
+class TestRefine:
+    """ad.refine, the refiner as one node, against finite differences on the
+    input and on each parameter, plus the clamp gate and its guard."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kind", ["affine", "conv"])
+    def test_fd_every_input(self, kind, stride):
+        rng = np.random.default_rng(50 + stride)
+        # odd extents leave partial pooling windows and strided conv edges;
+        # a scale of 1.5 per stride closes the clamp gate on some entries
+        inputs = {
+            "x": rng.uniform(-1.0, 1.0, (2, 5, 7)),
+            "weight": np.asarray(1.5 * stride) if kind == "affine" else rng.standard_normal((3, 3)) * 0.5,
+            "bias": np.asarray(0.1),
+        }
+
+        def run(given, guard=None):
+            nodes = {name: ad.Var(arr.copy()) for name, arr in given.items()}
+            weight, bias = nodes["weight"], nodes["bias"]
+            return nodes, ad.refine(nodes["x"], refiner(kind, stride, weight, bias), (weight, bias), guard=guard)
+
+        guard = ad.BreakpointGuard()
+        nodes, out = run(inputs, guard)
+        w = rng.standard_normal(out.shape)
+        if kind == "affine":
+            assert 0.0 < float(np.mean(np.abs(out.value) == 1.0)) < 0.5  # some entries clamped
+            assert guard.min_margin() > 1e-3  # no pre-clamp value near the stencil
+        ad.scalar_node(out, lambda values: (np.sum(values * w), w)).backward()
+        for name, node in nodes.items():
+
+            def value(arr):
+                return float(np.sum(run(dict(inputs, **{name: arr}))[1].value * w))
+
+            assert rel_err(node.grad, fd_scalar(value, inputs[name].copy())) < 1e-6, name
+
+    def test_clamp_gates_gradient(self):
+        # pre-clamp values -1.6, 0.4 and 1.2: only the middle one passes the
+        # gradient, and the gated entries hold +0.0 under a negative upstream
+        v, scale, bias = ad.Var(np.array([[-2.0, 0.5, 1.5]])), ad.Var(0.8), ad.Var(0.0)
+        out = ad.refine(v, refiner("affine", 1, scale, bias), (scale, bias))
+        ad.scalar_node(out, lambda values: (-values.sum(), -np.ones_like(values))).backward()
+        assert same_bits(v.grad, [[0.0, -0.8, 0.0]])
+        assert (scale.grad, bias.grad) == (-0.5, -1.0)
+
+    def test_guard_records_clamp_margin(self):
+        # distances of -1.6, 0.4 and 1.2 to +-1: 0.6, 0.6 and 0.2
+        guard = ad.BreakpointGuard()
+        v, scale, bias = ad.Var(np.array([[-2.0, 0.5, 1.5]])), ad.Var(0.8), ad.Var(0.0)
+        ad.refine(v, refiner("affine", 1, scale, bias), (scale, bias), guard=guard)
+        assert guard.margins == [pytest.approx(0.2)]
+        conv_guard = ad.BreakpointGuard()
+        kernel = ad.Var(np.eye(3))
+        ad.refine(v, refiner("conv", 1, kernel, bias), (kernel, bias), guard=conv_guard)
+        assert conv_guard.margins == []  # tanh has no kink
+
+    def test_identity_is_the_input_node(self):
+        v = ad.Var(np.eye(3))
+        assert ad.refine(v, RefinerParams(), (), guard=ad.BreakpointGuard()) is v

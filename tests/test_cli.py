@@ -512,6 +512,15 @@ class TestAblate:
         assert res.returncode == 2, res.stderr
         assert "truncated" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("axis", ["delta_v", "rates"])
+    def test_checkpoint_on_a_trained_axis_exits_2(self, tmp_path, out_dir, axis):
+        grid = "0.3:0.3" if axis == "rates" else "0.05"
+        res = run_cli(["ablate", "--axis", axis, "--grid", grid, "--config", tiny_config(tmp_path),
+                       "--checkpoint", str(tmp_path / "missing.bin"), "--out", out_dir], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--checkpoint applies only to the k_t and k_s axes" in res.stderr
+        assert "Traceback" not in res.stderr and not os.path.exists(out_dir)
+
     def test_delta_v_sweep_trains_per_value(self, tmp_path, out_dir):
         config = tiny_config(tmp_path)
         res = run_cli(

@@ -214,13 +214,26 @@ PINNED_LOSSES = {
     ("conv", "triplet", "ragged"): (4.001917781666492, 4.68673346659676e-06, "5e660ca7e834e935"),
     ("conv", "contrastive", "balanced"): (4.784928257487257, 3.8049556206898316e-06, "3eafc2c94e3ef737"),
     ("conv", "contrastive", "ragged"): (4.510876414906488, 4.68673346659676e-06, "d2eac58a67aab7de"),
+    # stride-2 refiners with the frame loss off, recorded from the refiner
+    # written as a chain of pool, scale, shift, clamp, conv and tanh nodes
+    ("affine-s2", "quadlinear", "balanced"): (2.2369682314491595, 3.8049556206898316e-06, "5fa11e618ec359e3"),
+    ("affine-s2", "quadlinear", "ragged"): (1.895302341231524, 4.68673346659676e-06, "8ca799a41561791c"),
+    ("affine-s2", "triplet", "balanced"): (1.8899945800650917, 3.8049556206898316e-06, "3ef435ab6f5af900"),
+    ("affine-s2", "triplet", "ragged"): (1.5585975075171352, 4.68673346659676e-06, "635dc3640a854094"),
+    ("conv-s2", "quadlinear", "balanced"): (5.836765726950982, 3.8049556206898316e-06, "a24c0553912ac249"),
+    ("conv-s2", "quadlinear", "ragged"): (3.464778762832676, 4.68673346659676e-06, "626e89a9e57c01ea"),
+    ("conv-s2", "triplet", "balanced"): (3.575341075050778, 3.8049556206898316e-06, "88f13e1a433fbbcb"),
+    ("conv-s2", "triplet", "ragged"): (2.466299981892794, 4.68673346659676e-06, "4ad87c1246a199f5"),
 }
-# final weight digest and last total loss of train(TINY) per video loss
+# digest of the final parameters and last total loss of train(TINY) per
+# video loss, and per refiner kind under the quad-linear loss
 PINNED_RUNS = {
     "quadlinear": ("470b58cdac4b82cb", 1.4418716366316469),
     "smooth": ("6e414b3d822ef715", 1.4418724049121208),
     "triplet": ("d33325c78824c5b4", 1.493294451007689),
     "contrastive": ("829ce9f9e216867b", 2.667130758713994),
+    "quadlinear-affine": ("3a35332b92e46d64", 1.4380392813875569),
+    "quadlinear-conv": ("9933b40953c0083a", 1.8502942109813127),
 }
 
 
@@ -242,14 +255,22 @@ class TestLossesPinned:
         from apranking.synthetic import generate_corpus
         from apranking.trainer import build_losses
 
-        kind, loss, batch_name = case
+        refiner, loss, batch_name = case
+        kind, _, stride = refiner.partition("-s")
+        downsample = int(stride or 1)
         clips = generate_corpus(PINNED_SYN)
         batch = [clips[i] for i in PINNED_BATCHES[batch_name]]
-        cfg = TrainConfig(synthetic=PINNED_SYN, refiner_kind=kind, video_loss=loss)
-        model = init_model(PINNED_SYN.dim, refiner_kind=kind, seed=7, init_noise=0.05)
+        cfg = TrainConfig(
+            synthetic=PINNED_SYN, refiner_kind=kind, downsample=downsample, video_loss=loss,
+            weights=LossWeights(lambda_f=0.0) if downsample > 1 else LossWeights(),
+        )
+        model = init_model(PINNED_SYN.dim, refiner_kind=kind, downsample=downsample, seed=7, init_noise=0.05)
         if kind == "affine":
-            model.refiner_scale.value = np.asarray(0.9)
-            model.refiner_bias.value = np.asarray(-0.05)
+            # at stride 2 the map pushes a few pooled entries past 1, so the
+            # clamp gate closes there
+            scale, bias = (0.9, -0.05) if downsample == 1 else (1.2, 0.0)
+            model.refiner_scale.value = np.asarray(scale)
+            model.refiner_bias.value = np.asarray(bias)
         if kind == "conv":
             model.conv_weights.value = model.conv_weights.value + 0.1 * np.random.default_rng(
                 8
@@ -263,12 +284,14 @@ class TestLossesPinned:
         )
         assert (components["total"], guard.min_margin(), digest) == PINNED_LOSSES[case]
 
-    @pytest.mark.parametrize("loss", sorted(PINNED_RUNS))
-    def test_short_run(self, loss):
+    @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+    def test_short_run(self, case):
         from dataclasses import replace
 
-        result = train(replace(TINY, video_loss=loss))
-        assert (_digest(result.model.weight.value), result.history[-1]["total"]) == PINNED_RUNS[loss]
+        loss, _, kind = case.partition("-")
+        result = train(replace(TINY, video_loss=loss, refiner_kind=kind or "identity"))
+        digest = _digest(*(p.value for _, p in result.model.parameters()))
+        assert (digest, result.history[-1]["total"]) == PINNED_RUNS[case]
 
 
 def _per_row_video_margin(cfg, sim, rel):
