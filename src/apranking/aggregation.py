@@ -11,8 +11,11 @@ bit.
 oracle; :func:`batch_similarity_matrix` reproduces it bitwise on a whole
 batch, running the gram and the spatial stage per tile of clip pairs and the
 refiner and the temporal stage once per block of query rows. Both top-K
-stages, like the training graph's, sum through the one top-K,
-:func:`topk_sum_values`.
+stages sum through the one top-K, :func:`topk_sum_values`. The training
+graph runs :func:`refine` and :func:`temporal_topk_chamfer` as nodes of
+their own; its fused spatial node divides by R*K, as
+:func:`spatial_topk_chamfer` does, and outside k = 1 sums through
+:func:`topk_sum_values` too.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def topk_count(rate: float, extent: int) -> int:
 
 def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
     """Sum of the k largest entries along the last axis: the one top-K, run
-    by the batch engine and by :func:`autodiff.topk_sum`.
+    by the batch engine and by the training graph's top-K stages.
 
     Entries are summed in descending order, as a stable descending argsort
     orders them (which of two tied entries is picked changes no bit); k ==

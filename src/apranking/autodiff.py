@@ -1,13 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The op set is deliberately closed: scalings and weighted sums of nodes, a
-linear map, row normalization, the fused spatial TopK-Chamfer stage (cosine
-gram, top-K over candidate patches, mean over query patches), the refiner
-(:func:`aggregation.refine` as one node), an axis sum, top-K, and an escape
-hatch for scalar nodes with hand-derived gradients. Top-K routes its
-gradient through a selection mask; the spatial stage at k = 1 scatters it at
-the selected patch instead. Anything else fails loudly at graph-build time;
-there is no silent fallback that could produce wrong gradients.
+The op set is deliberately closed, and every op has a caller in the
+package: a weighted sum of scalar nodes, a linear map, row normalization,
+one node per stage of the video similarity (the fused spatial TopK-Chamfer:
+cosine gram, top-K over candidate patches, mean over query patches; the
+refiner; the temporal TopK-Chamfer), and an escape hatch for scalar nodes
+with hand-derived gradients. The top-K stages divide by R*K and T*K as
+:mod:`aggregation` does and route their gradient through a selection mask;
+the spatial stage at k = 1 scatters it at the selected patch instead.
+Anything else fails loudly at graph-build time; there is no silent fallback
+that could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -31,14 +33,12 @@ from .errors import StructuralError
 __all__ = [
     "Var",
     "BreakpointGuard",
-    "scale",
     "add_scaled",
     "linear",
     "normalize_rows",
-    "sum_axis",
-    "topk_sum",
     "spatial_topk_chamfer",
     "refine",
+    "temporal_topk_chamfer",
     "scalar_node",
 ]
 
@@ -103,34 +103,17 @@ class Var:
                 node._backward(node.grad)
 
 
-def _as_value(x):
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
-def scale(v: Var, c: float) -> Var:
-    """Multiply by a python/const scalar."""
-    c = float(c)
-    out = Var(v.value * c, parents=(v,))
-
-    def backward(g):
-        v.grad += g * c
-
-    out._backward = backward
-    return out
-
-
 def add_scaled(terms) -> Var:
     """Weighted sum of scalar nodes: sum(c_i * v_i) for (c_i, v_i) pairs."""
     terms = list(terms)
     total = np.asarray(0.0)
     for c, v in terms:
-        total = total + float(c) * _as_value(v)
-    out = Var(total, parents=tuple(v for _, v in terms if isinstance(v, Var)))
+        total = total + float(c) * v.value
+    out = Var(total, parents=tuple(v for _, v in terms))
 
     def backward(g):
         for c, v in terms:
-            if isinstance(v, Var):
-                v.grad += g * float(c)
+            v.grad += g * float(c)
 
     out._backward = backward
     return out
@@ -139,9 +122,9 @@ def add_scaled(terms) -> Var:
 def linear(x, w: Var) -> Var:
     """x @ w.T for a constant input batch x (..., D_in) and parameter w
     (D_out, D_in)."""
-    xv = _as_value(x)
     if isinstance(x, Var):
         raise StructuralError("linear expects a constant input batch")
+    xv = np.asarray(x, dtype=np.float64)
     out = Var(xv @ w.value.T, parents=(w,))
     x2 = xv.reshape(-1, xv.shape[-1])
 
@@ -162,40 +145,6 @@ def normalize_rows(v: Var, min_norm: float = 1e-12) -> Var:
 
     def backward(g):
         v.grad += (g - unit * np.sum(g * unit, axis=-1, keepdims=True)) / norms
-
-    out._backward = backward
-    return out
-
-
-def sum_axis(v: Var, axis: int) -> Var:
-    out = Var(v.value.sum(axis=axis), parents=(v,))
-    ax = axis if axis >= 0 else v.value.ndim + axis
-
-    def backward(g):
-        v.grad += np.expand_dims(g, ax)
-
-    out._backward = backward
-    return out
-
-
-def topk_sum(v: Var, k: int, guard: BreakpointGuard | None = None) -> Var:
-    """Sum of the k largest entries along the last axis, by
-    :func:`aggregation.topk_sum_values`. The subgradient routes through a
-    boolean mask of the selected entries, built in backward: the k largest,
-    ties to the lower index, as a stable descending argsort selects them. A
-    guard records each row's margin from the same selection."""
-    values = v.value
-    summed = aggregation.topk_sum_values(values, k)
-    extent = values.shape[-1]
-    if guard is not None and k < extent:
-        guard.record(_topk_margins(values, _topk_mask(values, summed, k)))
-    out = Var(summed, parents=(v,))
-
-    def backward(g):
-        if k == extent:
-            v.grad += g[..., None]
-        else:
-            v.grad += np.where(_topk_mask(values, summed, k), g[..., None], 0.0)
 
     out._backward = backward
     return out
@@ -235,50 +184,32 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
     from the (n*T*R, D) unit patch rows ``u``, the (n, n, T, T) frame
     similarity (query clip, candidate clip, query frame, candidate frame)
 
-        frame[a, b, i, j] = 1/(R k) * sum_p topk_q <u[a, i, p], u[b, j, q]>
+        frame[a, b, i, j] = sum_p topk_q <u[a, i, p], u[b, j, q]> / (R k)
 
     with the top-K of :func:`aggregation.topk_sum_values` over candidate
     patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a transposed
     copy rounds differently). Backward builds the symmetric adjoint
     S = G + G.T of that product directly and leaves through one ``S @ u``.
 
-    At k = 1 (R > 1) the forward reads the selection along rows: numpy
-    mirrors syrk's triangle, so the buffer is exactly symmetric, and
-    candidate patch q of candidate frame f against every query patch is one
-    contiguous row. The max over q is a chain of ``np.maximum`` over those
-    rows in q order (``np.max`` of the transposed layout from R = 9, where
-    topk_sum_values takes it), the first maximal q is counted on the same
-    rows, and the query patches are added in p order, as ``sum(axis=2)``
-    adds them. Backward scatters the upstream gradient at each selected
-    position and adds it at the transposed one, in the cosine buffer, which
-    is dead once the selection is taken. Other k route through
-    :func:`topk_sum`'s selection mask. Either way one permuting copy lays
-    the frames out clip pair first, and backward reads the upstream gradient
-    back through a ``moveaxis`` view. A guard records each row's top-K
-    margin, as topk_sum does."""
+    At k = 1 (R > 1) the forward takes the selection along rows of the
+    cosine buffer (:func:`_select_rows`) and adds the query patches in p
+    order, as ``sum(axis=2)`` adds them. Backward scatters the upstream
+    gradient at each selected position and adds it at the transposed one,
+    in the cosine buffer, which is dead once the selection is taken. Other k
+    route through the temporal stage's selection mask. Either way the sum is
+    divided by R*K, as :func:`aggregation.spatial_topk_chamfer` divides it,
+    one permuting copy lays the frames out clip pair first, and backward
+    reads the upstream gradient back through a ``moveaxis`` view. A guard
+    records each row's top-K margin, as the temporal stage does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
         raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
     cosines = uv @ uv.T
     sim6 = cosines.reshape(n, t, r, n, t, r)
-    c = 1.0 / (r * k)
     scatter = k == 1 and r > 1
     if scatter:
-        rows = cosines.reshape(n * t, r, size)  # (candidate frame, q, query patch)
-        if r <= aggregation.SELECT_MAX_EXTENT:
-            top = np.maximum(rows[:, 0], rows[:, 1])
-            for q in range(2, r):
-                np.maximum(top, rows[:, q], out=top)
-        else:  # a chain may keep another signed zero than np.max
-            top = np.ascontiguousarray(np.max(sim6, axis=-1).transpose(3, 4, 0, 1, 2)).reshape(n * t, size)
-        # the index of the first maximal candidate patch is the count of the
-        # patches before it, all below the max
-        below = rows[:, 0] != top
-        first = below.astype(np.min_scalar_type(r - 1))
-        for q in range(1, r - 1):
-            below &= rows[:, q] != top
-            first += below
+        top, first = _select_rows(cosines, n, t, r)
         if guard is not None:
             summed = top.reshape(n, t, n, t, r).transpose(2, 3, 4, 0, 1)
             guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
@@ -286,17 +217,17 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
         frames = by_patch[..., 0] + by_patch[..., 1]
         for p in range(2, r):
             frames += by_patch[..., p]
-        frames *= c
+        frames /= r * k
         value = np.ascontiguousarray(frames.reshape(n, t, n, t).transpose(2, 0, 3, 1))
     else:
         summed = aggregation.topk_sum_values(sim6, k)  # (n, T, R, n, T)
         if guard is not None and k < r:
             guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
-        value = np.ascontiguousarray(np.moveaxis(summed.sum(axis=2) * c, 1, 2))
+        value = np.ascontiguousarray(np.moveaxis(summed.sum(axis=2) / (r * k), 1, 2))
     out = Var(value, parents=(u,))
 
     def backward(g):
-        gs = np.moveaxis(g, 2, 1) * c  # (n, T, n, T)
+        gs = np.moveaxis(g, 2, 1) / (r * k)  # (n, T, n, T)
         gs += 0.0  # -0.0 -> +0.0, as a sum into a zero gradient gives
         if scatter:
             adjoint = _scatter_plan(n, t, r).adjoint(cosines, first, gs)
@@ -312,6 +243,33 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
 
     out._backward = backward
     return out
+
+
+def _select_rows(cosines: np.ndarray, n: int, t: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k = 1 spatial selection from the exactly symmetric cosine buffer
+    (numpy mirrors syrk's triangle): ``top[f, x]``, the max over the R
+    candidate patches of candidate frame f against query patch x, and
+    ``first[f, x]``, the first candidate patch holding it. Patch q of frame
+    f against every query patch is one contiguous row, so the max is a
+    chain of ``np.maximum`` over those rows in q order, exact like
+    ``np.max`` to the sign of zero (``np.max`` of the transposed layout from
+    R = 9, where topk_sum_values takes it), and ``first`` counts the
+    patches before it, all below the max."""
+    size = n * t * r
+    rows = cosines.reshape(n * t, r, size)  # (candidate frame, q, query patch)
+    if r <= aggregation.SELECT_MAX_EXTENT:
+        top = np.maximum(rows[:, 0], rows[:, 1])
+        for q in range(2, r):
+            np.maximum(top, rows[:, q], out=top)
+    else:  # a chain may keep another signed zero than np.max
+        sim6 = cosines.reshape(n, t, r, n, t, r)
+        top = np.ascontiguousarray(np.max(sim6, axis=-1).transpose(3, 4, 0, 1, 2)).reshape(n * t, size)
+    below = rows[:, 0] != top
+    first = below.astype(np.min_scalar_type(r - 1))
+    for q in range(1, r - 1):
+        below &= rows[:, q] != top
+        first += below
+    return top, first
 
 
 class _ScatterPlan:
@@ -406,6 +364,34 @@ def refine(v: Var, r: aggregation.RefinerParams, params, guard: BreakpointGuard 
                 weight.grad[a, b] += np.sum(gc * padded[win])
                 gpad[win] += r.conv_weights[a, b] * gc
             v.grad += gpad[..., 1 : x.shape[-2] + 1, 1 : x.shape[-1] + 1]
+
+    out._backward = backward
+    return out
+
+
+def temporal_topk_chamfer(v: Var, k_t: float, guard: BreakpointGuard | None = None) -> Var:
+    """The temporal TopK-Chamfer stage as one node: forward is
+    :func:`aggregation.temporal_topk_chamfer` of the (..., T, T') frame
+    similarities ``v`` at rate ``k_t``, the sum of each query frame's K
+    largest entries, summed over frames and divided by T*K.
+
+    Backward routes the upstream gradient, divided by T*K, through a
+    boolean mask of the selected entries, built in backward: the K largest,
+    ties to the lower index, as a stable descending argsort selects them. A
+    guard records each row's margin from the same selection."""
+    x = v.value
+    out = Var(aggregation.temporal_topk_chamfer(x, k_t), parents=(v,))
+    t, extent = x.shape[-2:]
+    k = aggregation.topk_count(k_t, extent)
+    if guard is not None and k < extent:
+        guard.record(_topk_margins(x, _topk_mask(x, np.max(x, axis=-1), k)))
+
+    def backward(g):
+        gs = (g / (t * k))[..., None, None]
+        if k == extent:
+            v.grad += gs
+        else:
+            v.grad += np.where(_topk_mask(x, np.max(x, axis=-1), k), gs, 0.0)
 
     out._backward = backward
     return out

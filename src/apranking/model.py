@@ -3,7 +3,8 @@
 The head is a D-by-D map applied to every patch embedding before cosine
 similarity; the refiner re-maps the frame-similarity matrix. Training runs
 through the autodiff graph built in :func:`forward_similarity`, whose
-refiner node runs :func:`~apranking.aggregation.refine` itself. Evaluation,
+refiner and temporal nodes run :func:`~apranking.aggregation.refine` and
+:func:`~apranking.aggregation.temporal_topk_chamfer` themselves. Evaluation,
 :func:`eval_similarity_matrix`, runs the same parameters through the batch
 numpy engine :func:`~apranking.aggregation.batch_similarity_matrix`, which
 is pinned bitwise to the per-pair oracle
@@ -108,14 +109,15 @@ def forward_similarity(
 ) -> tuple[ad.Var, ad.Var]:
     """Build the batch similarity graph.
 
-    The graph is linear -> normalize -> spatial -> refine -> top-K -> sum
-    -> scale. The head maps and normalises every patch; one fused node,
+    The graph is linear -> normalize -> spatial -> refine -> temporal. The
+    head maps and normalises every patch; one fused node,
     :func:`autodiff.spatial_topk_chamfer`, takes the cosine gram, the
     spatial top-K and the mean over query patches to (n, n, T, T) frame
     similarities, so no (n, T, R, n, T, R) tensor or adjoint enters the
     graph. One node, :func:`autodiff.refine`, runs the evaluation refiner
-    :func:`~apranking.aggregation.refine` on them, and the temporal top-K
-    follows.
+    :func:`~apranking.aggregation.refine` on them, and one node,
+    :func:`autodiff.temporal_topk_chamfer`, the evaluation temporal stage
+    :func:`~apranking.aggregation.temporal_topk_chamfer`.
 
     ``batch_data`` is the stacked student view (n, T, R, D). Returns the
     (n, n) video-similarity node and the (n, n, T*, T*) refined
@@ -133,11 +135,7 @@ def forward_similarity(
     frame = ad.spatial_topk_chamfer(unit, n, t, r, k_s, guard=guard)  # (n, n, T, T)
     refiner_vars = [p for name, p in model.parameters() if name != "weight"]
     refined = ad.refine(frame, model_refiner_params(model), refiner_vars, guard=guard)
-
-    t_ref, tc_ref = refined.shape[-2], refined.shape[-1]
-    k_t = topk_count(params.k_t, tc_ref)
-    temporal = ad.topk_sum(refined, k_t, guard=guard)  # (n, n, T*)
-    sim = ad.scale(ad.sum_axis(temporal, 2), 1.0 / (t_ref * k_t))  # (n, n)
+    sim = ad.temporal_topk_chamfer(refined, params.k_t, guard=guard)  # (n, n)
     return sim, refined
 
 

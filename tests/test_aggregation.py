@@ -238,39 +238,43 @@ class TestTopkSumValues:
 
 
 class TestAutodiffTopkMatchesOracle:
-    """autodiff.topk_sum takes its sums from topk_sum_values, routes its
-    gradient through a selection mask and reads the guard margins from that
-    selection; all three must match the stable-argsort oracle bit for bit."""
+    """autodiff.temporal_topk_chamfer takes its sums from topk_sum_values,
+    routes its gradient, divided by T*K, through a selection mask and reads
+    the guard margins from that selection; all three must match the
+    stable-argsort oracle bit for bit."""
 
     def test_gradients_every_k(self):
         rng = np.random.default_rng(18)
         for _ in range(250):
-            values = tied_values(rng, int(rng.integers(1, 13)))
-            for k in range(1, values.shape[-1] + 1):
-                g = np.round(rng.uniform(-1, 1, size=values.shape[:-1]), 1)
+            values = np.atleast_2d(tied_values(rng, int(rng.integers(1, 13))))
+            t, extent = values.shape[-2:]
+            for k in range(1, extent + 1):
+                g = np.round(rng.uniform(-1, 1, size=values.shape[:-2]), 1)
                 g = np.where(rng.random(g.shape) < 0.2, -0.0, g)
                 v = ad.Var(values)
-                out = ad.topk_sum(v, k)
-                assert same_bits(out.value, topk_sum_last(values, k)[0]), (values, k)
+                out = ad.temporal_topk_chamfer(v, k / extent)
+                assert same_bits(out.value, topk_sum_last(values, k)[0].sum(axis=-1) / (t * k)), (values, k)
                 out._backward(g)
-                expected = np.zeros_like(values) + topk_grad_oracle(values, k, g)
+                routed = np.broadcast_to((g / (t * k))[..., None], values.shape[:-1])
+                expected = np.zeros_like(values) + topk_grad_oracle(values, k, routed)
                 assert same_bits(v.grad, expected), (values, k, g)
 
     def test_guard_margins_every_k(self):
         rng = np.random.default_rng(19)
         for _ in range(250):
-            values = tied_values(rng, int(rng.integers(2, 13)))
-            for k in range(1, values.shape[-1]):
+            values = np.atleast_2d(tied_values(rng, int(rng.integers(2, 13))))
+            extent = values.shape[-1]
+            for k in range(1, extent):
                 expected = topk_margin_oracle(values, k)
                 mask = ad._topk_mask(values, topk_sum_values(values, 1), k)
                 assert same_bits(ad._topk_margins(values, mask), expected), (values, k)
                 guard = ad.BreakpointGuard()
-                ad.topk_sum(ad.Var(values), k, guard=guard)
+                ad.temporal_topk_chamfer(ad.Var(values), k / extent, guard=guard)
                 assert same_bits(guard.margins, [expected.min()]), (values, k)
 
     def test_full_k_records_no_margin(self):
         guard = ad.BreakpointGuard()
-        ad.topk_sum(ad.Var(np.array([[0.3, 0.3]])), 2, guard=guard)
+        ad.temporal_topk_chamfer(ad.Var(np.array([[0.3, 0.3]])), 1.0, guard=guard)
         assert guard.margins == []
 
 

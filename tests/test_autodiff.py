@@ -1,11 +1,15 @@
 """The reverse-mode engine: each op against finite differences, plus the
 structural guarantees (closed op set, gradient routing, determinism)."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from apranking import aggregation
 from apranking import autodiff as ad
-from apranking.aggregation import RefinerParams
+from apranking.aggregation import RefinerParams, topk_sum_values
 from apranking.errors import StructuralError
 from apranking.gradcheck import rel_err
 
@@ -55,34 +59,35 @@ class TestBasicOps:
         check_unary(ad.normalize_rows, rng.standard_normal((5, 4)) + 0.5)
 
 class TestTopkGradientRouting:
+    """ad.temporal_topk_chamfer routes the upstream gradient, divided by
+    T*K, to the selected entries only."""
+
     def test_routes_only_to_selected(self):
         v = ad.Var(np.array([[0.1, 0.9, 0.5, 0.7]]))
-        out = ad.sum_axis(ad.topk_sum(v, 2), 0)
-        out.backward()
-        np.testing.assert_array_equal(v.grad, [[0.0, 1.0, 0.0, 1.0]])
+        ad.temporal_topk_chamfer(v, 2 / 4).backward()
+        np.testing.assert_array_equal(v.grad, [[0.0, 0.5, 0.0, 0.5]])
 
     def test_tie_break_prefers_lower_index(self):
-        for k, expected in ((1, [0.0, 1.0, 0.0, 0.0]), (2, [0.0, 1.0, 1.0, 0.0]), (3, [1.0, 1.0, 1.0, 0.0])):
+        for k, expected in ((1, [0.0, 1.0, 0.0, 0.0]), (2, [0.0, 0.5, 0.5, 0.0]), (3, [1 / 3, 1 / 3, 1 / 3, 0.0])):
             v = ad.Var(np.array([[0.5, 0.9, 0.9, 0.5]]))
-            ad.sum_axis(ad.topk_sum(v, k), 0).backward()
+            ad.temporal_topk_chamfer(v, k / 4).backward()
             np.testing.assert_array_equal(v.grad, [expected])
 
     def test_full_k_routes_everywhere(self):
         v = ad.Var(np.array([[0.1, 0.9]]))
-        out = ad.sum_axis(ad.topk_sum(v, 2), 0)
-        out.backward()
-        np.testing.assert_array_equal(v.grad, [[1.0, 1.0]])
+        ad.temporal_topk_chamfer(v, 1.0).backward()
+        np.testing.assert_array_equal(v.grad, [[0.5, 0.5]])
 
     def test_fd_away_from_ties(self):
         rng = np.random.default_rng(8)
         x = np.linspace(-1, 1, 24).reshape(4, 6)  # distinct entries, no ties
         x = rng.permuted(x, axis=1)
-        check_unary(lambda v: ad.topk_sum(v, 3), x)
+        check_unary(lambda v: ad.temporal_topk_chamfer(v, 3 / 6), x)
 
     def test_guard_records_tie_margin(self):
         guard = ad.BreakpointGuard()
         v = ad.Var(np.array([[1.0, 0.6, 0.5]]))
-        ad.topk_sum(v, 1, guard=guard)
+        ad.temporal_topk_chamfer(v, 1 / 3, guard=guard)
         assert guard.min_margin() == pytest.approx(0.4)
 
 
@@ -115,6 +120,19 @@ class TestGraphMechanics:
 
         assert np.array_equal(run(), run())
 
+    def test_every_op_has_a_caller(self):
+        # the op set is closed: each op outside Var and BreakpointGuard is
+        # called as ad.<name> by the package itself, so no op lives on for
+        # its tests alone
+        package = Path(ad.__file__).parent
+        callers = "\n".join(p.read_text() for p in sorted(package.glob("*.py")) if p.name != "autodiff.py")
+        unused = [
+            name
+            for name in ad.__all__
+            if name not in ("Var", "BreakpointGuard") and not re.search(rf"\bad\.{name}\b", callers)
+        ]
+        assert unused == []
+
 
 def same_bits(a, b):
     """Equal values, shapes and signs of zero."""
@@ -123,9 +141,11 @@ def same_bits(a, b):
 
 
 def composed_chain(u, n, t, r, k, guard=None):
-    """Oracle: the spatial stage as six generic nodes, gram -> reshape ->
-    topk_sum -> sum_axis -> scale -> move to (n, n, T, T), with the gram's
-    adjoint (G + G.T) @ u."""
+    """Oracle: the spatial stage as four generic nodes, gram -> reshape ->
+    top-K mean over candidate patches -> move to (n, n, T, T), with the
+    gram's adjoint (G + G.T) @ u. The top-K sums, routes its gradient and
+    reads its guard margins test-locally, from topk_sum_values and the
+    selection mask, then sums the query patches and divides by R*K."""
     uv = u.value
     cosines = ad.Var(uv @ uv.T, parents=(u,))
 
@@ -139,8 +159,19 @@ def composed_chain(u, n, t, r, k, guard=None):
         cosines.grad += g.reshape(cosines.value.shape)
 
     sim6._backward = reshape_backward
-    spatial = ad.topk_sum(sim6, k, guard=guard)
-    frames = ad.scale(ad.sum_axis(spatial, 2), 1.0 / (r * k))  # (n, T, n, T)
+    summed = topk_sum_values(sim6.value, k)  # (n, T, R, n, T)
+    if guard is not None and k < r:
+        guard.record(ad._topk_margins(sim6.value, ad._topk_mask(sim6.value, summed, k)))
+    frames = ad.Var(summed.sum(axis=2) / (r * k), parents=(sim6,))  # (n, T, n, T)
+
+    def topk_backward(g):
+        spread = (g / (r * k))[:, :, None, :, :, None]
+        if k == r:
+            sim6.grad += spread
+        else:
+            sim6.grad += np.where(ad._topk_mask(sim6.value, summed, k), spread, 0.0)
+
+    frames._backward = topk_backward
     moved = ad.Var(np.ascontiguousarray(np.moveaxis(frames.value, 1, 2)), parents=(frames,))
 
     def move_backward(g):
@@ -213,6 +244,25 @@ class TestSpatialTopkChamfer:
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             cosines = u @ u.T
             assert same_bits(cosines, cosines.T)
+
+    @pytest.mark.parametrize("r", range(2, 11))
+    def test_k1_selection_keeps_the_sign_of_zero(self, r):
+        # hand-built symmetric buffers of -0.0, +0.0, -1 and 0.5: the row
+        # selection's max must equal np.max of the transposed layout to the
+        # sign of zero (the chain up to R = 8, np.max from R = 9), and its
+        # index must be the first maximal candidate patch
+        rng = np.random.default_rng(60 + r)
+        for n, t in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            size = n * t * r
+            for _ in range(20):
+                drawn = rng.choice([-0.0, 0.0, -1.0, 0.5], size=(size, size))
+                buf = np.where(np.triu(np.ones((size, size), dtype=bool)), drawn, drawn.T)
+                sim6 = buf.reshape(n, t, r, n, t, r)
+                expected = np.max(sim6, axis=-1)
+                first_max = np.argmax(sim6 == expected[..., None], axis=-1)
+                top, first = ad._select_rows(buf, n, t, r)
+                assert same_bits(top, expected.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
+                assert np.array_equal(first, first_max.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fd_every_k_path(self, k):
@@ -325,3 +375,39 @@ class TestRefine:
     def test_identity_is_the_input_node(self):
         v = ad.Var(np.eye(3))
         assert ad.refine(v, RefinerParams(), (), guard=ad.BreakpointGuard()) is v
+
+
+class TestGraphStagesMatchEngine:
+    """The graph's top-K stages against the engine's, bit for bit: the
+    spatial node against aggregation.spatial_topk_chamfer of the same gram
+    laid out as (a, b, T, R, R', T'), the temporal node against
+    aggregation.temporal_topk_chamfer. Both divide by R*K and T*K. From
+    R = 9 on, at 1 < K < R, numpy may add the query patches in another
+    order in the engine than in the node (at T = 1 it sums the engine's
+    contiguous patch axis pairwise), so the values may differ in the last
+    bits; the spatial check stops at R = 8."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_spatial_node_is_the_engine_stage(self, r):
+        rng = np.random.default_rng(70 + r)
+        for trial in range(12):
+            n, t, d = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            if trial % 2:
+                rows = tied_unit_rows(rng, n * t * r, d)
+            else:
+                rows = rng.standard_normal((n * t * r, d))
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            sim = (rows @ rows.T).reshape(n, t, r, n, t, r).transpose(0, 3, 1, 2, 5, 4)
+            for k in range(1, r + 1):
+                node = ad.spatial_topk_chamfer(ad.Var(rows), n, t, r, k)
+                assert same_bits(node.value, aggregation.spatial_topk_chamfer(sim, k / r)), (rows, k)
+
+    def test_temporal_node_is_the_engine_stage(self):
+        rng = np.random.default_rng(80)
+        for _ in range(100):
+            t, tc = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            frames = np.round(rng.uniform(-1, 1, size=(2, 3, t, tc)), int(rng.integers(0, 3)))
+            frames = np.where(rng.random(frames.shape) < 0.2, rng.choice([-0.0, 0.0], size=frames.shape), frames)
+            for k_t in (0.0, 0.03, 0.3, 0.5, 1.0):
+                node = ad.temporal_topk_chamfer(ad.Var(frames), k_t)
+                assert same_bits(node.value, aggregation.temporal_topk_chamfer(frames, k_t)), (frames, k_t)
