@@ -37,7 +37,7 @@ from .metrics import (
     brute_force_ap,
     evaluate_retrieval,
     micro_ap,
-    pooled_order,
+    pooled_positions,
     retrieval_report,
 )
 from .pseudolabels import (

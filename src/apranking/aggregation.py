@@ -296,8 +296,9 @@ def conv3x3(m: np.ndarray, weights: np.ndarray, bias: float, stride: int) -> np.
     stride over the last two axes of ``m``."""
     padded, windows = conv3x3_taps(m, stride)
     out = np.full(padded[windows[0, 0]].shape, bias, dtype=np.float64)
+    tap = np.empty_like(out)
     for (a, b), win in windows.items():
-        out += weights[a, b] * padded[win]
+        out += np.multiply(weights[a, b], padded[win], out=tap)
     return out
 
 
@@ -314,7 +315,8 @@ def refine(frame_sim: np.ndarray, r: RefinerParams) -> np.ndarray:
     if r.kind == "affine":
         pooled = average_pool_ceil(m, r.downsample)
         return np.clip(r.scale * pooled + r.bias, -1.0, 1.0)
-    return np.tanh(conv3x3(m, r.conv_weights, r.conv_bias, r.downsample))
+    out = conv3x3(m, r.conv_weights, r.conv_bias, r.downsample)
+    return np.tanh(out, out=out)
 
 
 def video_similarity(

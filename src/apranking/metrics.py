@@ -5,14 +5,18 @@ returned as that rational number correctly rounded once to float64. numpy
 does the counting, from ``np.sort`` alone:
 
 - per-query AP works on a stack of queries, one per row: one sort along the
-  rows, then each positive's tie-optimistic ranks (among the positives and
-  among all items) from ``searchsorted``;
-- micro-AP takes the positions of the pooled positives from their stable
-  descending order, the order ``np.argsort(-scores, kind="stable")`` gives.
-  :func:`pooled_order` builds it from one sort of packed uint64 keys: high
-  bits from an order-preserving integer image of ``-(score + 0.0)``, low
-  bits the pooled index. Groups whose keys differed only in the low bits
-  are put right by one lexsort.
+  rows and one lexsort of the positives by (row, score), then one
+  branchless binary search over all positives at once gives each its
+  tie-optimistic ranks among the positives and among all items;
+- micro-AP needs only the places of the positives in the stable descending
+  pooled order, the order ``np.argsort(-scores, kind="stable")`` gives.
+  :func:`pooled_positions` sorts one buffer of packed uint64 keys in place
+  (high bits from an order-preserving integer image of
+  ``-(score + 0.0)``, low bits the pooled index) and finds the positives'
+  keys in it with ``searchsorted``. The few groups whose keys differed
+  only in the low bits and that hold a positive are ordered again. No
+  pooled order is built: the packed keys are the one array the size of
+  the pool.
 
 One integer accumulator then sums floor(aᵢ·2^K / bᵢ) with K =
 ``BRACKET_BITS``. The exact sum lies within P units of the last place of
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +46,7 @@ __all__ = [
     "average_precision_rows",
     "brute_force_ap",
     "micro_ap",
-    "pooled_order",
+    "pooled_positions",
     "retrieval_report",
     "evaluate_retrieval",
 ]
@@ -126,6 +129,22 @@ def _checked_rows(scores, labels):
     return scores, positives
 
 
+def _count_at_most(ranked, start, size, values) -> np.ndarray:
+    """#{x <= v} in the ascending segment ``ranked[start : start + size]``,
+    for every value v with its own segment (``size`` >= 1), by one
+    branchless binary search over all values at once."""
+    found = np.zeros(values.size, dtype=np.int64)
+    step = 1 << (int(np.max(size)).bit_length() - 1)
+    while step:
+        probe = found + step
+        inside = probe <= size
+        np.minimum(probe, size, out=probe)
+        inside &= ranked[start + probe - 1] <= values
+        found += step * inside
+        step >>= 1
+    return found
+
+
 def _ap_rows(scores, positives) -> list:
     """AP of every row of a checked stack: mean over positives of
     rank-among-positives divided by rank-among-all, with strict
@@ -133,21 +152,16 @@ def _ap_rows(scores, positives) -> list:
     counts = np.count_nonzero(positives, axis=1)
     if not counts.all():
         raise UndefinedMetricError("average precision undefined without positives")
+    width = scores.shape[1]
+    rows = np.repeat(np.arange(counts.size), counts)
     pos = scores[positives]  # row by row
-    ranked = np.sort(scores, axis=1)
-    # 1 + #{scores > s} for every positive score s, among positives and among
-    # all, from #{scores <= s} per row
-    rank_pos = np.empty(pos.size, dtype=np.int64)
-    rank_all = np.empty(pos.size, dtype=np.int64)
-    start = 0
-    for row, end in zip(ranked, np.cumsum(counts).tolist()):
-        p = pos[start:end]
-        p.sort()
-        rank_pos[start:end] = np.searchsorted(p, p, "right")
-        rank_all[start:end] = np.searchsorted(row, p, "right")
-        start = end
-    np.subtract(np.repeat(counts + 1, counts), rank_pos, out=rank_pos)
-    np.subtract(scores.shape[1] + 1, rank_all, out=rank_all)
+    pos = pos[np.lexsort((pos, rows))]  # and ascending within each row
+    # 1 + #{scores > s} for every positive score s, among all and among
+    # positives, from #{scores <= s} in its row's sorted scores and positives
+    ranked = np.sort(scores, axis=1).reshape(-1)
+    rank_all = width + 1 - _count_at_most(ranked, rows * width, width, pos)
+    starts = np.cumsum(counts) - counts
+    rank_pos = np.repeat(counts + 1, counts) - _count_at_most(pos, starts[rows], counts[rows], pos)
     return _means_of_ratios(rank_pos, rank_all, counts.tolist())
 
 
@@ -190,51 +204,109 @@ def brute_force_ap(sl: ScoredList) -> float:
 
 _SIGN = np.int64(-(2**63))  # the sign bit of an int64
 
+# entries per chunk of the pooled key build and of the mixed-group check
+_CHUNK = 1 << 13
 
-def pooled_order(scores) -> np.ndarray:
-    """Stable descending order of a 1-d score array, bitwise
-    ``np.argsort(-scores, kind="stable")``, from one ``np.sort``.
 
-    Each score maps to a uint64 key that orders like ``-(score + 0.0)``,
-    computed as ``0.0 - score`` so that -0.0 and 0.0 give one key, as they
-    are one score. The low b bits of each key, b enough for every index, are
-    replaced by the item's index, and one sort of these packed keys gives the
-    order. Two items whose keys differ only in their low bits are then
-    ordered by index instead of by key; every group of equal high bits that
-    holds such an inversion is put right by one lexsort over the union of
-    those groups.
+def _descending_keys(scores, out=None) -> np.ndarray:
+    """uint64 keys that order like ``-(scores + 0.0)``, in a new array or
+    written into ``out`` (8-byte items, the shape of ``scores``).
+
+    ``0.0 - score`` gives -0.0 and 0.0 one key, as they are one score. Read
+    as unsigned, float bits order non-negative floats once the sign bit is
+    set, and negative ones once every bit is flipped.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    key = np.subtract(0.0, scores).view(np.int64)  # -score, and +0.0 for both zeros
-    # Read as unsigned, float bits order non-negative floats once the sign
-    # bit is set, and negative ones once every bit is flipped.
-    packed = key >> 63  # -1 for a negative float, else 0
-    packed |= _SIGN
-    key ^= packed
-    key = key.view(np.uint64)
-    packed = packed.view(np.uint64)
-    np.bitwise_and(key, ~low, out=packed)
-    packed |= np.arange(n, dtype=np.uint64)
+    key = np.subtract(0.0, scores, out=None if out is None else out.view(np.float64)).view(np.int64)
+    flip = key >> 63  # -1 for a negative float, else 0
+    flip |= _SIGN
+    key ^= flip
+    return key.view(np.uint64)
+
+
+def _mixed_groups(packed, flat, low, first, sizes) -> np.ndarray:
+    """Which high-bit groups of the sorted packed keys (``sizes[g]`` entries
+    from ``first[g]``) hold more than one score, and so more than one full
+    key. Each member's score is compared with its group's first one, a
+    bounded chunk of members at a time."""
+    ends = np.cumsum(sizes)
+    shift = first - ends + sizes  # a member's place minus its ordinal
+    lead = flat[(packed[first] & low).view(np.int64)]
+    mixed = np.zeros(first.size, dtype=bool)
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _CHUNK):
+        member = np.arange(start, min(start + _CHUNK, total))
+        group = np.searchsorted(ends, member, "right")
+        items = (packed[member + shift[group]] & low).view(np.int64)
+        mixed[group[flat[items] != lead[group]]] = True
+    return mixed
+
+
+def pooled_positions(scores, positives) -> np.ndarray:
+    """Ascending 0-based places of the positives in the stable descending
+    order of the pooled list, a stack of queries read row by row: where they
+    stand in ``np.argsort(-scores.ravel(), kind="stable")``. Scores may hold
+    -inf, not NaN.
+
+    Every item gets one packed uint64 key: the high bits of its
+    :func:`_descending_keys` key, and in the low b bits, b enough for every
+    index, its pooled index. One in-place sort of the packed keys orders the
+    items, and ``searchsorted`` finds the positives' keys in it. Items whose
+    keys differ only in their low bits share a high-bit group, which that
+    sort orders by index rather than by key; only a group that holds a
+    positive and more than one full key is ordered again, by (key, index).
+    Such groups are found by reading their members' scores a bounded chunk
+    at a time, so the packed keys are the only array the size of the pool.
+    """
+    flat = np.ascontiguousarray(scores, dtype=np.float64).reshape(-1)
+    hits = np.asarray(positives, dtype=bool).reshape(-1)
+    n = flat.size
+    low = np.uint64((1 << max(n - 1, 0).bit_length()) - 1)
+    packed = np.empty(n, dtype=np.uint64)
+    index = np.arange(min(n, _CHUNK), dtype=np.uint64)
+    for start in range(0, n, _CHUNK):
+        block = packed[start : start + _CHUNK]
+        _descending_keys(flat[start : start + _CHUNK], block)
+        block &= ~low
+        block += index[: block.size]
+        block += np.uint64(start)
+    keys = packed[hits]
+    keys.sort()
     packed.sort()
-    order = np.bitwise_and(packed, low, out=packed).view(np.int64)
-    keys = np.take(key, order)
-    del key, packed
-    inverted = np.flatnonzero(keys[1:] < keys[:-1])
-    if inverted.size:
-        # the keys of a group share their high bits, and the groups are in
-        # order of them, so each group is one searchsorted range of keys
-        high = np.unique(keys[inverted] & ~low)
-        first = np.searchsorted(keys, high, "left")
-        sizes = np.searchsorted(keys, high | low, "right") - first
-        # the positions first[g], ..., first[g] + sizes[g] - 1 of every group
+    places = np.searchsorted(packed, keys)
+    # the keys of a group share their high bits, and the groups are in order
+    # of them, so each group is one searchsorted range of packed keys; a
+    # positive's group holds more than itself only if a neighbour shares its
+    # high bits
+    groups = keys & ~low
+    near = (packed[np.maximum(places - 1, 0)] & ~low) == groups
+    near |= (packed[np.minimum(places + 1, n - 1)] & ~low) == groups
+    high = groups[near]  # ascending: keep the first of each run
+    run = np.ones(high.size, dtype=bool)
+    run[1:] = high[1:] != high[:-1]
+    high = high[run]
+    first = np.searchsorted(packed, high)
+    sizes = np.searchsorted(packed, high | low, "right") - first
+    shared = sizes > 1
+    first, sizes = first[shared], sizes[shared]
+    mixed = _mixed_groups(packed, flat, low, first, sizes)
+    if mixed.any():
+        first, sizes = first[mixed], sizes[mixed]
         where = np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        items = order[where]
-        order[where] = items[np.lexsort((items, keys[where]))]
-    return order
+        items = (packed[where] & low).view(np.int64)
+        order = np.lexsort((items, _descending_keys(flat[items])))
+        # the groups' positives, taken in (key, index) order, fill the places
+        # where positives stand in that order
+        moved = np.isin(groups, packed[first] & ~low)
+        places = np.sort(np.concatenate([places[~moved], where[hits[items[order]]]]))
+    return places
+
+
+def _pooled_micro_ap(scores, positives) -> float:
+    """Micro-AP of the pooled list of :func:`pooled_positions`."""
+    places = pooled_positions(scores, positives) + 1
+    if places.size == 0:
+        raise UndefinedMetricError("no positive label in the pooled list")
+    return _means_of_ratios(np.arange(1, places.size + 1), places, [places.size])[0]
 
 
 def micro_ap(queries) -> float:
@@ -247,23 +319,9 @@ def micro_ap(queries) -> float:
     queries = list(queries)
     if not queries:
         raise UndefinedMetricError("no positive label in the pooled list")
-    if len(queries) == 1:
-        scores, labels = queries[0].scores, queries[0].labels
-    else:
-        scores = np.concatenate([q.scores for q in queries])
-        labels = np.concatenate([q.labels for q in queries])
-    # 1-based positions of the positives in the descending pooled list
-    positions = np.flatnonzero(labels[pooled_order(scores)] == 1) + 1
-    if positions.size == 0:
-        raise UndefinedMetricError("no positive label in the pooled list")
-    return _means_of_ratios(np.arange(1, positions.size + 1), positions, [positions.size])[0]
-
-
-class _Pooled(NamedTuple):
-    """The pooled list of a stack: all rows' items in query, then item order."""
-
-    scores: np.ndarray
-    labels: np.ndarray
+    scores = np.concatenate([q.scores for q in queries])
+    labels = np.concatenate([q.labels for q in queries])
+    return _pooled_micro_ap(scores, labels == 1)
 
 
 def retrieval_report(scores, labels) -> MetricReport:
@@ -284,7 +342,7 @@ def retrieval_report(scores, labels) -> MetricReport:
     return MetricReport(
         ap_per_query=aps,
         map=fsum(aps) / len(aps),
-        micro_ap=micro_ap([_Pooled(scores.ravel(), positives.ravel())]),
+        micro_ap=_pooled_micro_ap(scores, positives),
         num_queries=len(aps),
         num_positives=int(np.count_nonzero(positives)),
     )

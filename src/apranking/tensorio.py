@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -32,6 +33,8 @@ _TENSOR_HEADER = "apranking-tensors 1"
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
 _CKPT_MAGIC = b"APRKCKPT"
 _CKPT_VERSION = 1
+# bytes read at a time while looking for the end of a tensor manifest
+_MANIFEST_CHUNK = 1 << 16
 
 
 def write_tensors(path, tensors: dict) -> None:
@@ -72,34 +75,50 @@ def _tensor_at(path, raw: bytes, offset: int, dtype: np.dtype, shape: tuple, nam
 
 
 def read_tensors(path) -> dict:
-    """Inverse of :func:`write_tensors`; round-trips bit-exactly."""
+    """Inverse of :func:`write_tensors`; round-trips bit-exactly. Each
+    payload is read straight into its own array, so no copy of the file is
+    held."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.find(b"\nend\n")
-    if end < 0:
-        raise StructuralError(f"{path}: missing manifest terminator")
-    try:
-        lines = raw[:end].decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise StructuralError(f"{path}: manifest is not ASCII") from exc
-    if not lines or lines[0] != _TENSOR_HEADER:
-        raise StructuralError(f"{path}: not an apranking tensor file")
-    out = {}
-    offset = end + len(b"\nend\n")
-    for line in lines[1:]:
+        head = bytearray()
+        end = -1
+        while end < 0:
+            chunk = fh.read(_MANIFEST_CHUNK)
+            if not chunk:
+                raise StructuralError(f"{path}: missing manifest terminator")
+            head += chunk
+            end = head.find(b"\nend\n", max(len(head) - len(chunk) - 4, 0))
         try:
-            name, code, shape_s = line.split(" ")
-            shape = tuple(int(s) for s in shape_s.split(","))
-            dtype = np.dtype(_DTYPES[code])
-            if min(shape) < 0:
-                raise ValueError("negative extent")
-        except (ValueError, KeyError) as exc:
-            raise StructuralError(f"{path}: bad manifest line {line!r}") from exc
-        if name in out:
-            raise StructuralError(f"{path}: tensor {name!r} named twice")
-        out[name], offset = _tensor_at(path, raw, offset, dtype, shape, name)
-    if offset != len(raw):
-        raise StructuralError(f"{path}: {len(raw) - offset} trailing payload bytes")
+            lines = head[:end].decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"{path}: manifest is not ASCII") from exc
+        if not lines or lines[0] != _TENSOR_HEADER:
+            raise StructuralError(f"{path}: not an apranking tensor file")
+        size = os.fstat(fh.fileno()).st_size
+        offset = fh.seek(end + len(b"\nend\n"))
+        out = {}
+        for line in lines[1:]:
+            try:
+                name, code, shape_s = line.split(" ")
+                shape = tuple(int(s) for s in shape_s.split(","))
+                dtype = np.dtype(_DTYPES[code])
+                if min(shape) < 0:
+                    raise ValueError("negative extent")
+            except (ValueError, KeyError) as exc:
+                raise StructuralError(f"{path}: bad manifest line {line!r}") from exc
+            if name in out:
+                raise StructuralError(f"{path}: tensor {name!r} named twice")
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > size - offset:
+                raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
+            try:
+                out[name] = np.empty(shape, dtype=dtype)
+            except ValueError as exc:  # a zero extent beside extents too large to address
+                raise StructuralError(f"{path}: tensor {name!r} has shape {shape}") from exc
+            if fh.readinto(out[name]) != nbytes:
+                raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
+            offset += nbytes
+    if offset != size:
+        raise StructuralError(f"{path}: {size - offset} trailing payload bytes")
     return out
 
 

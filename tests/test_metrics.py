@@ -1,6 +1,7 @@
 """Exact AP/mAP/micro-AP values, oracle equivalence, and rank-invariances."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from apranking.metrics import (
     brute_force_ap,
     evaluate_retrieval,
     micro_ap,
-    pooled_order,
+    pooled_positions,
     retrieval_report,
 )
 from apranking.ranking import RelevanceMatrix, ScoredList
@@ -181,6 +182,19 @@ class TestAveragePrecisionRows:
         assert aps == [brute_force_ap(q) for q in lists]
         assert [1.0 - ap for ap in aps] == [heaviside_ap_risk(q.to_query_context()) for q in lists]
 
+    @given(st.data())
+    def test_padded_and_all_positive_rows_match_brute_force(self, data):
+        # -inf pads on negatives, rows whose items are all positive, ties
+        q, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        scores = np.array(data.draw(st.lists(SCORES, min_size=q * n, max_size=q * n))).reshape(q, n)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q * n, max_size=q * n))).reshape(q, n)
+        labels[np.array(data.draw(st.lists(st.booleans(), min_size=q, max_size=q)))] = 1
+        labels[np.arange(q), data.draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))] = 1
+        pad = np.array(data.draw(st.lists(st.booleans(), min_size=q * n, max_size=q * n))).reshape(q, n) & (labels == 0)
+        lists = [ScoredList(s[~p], l[~p]) for s, l, p in zip(scores, labels, pad)]
+        scores[pad] = -np.inf
+        assert average_precision_rows(scores, labels) == [brute_force_ap(sl) for sl in lists]
+
     def test_row_without_positive_raises(self):
         with pytest.raises(UndefinedMetricError):
             average_precision_rows([[0.9, 0.1], [0.5, 0.4]], [[1, 0], [0, 0]])
@@ -230,6 +244,19 @@ POOL_VALUES = st.one_of(
 )
 
 
+def stable_places(scores, positives):
+    """Oracle of pooled_positions: the positives' places in the stable
+    descending argsort of the flattened stack."""
+    return np.flatnonzero(np.ravel(positives)[np.argsort(-np.ravel(scores), kind="stable")])
+
+
+def each_place(scores):
+    """The pooled place of every item, from one pooled_positions call per
+    item with that item the only positive."""
+    n = scores.size
+    return [int(pooled_positions(scores, np.arange(n) == i)[0]) for i in range(n)]
+
+
 class TestPooledOrder:
     @given(st.data())
     def test_matches_stable_argsort(self, data):
@@ -239,7 +266,9 @@ class TestPooledOrder:
         base = np.array(data.draw(st.lists(POOL_VALUES, min_size=n, max_size=n)))
         steps = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
         scores = _ulp_steps(base, steps)
-        assert np.array_equal(pooled_order(scores), np.argsort(-scores, kind="stable"))
+        positives = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assert np.array_equal(pooled_positions(scores, positives), stable_places(scores, positives))
+        assert each_place(scores) == np.argsort(np.argsort(-scores, kind="stable")).tolist()
 
     @pytest.mark.parametrize(
         "scores, order",
@@ -251,14 +280,39 @@ class TestPooledOrder:
         ],
     )
     def test_hand_cases(self, scores, order):
-        assert pooled_order(np.array(scores)).tolist() == order
+        assert each_place(np.array(scores)) == np.argsort(order).tolist()
 
     def test_large_pool_with_collisions(self):
         # 2^17 + 1 items in runs of values 1 ulp apart, shuffled: 18 index bits
         rng = np.random.default_rng(12)
         base = np.repeat(rng.standard_normal(2**15), 4)[: 2**17 + 1]
         scores = rng.permutation(_ulp_steps(base, rng.integers(-2, 3, size=base.size)))
-        assert np.array_equal(pooled_order(scores), np.argsort(-scores, kind="stable"))
+        positives = rng.uniform(size=scores.size) < 0.3
+        assert np.array_equal(pooled_positions(scores, positives), stable_places(scores, positives))
+
+    @given(st.data())
+    def test_stacks_match_stable_argsort(self, data):
+        # (queries, items) stacks read row by row: ties, both zeros, -inf pads,
+        # and keys 2^-50 apart (4 ulps at 1.0), whose high-bit groups hold
+        # several keys; one query and one positive among the draws
+        q, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 40))
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, -0.5, -np.inf]),
+            st.integers(-4, 4).map(lambda k: 1.0 + k * 2.0**-50),
+        )
+        scores = np.array(data.draw(st.lists(values, min_size=q * n, max_size=q * n))).reshape(q, n)
+        if data.draw(st.booleans()):
+            positives = np.arange(q * n).reshape(q, n) == data.draw(st.integers(0, q * n - 1))
+        else:
+            positives = np.array(data.draw(st.lists(st.booleans(), min_size=q * n, max_size=q * n))).reshape(q, n)
+        assert np.array_equal(pooled_positions(scores, positives), stable_places(scores, positives))
+
+    def test_long_mixed_groups_match_stable_argsort(self):
+        # groups larger than one chunk of the mixed-group check, several keys each
+        rng = np.random.default_rng(13)
+        scores = (1.0 + rng.integers(0, 8, size=(40, 1000)) * 2.0**-50) * rng.choice([1.0, -1.0, 2.0], size=(40, 1))
+        positives = rng.uniform(size=scores.shape) < 0.05
+        assert np.array_equal(pooled_positions(scores, positives), stable_places(scores, positives))
 
 
 def macro_map(queries) -> float:
@@ -414,3 +468,37 @@ class TestEvaluateRetrieval:
         digest = hashlib.sha256("".join(float.hex(a) for a in report.ap_per_query).encode())
         got = (report.map, report.micro_ap, report.num_queries, report.num_positives, digest.hexdigest()[:16])
         assert got == expected
+
+
+def _score_file_stack(rng):
+    """1000 x 1000 scores with 1-10 positives per row, N(0, 1) plus 2 on
+    positives, a quarter of the rows rounded to 0.01."""
+    labels = np.zeros((1000, 1000))
+    for row in labels:
+        row[rng.choice(1000, size=rng.integers(1, 11), replace=False)] = 1.0
+    scores = rng.standard_normal(labels.shape) + 2.0 * labels
+    tied = rng.choice(1000, size=250, replace=False)
+    scores[tied] = np.round(scores[tied], 2)
+    return scores, labels
+
+
+def _tie_heavy_stack(rng):
+    """400 x 500 scores rounded to 0.01, about 2% positives."""
+    scores = np.round(rng.standard_normal((400, 500)), 2)
+    labels = (rng.uniform(size=scores.shape) < 0.02).astype(float)
+    labels[np.arange(400), rng.integers(0, 500, size=400)] = 1.0
+    return scores, labels
+
+
+class TestReportMemory:
+    @pytest.mark.parametrize("stack", [_score_file_stack, _tie_heavy_stack])
+    def test_peak_at_most_twice_the_scores(self, stack):
+        scores, labels = stack(np.random.default_rng(14))
+        retrieval_report(scores, labels)
+        tracemalloc.start()
+        try:
+            retrieval_report(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * scores.nbytes

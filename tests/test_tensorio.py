@@ -1,8 +1,11 @@
 """Tensor files, checkpoints, and report writers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from apranking import tensorio
 from apranking.errors import StructuralError
 from apranking.tensorio import (
     config_hash,
@@ -37,6 +40,31 @@ class TestTensorFile:
         write_tensors(p1, tensors)
         write_tensors(p2, read_tensors(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
+    def test_manifest_found_across_read_chunks(self, tmp_path, monkeypatch, chunk):
+        # the terminator may straddle two reads, and a manifest may be longer than one
+        tensors = {f"t{i}": np.full(i % 3 + 1, float(i)) for i in range(40)}
+        path = tmp_path / "t.tensors"
+        write_tensors(path, tensors)
+        monkeypatch.setattr(tensorio, "_MANIFEST_CHUNK", chunk)
+        loaded = read_tensors(path)
+        assert list(loaded) == list(tensors)
+        assert all(np.array_equal(loaded[name], tensors[name]) for name in tensors)
+
+    def test_read_holds_no_copy_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(2)
+        tensors = {"scores": rng.standard_normal((500, 500)), "labels": np.ones((500, 500))}
+        path = tmp_path / "t.tensors"
+        write_tensors(path, tensors)
+        tracemalloc.start()
+        try:
+            loaded = read_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(a.nbytes for a in tensors.values())
+        assert all(a.flags.aligned and a.flags.writeable for a in loaded.values())
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.tensors"
