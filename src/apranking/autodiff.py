@@ -5,9 +5,11 @@ package: a weighted sum of scalar nodes, a linear map, row normalization,
 one node per stage of the video similarity (the fused spatial TopK-Chamfer:
 cosine gram, top-K over candidate patches, mean over query patches; the
 refiner; the temporal TopK-Chamfer), and an escape hatch for scalar nodes
-with hand-derived gradients. The top-K stages divide by R*K and T*K as
-:mod:`aggregation` does and route their gradient through a selection mask;
-the spatial stage at k = 1 scatters it at the selected patch instead.
+with hand-derived gradients. The nodes run :mod:`aggregation` forward:
+``normalize_rows``, ``refine``, ``temporal_topk_chamfer``, and
+``spatial_topk_chamfer`` except at K = 1, where the spatial node selects
+along rows of the symmetric gram and scatters its gradient at the selected
+patch. The other top-K paths route their gradient through a selection mask.
 Anything else fails loudly at graph-build time; there is no silent fallback
 that could produce wrong gradients.
 
@@ -135,12 +137,12 @@ def linear(x, w: Var) -> Var:
     return out
 
 
-def normalize_rows(v: Var, min_norm: float = 1e-12) -> Var:
-    """L2-normalize the last axis."""
+def normalize_rows(v: Var) -> Var:
+    """L2-normalize the last axis: forward is
+    :func:`aggregation.normalize_rows`, which rejects zero-norm rows, and
+    backward divides by the row norms, taken first."""
     norms = np.linalg.norm(v.value, axis=-1, keepdims=True)
-    if np.any(norms <= min_norm):
-        raise StructuralError("zero-norm row in normalize_rows")
-    unit = v.value / norms
+    unit = aggregation.normalize_rows(v.value)
     out = Var(unit, parents=(v,))
 
     def backward(g):
@@ -152,7 +154,7 @@ def normalize_rows(v: Var, min_norm: float = 1e-12) -> Var:
 
 def _topk_mask(values: np.ndarray, top: np.ndarray, k: int) -> np.ndarray:
     """Mask of the k (< extent) largest entries along the last axis, ties to
-    the lower index; ``top`` is the row max when k == 1."""
+    the lower index; ``top`` is the row max, read only when k == 1."""
     extent = values.shape[-1]
     if k == 1 and extent <= aggregation.SELECT_MAX_EXTENT:
         # the first column equal to the max
@@ -179,32 +181,35 @@ def _topk_margins(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, last, axis=-1) - np.take_along_axis(values, first, axis=-1)
 
 
-def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: BreakpointGuard | None = None) -> Var:
+def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: BreakpointGuard | None = None) -> Var:
     """The spatial TopK-Chamfer stage of n clips of T frames and R patches:
     from the (n*T*R, D) unit patch rows ``u``, the (n, n, T, T) frame
     similarity (query clip, candidate clip, query frame, candidate frame)
 
-        frame[a, b, i, j] = sum_p topk_q <u[a, i, p], u[b, j, q]> / (R k)
+        frame[a, b, i, j] = sum_p topk_q <u[a, i, p], u[b, j, q]> / (R K)
 
-    with the top-K of :func:`aggregation.topk_sum_values` over candidate
-    patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a transposed
-    copy rounds differently). Backward builds the symmetric adjoint
-    S = G + G.T of that product directly and leaves through one ``S @ u``.
+    with K = :func:`aggregation.topk_count` of the rate ``k_s`` over the R
+    candidate patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a
+    transposed copy rounds differently). Backward builds the symmetric
+    adjoint S = G + G.T of that product directly and leaves through one
+    ``S @ u``.
 
-    At k = 1 (R > 1) the forward takes the selection along rows of the
-    cosine buffer (:func:`_select_rows`) and adds the query patches in p
-    order, as ``sum(axis=2)`` adds them. Backward scatters the upstream
-    gradient at each selected position and adds it at the transposed one,
-    in the cosine buffer, which is dead once the selection is taken. Other k
-    route through the temporal stage's selection mask. Either way the sum is
-    divided by R*K, as :func:`aggregation.spatial_topk_chamfer` divides it,
-    one permuting copy lays the frames out clip pair first, and backward
-    reads the upstream gradient back through a ``moveaxis`` view. A guard
-    records each row's top-K margin, as the temporal stage does."""
+    At K = 1 (R > 1) the forward takes the selection along rows of the
+    cosine buffer (:func:`_select_rows`), adds the query patches in p order
+    and divides by R*K; backward scatters the upstream gradient at each
+    selected position and adds it at the transposed one, in the cosine
+    buffer, which is dead once the selection is taken. Other K run the
+    engine's stage, :func:`aggregation.spatial_topk_chamfer` of the cosines
+    viewed as (a, b, T, R, R', T'), and route the gradient through the
+    temporal stage's selection mask. Either way one copy lays the frames
+    out clip pair first, and backward reads the upstream gradient back
+    through a ``moveaxis`` view. A guard records each row's top-K margin, as
+    the temporal stage does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
         raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
+    k = aggregation.topk_count(k_s, r)
     cosines = uv @ uv.T
     sim6 = cosines.reshape(n, t, r, n, t, r)
     scatter = k == 1 and r > 1
@@ -219,11 +224,10 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
             frames += by_patch[..., p]
         frames /= r * k
         value = np.ascontiguousarray(frames.reshape(n, t, n, t).transpose(2, 0, 3, 1))
-    else:
-        summed = aggregation.topk_sum_values(sim6, k)  # (n, T, R, n, T)
+    else:  # K > 1, or K = R = 1
         if guard is not None and k < r:
-            guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
-        value = np.ascontiguousarray(np.moveaxis(summed.sum(axis=2) / (r * k), 1, 2))
+            guard.record(_topk_margins(sim6, _topk_mask(sim6, None, k)))
+        value = np.ascontiguousarray(aggregation.spatial_topk_chamfer(sim6.transpose(0, 3, 1, 2, 5, 4), k_s))
     out = Var(value, parents=(u,))
 
     def backward(g):
@@ -236,7 +240,7 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k: int, guard: Breakpoi
             if k == r:
                 grad6 = np.broadcast_to(spread, sim6.shape)
             else:
-                grad6 = np.where(_topk_mask(sim6, summed, k), spread, 0.0)
+                grad6 = np.where(_topk_mask(sim6, None, k), spread, 0.0)
             grad = grad6.reshape(size, size)
             adjoint = grad + grad.T
         u.grad += adjoint @ uv

@@ -181,6 +181,8 @@ def _wall_clock(args, started: float):
 
 
 def _load_train_config(args):
+    from dataclasses import replace
+
     from .errors import ParameterError
     from .trainer import config_from_dict, easy_preset, hard_preset
 
@@ -196,27 +198,13 @@ def _load_train_config(args):
     else:
         preset = easy_preset if args.preset == "easy" else hard_preset
         cfg = preset(seed=_seed(args))
-    overrides = {}
     if args.seed is not None:
-        from dataclasses import replace
-
-        overrides["seed"] = args.seed
-        cfg = replace(cfg, synthetic=replace(cfg.synthetic, seed=args.seed))
+        cfg = replace(cfg, seed=args.seed, synthetic=replace(cfg.synthetic, seed=args.seed))
     if getattr(args, "iterations", None) is not None:
-        overrides["iterations"] = args.iterations
-    if getattr(args, "lambda_v", None) is not None or getattr(args, "lambda_f", None) is not None:
-        from dataclasses import replace
-
-        w = cfg.weights
-        if args.lambda_v is not None:
-            w = replace(w, lambda_v=args.lambda_v)
-        if args.lambda_f is not None:
-            w = replace(w, lambda_f=args.lambda_f)
-        overrides["weights"] = w
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, iterations=args.iterations)
+    weights = {name: v for name in ("lambda_v", "lambda_f") if (v := getattr(args, name, None)) is not None}
+    if weights:
+        cfg = replace(cfg, weights=replace(cfg.weights, **weights))
     return cfg
 
 
@@ -244,6 +232,10 @@ def cmd_bench_loss(args) -> int:
     unknown = [n for n in names if n not in BENCH_LOSSES]
     if unknown or not names:
         raise ParameterError(f"unknown loss name(s) {unknown}; choose from {BENCH_LOSSES}")
+    gaps = (args.gap_min, args.gap_max, args.gap_step)
+    if not (np.isfinite(gaps).all() and args.gap_step > 0 and args.gap_max >= args.gap_min and args.seeds >= 1):
+        raise ParameterError(f"bench-loss needs finite --gap-min <= --gap-max, --gap-step > 0 and --seeds >= 1; "
+                             f"got {gaps} and {args.seeds} seeds")
     out = _ensure_out(args)
 
     grid = np.arange(args.gap_min, args.gap_max + 1e-12, args.gap_step)
@@ -317,8 +309,8 @@ def _save_model(out: str, tag: str, model, cfg_dict: dict) -> str:
 def cmd_train(args) -> int:
     from dataclasses import replace
 
-    from .tensorio import write_csv, write_json_report
-    from .trainer import VIDEO_LOSSES, config_to_dict, train
+    from .tensorio import write_json_report
+    from .trainer import VIDEO_LOSSES, config_to_dict
 
     started = time.time()
     out = _ensure_out(args)
@@ -469,8 +461,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from dataclasses import replace
-
     from .errors import ParameterError
     from .tensorio import write_csv, write_json_report
 
@@ -479,45 +469,28 @@ def cmd_ablate(args) -> int:
             f"--checkpoint applies only to the k_t and k_s axes; the {args.axis} axis trains a model per grid value"
         )
     started = time.time()
-    out = _ensure_out(args)
     cfg = _load_train_config(args)
-
     entries = [s.strip() for s in args.grid.split(",") if s.strip()]
     if not entries:
         raise ParameterError("empty grid")
+    grid = []  # (row value, config) per entry, all checked before anything runs
+    for entry in entries:
+        try:
+            grid.append(_override_axis(cfg, args.axis, entry))
+        except ValueError as exc:
+            raise ParameterError(f"{args.axis} grid entry {entry!r}: {exc}") from exc
+    out = _ensure_out(args)
 
-    rows = []
     extra = {}
     if args.axis in ("k_t", "k_s"):
-        rows, extra = _ablate_k_axis(args, cfg, entries)
-    elif args.axis == "rates":
-        from .pseudolabels import LabelRates
-        from .trainer import train
-
-        for entry in entries:
-            try:
-                rt_s, rb_s = entry.split(":")
-                rates = LabelRates(float(rt_s), float(rb_s))
-            except ValueError as exc:
-                raise ParameterError(f"rates grid entries must be rt:rb, got {entry!r}") from exc
-            run = train(replace(cfg, rates=rates))
-            rows.append({
-                "value": entry,
-                "map": run.final_report.map,
-                "micro_ap": run.final_report.micro_ap,
-            })
+        rows, extra = _ablate_k_axis(args, cfg, grid)
     else:
         from .trainer import train
 
-        for entry in entries:
-            value = float(entry)
-            run_cfg = _override_axis(cfg, args.axis, value)
+        rows = []
+        for value, run_cfg in grid:
             run = train(run_cfg)
-            rows.append({
-                "value": value,
-                "map": run.final_report.map,
-                "micro_ap": run.final_report.micro_ap,
-            })
+            rows.append({"value": value, "map": run.final_report.map, "micro_ap": run.final_report.micro_ap})
 
     table = os.path.join(out, f"ablate_{args.axis}.csv")
     write_csv(table, list(rows[0].keys()), rows)
@@ -536,25 +509,31 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _override_axis(cfg, axis: str, value: float):
+# axis -> (config field, field of it) that an ablate grid value sets
+_AXIS_FIELDS = {
+    "k_t": ("agg", "k_t"), "k_s": ("agg", "k_s"), "lambda_f": ("weights", "lambda_f"),
+    "delta_v": ("qlap_video", "delta"), "rho_v": ("qlap_video", "rho"),
+    "delta_f": ("qlap_frame", "delta"), "rho_f": ("qlap_frame", "rho"),
+}
+
+
+def _override_axis(cfg, axis: str, entry: str):
+    """(row value, config) of one ablate grid entry: the entry as a float
+    set in the axis's field, or for ``rates`` the rt:rb entry itself with
+    both label rates set. A bad entry raises ValueError."""
     from dataclasses import replace
 
-    from .losses import QuadLinearParams
-
-    if axis == "delta_v":
-        return replace(cfg, qlap_video=QuadLinearParams(value, cfg.qlap_video.rho))
-    if axis == "rho_v":
-        return replace(cfg, qlap_video=QuadLinearParams(cfg.qlap_video.delta, value))
-    if axis == "delta_f":
-        return replace(cfg, qlap_frame=QuadLinearParams(value, cfg.qlap_frame.rho))
-    if axis == "rho_f":
-        return replace(cfg, qlap_frame=QuadLinearParams(cfg.qlap_frame.delta, value))
-    if axis == "lambda_f":
-        return replace(cfg, weights=replace(cfg.weights, lambda_f=value))
-    raise AssertionError(axis)
+    if axis == "rates":
+        if entry.count(":") != 1:
+            raise ValueError("expected rt:rb")
+        rt, rb = entry.split(":")
+        return entry, replace(cfg, rates=replace(cfg.rates, r_t=float(rt), r_b=float(rb)))
+    value = float(entry)
+    group, name = _AXIS_FIELDS[axis]
+    return value, replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
 
 
-def _ablate_k_axis(args, cfg, entries):
+def _ablate_k_axis(args, cfg, grid):
     from .aggregation import AggregationParams
     from .errors import ParameterError
     from .tensorio import read_checkpoint
@@ -573,15 +552,9 @@ def _ablate_k_axis(args, cfg, entries):
 
     rows = []
     reports = {}
-    for entry in entries:
-        rate = float(entry)
-        agg = (
-            AggregationParams(k_s=cfg.agg.k_s, k_t=rate)
-            if args.axis == "k_t"
-            else AggregationParams(k_s=rate, k_t=cfg.agg.k_t)
-        )
+    for rate, run_cfg in grid:
         if rate not in reports:  # a repeated rate is the identical evaluation
-            reports[rate] = evaluate_model(model, clips, agg)
+            reports[rate] = evaluate_model(model, clips, run_cfg.agg)
         report = reports[rate]
         rows.append({"value": rate, "map": report.map, "micro_ap": report.micro_ap})
 

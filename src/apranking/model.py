@@ -3,7 +3,9 @@
 The head is a D-by-D map applied to every patch embedding before cosine
 similarity; the refiner re-maps the frame-similarity matrix. Training runs
 through the autodiff graph built in :func:`forward_similarity`, whose
-refiner and temporal nodes run :func:`~apranking.aggregation.refine` and
+spatial node (outside K = 1), refiner and temporal nodes run
+:func:`~apranking.aggregation.spatial_topk_chamfer`,
+:func:`~apranking.aggregation.refine` and
 :func:`~apranking.aggregation.temporal_topk_chamfer` themselves. Evaluation,
 :func:`eval_similarity_matrix`, runs the same parameters through the batch
 numpy engine :func:`~apranking.aggregation.batch_similarity_matrix`, which
@@ -24,9 +26,8 @@ from .aggregation import (
     PatchEmbeddings,
     RefinerParams,
     batch_similarity_matrix,
-    topk_count,
 )
-from .errors import ParameterError, StructuralError
+from .errors import StructuralError
 
 __all__ = ["Model", "init_model", "forward_similarity", "model_refiner_params"]
 
@@ -64,10 +65,7 @@ def init_model(
     init_noise: float = 0.02,
 ) -> Model:
     """Head initialized near the identity; refiner initialized near a pass-through."""
-    if refiner_kind not in ("identity", "affine", "conv"):
-        raise ParameterError(f"unknown refiner kind {refiner_kind!r}")
-    if refiner_kind == "identity" and downsample != 1:
-        raise ParameterError("identity refiner cannot downsample")
+    RefinerParams(refiner_kind, downsample=downsample)  # checks the kind and the stride
     rng = np.random.default_rng(seed)
     w = np.eye(dim) + init_noise * rng.standard_normal((dim, dim))
     model = Model(weight=ad.Var(w), refiner_kind=refiner_kind, downsample=downsample)
@@ -112,9 +110,13 @@ def forward_similarity(
     The graph is linear -> normalize -> spatial -> refine -> temporal. The
     head maps and normalises every patch; one fused node,
     :func:`autodiff.spatial_topk_chamfer`, takes the cosine gram, the
-    spatial top-K and the mean over query patches to (n, n, T, T) frame
-    similarities, so no (n, T, R, n, T, R) tensor or adjoint enters the
-    graph. One node, :func:`autodiff.refine`, runs the evaluation refiner
+    spatial top-K at the rate ``params.k_s`` and the mean over query
+    patches to (n, n, T, T) frame similarities, so no (n, T, R, n, T, R)
+    tensor or adjoint enters the graph. Outside K = 1 that node runs the
+    evaluation spatial stage
+    :func:`~apranking.aggregation.spatial_topk_chamfer` forward; at K = 1 it
+    selects along rows of the symmetric gram. One node,
+    :func:`autodiff.refine`, runs the evaluation refiner
     :func:`~apranking.aggregation.refine` on them, and one node,
     :func:`autodiff.temporal_topk_chamfer`, the evaluation temporal stage
     :func:`~apranking.aggregation.temporal_topk_chamfer`.
@@ -131,8 +133,7 @@ def forward_similarity(
 
     mapped = ad.linear(batch_data.reshape(n * t * r, d), model.weight)
     unit = ad.normalize_rows(mapped)
-    k_s = topk_count(params.k_s, r)
-    frame = ad.spatial_topk_chamfer(unit, n, t, r, k_s, guard=guard)  # (n, n, T, T)
+    frame = ad.spatial_topk_chamfer(unit, n, t, r, params.k_s, guard=guard)  # (n, n, T, T)
     refiner_vars = [p for name, p in model.parameters() if name != "weight"]
     refined = ad.refine(frame, model_refiner_params(model), refiner_vars, guard=guard)
     sim = ad.temporal_topk_chamfer(refined, params.k_t, guard=guard)  # (n, n)

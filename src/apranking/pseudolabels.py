@@ -20,6 +20,7 @@ from math import ceil, floor
 
 import numpy as np
 
+from .aggregation import normalize_rows
 from .errors import DegenerateInputError, ParameterError, StructuralError
 
 __all__ = [
@@ -111,11 +112,7 @@ def _unit_frames(clips) -> np.ndarray:
     shapes = sorted({c.data.shape for c in clips})
     if len(shapes) != 1:
         raise StructuralError(f"teacher frame matrices differ in shape: {shapes}")
-    data = np.stack([c.data for c in clips])
-    norms = np.linalg.norm(data, axis=2, keepdims=True)
-    if np.any(norms <= 1e-12):
-        raise DegenerateInputError("zero-norm frame embedding")
-    return data / norms
+    return normalize_rows(np.stack([c.data for c in clips]))
 
 
 def teacher_frame_similarities(queries, candidates) -> np.ndarray:

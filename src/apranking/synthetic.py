@@ -11,7 +11,7 @@ against the planted frame correspondences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil, floor
 
 import numpy as np

@@ -60,18 +60,20 @@ def write_tensors(path, tensors: dict) -> None:
             fh.write(blob)
 
 
-def _tensor_at(path, raw: bytes, offset: int, dtype: np.dtype, shape: tuple, name: str):
-    """The tensor ``name`` stored at ``offset`` of a file's bytes, and the
-    offset after it. One copy out of the bytes, so the result owns writable
-    memory."""
-    count = math.prod(shape)
-    if count * dtype.itemsize > len(raw) - offset:
+def _read_payload(fh, path, name: str, dtype: np.dtype, shape: tuple, remaining: int) -> np.ndarray:
+    """The payload of tensor ``name``, read from ``fh`` straight into an
+    array of its own, after checking that it fits in the ``remaining`` bytes
+    of the file and that numpy can address its shape."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > remaining:
         raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
     try:
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+        arr = np.empty(shape, dtype=dtype)
     except ValueError as exc:  # a zero extent beside extents too large to address
         raise StructuralError(f"{path}: tensor {name!r} has shape {shape}") from exc
-    return arr.copy(), offset + count * dtype.itemsize
+    if fh.readinto(arr) != nbytes:
+        raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
+    return arr
 
 
 def read_tensors(path) -> dict:
@@ -107,16 +109,8 @@ def read_tensors(path) -> dict:
                 raise StructuralError(f"{path}: bad manifest line {line!r}") from exc
             if name in out:
                 raise StructuralError(f"{path}: tensor {name!r} named twice")
-            nbytes = math.prod(shape) * dtype.itemsize
-            if nbytes > size - offset:
-                raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
-            try:
-                out[name] = np.empty(shape, dtype=dtype)
-            except ValueError as exc:  # a zero extent beside extents too large to address
-                raise StructuralError(f"{path}: tensor {name!r} has shape {shape}") from exc
-            if fh.readinto(out[name]) != nbytes:
-                raise StructuralError(f"{path}: payload truncated for tensor {name!r}")
-            offset += nbytes
+            out[name] = _read_payload(fh, path, name, dtype, shape, size - offset)
+            offset += out[name].nbytes
     if offset != size:
         raise StructuralError(f"{path}: {size - offset} trailing payload bytes")
     return out
@@ -148,39 +142,40 @@ def write_checkpoint(path, tensors: dict, config: dict) -> None:
 
 def read_checkpoint(path) -> tuple[dict, str]:
     """Returns (tensors, config_hash_hex). A file cut short, or with bytes
-    after its last tensor, raises StructuralError."""
+    after its last tensor, raises StructuralError. The file is streamed:
+    every length field is checked against the bytes left before anything
+    is read, and each payload is read straight into its own array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != _CKPT_MAGIC:
-        raise StructuralError(f"{path}: not an apranking checkpoint")
-    offset = 8
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+            raise StructuralError(f"{path}: not an apranking checkpoint")
 
-    def unpack(fmt: str) -> tuple:
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if size > len(raw) - offset:
-            raise StructuralError(f"{path}: truncated at byte {len(raw)}")
-        offset += size
-        return struct.unpack_from(fmt, raw, offset - size)
+        def unpack(fmt: str) -> tuple:
+            want = struct.calcsize(fmt)
+            raw = fh.read(want) if want <= size - fh.tell() else b""
+            if len(raw) != want:
+                raise StructuralError(f"{path}: truncated at byte {size}")
+            return struct.unpack(fmt, raw)
 
-    (version,) = unpack("<I")
-    if version != _CKPT_VERSION:
-        raise StructuralError(f"{path}: unsupported checkpoint version {version}")
-    digest, count = unpack("<32sI")
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = unpack("<H")
-        try:
-            name = unpack(f"<{name_len}s")[0].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StructuralError(f"{path}: tensor name is not UTF-8") from exc
-        if name in tensors:
-            raise StructuralError(f"{path}: tensor {name!r} named twice")
-        (ndim,) = unpack("<I")
-        shape = unpack(f"<{ndim}Q")
-        tensors[name], offset = _tensor_at(path, raw, offset, np.dtype("<f8"), shape, name)
-    if offset != len(raw):
-        raise StructuralError(f"{path}: {len(raw) - offset} trailing bytes after the last tensor")
+        (version,) = unpack("<I")
+        if version != _CKPT_VERSION:
+            raise StructuralError(f"{path}: unsupported checkpoint version {version}")
+        digest, count = unpack("<32sI")
+        tensors = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            try:
+                name = unpack(f"<{name_len}s")[0].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StructuralError(f"{path}: tensor name is not UTF-8") from exc
+            if name in tensors:
+                raise StructuralError(f"{path}: tensor {name!r} named twice")
+            (ndim,) = unpack("<I")
+            shape = unpack(f"<{ndim}Q")
+            tensors[name] = _read_payload(fh, path, name, np.dtype("<f8"), shape, size - fh.tell())
+        offset = fh.tell()
+    if offset != size:
+        raise StructuralError(f"{path}: {size - offset} trailing bytes after the last tensor")
     return tensors, digest.hex()
 
 

@@ -10,7 +10,7 @@ import pytest
 from apranking import aggregation
 from apranking import autodiff as ad
 from apranking.aggregation import RefinerParams, topk_sum_values
-from apranking.errors import StructuralError
+from apranking.errors import DegenerateInputError, StructuralError
 from apranking.gradcheck import rel_err
 
 
@@ -57,6 +57,12 @@ class TestBasicOps:
     def test_normalize_rows_fd(self):
         rng = np.random.default_rng(2)
         check_unary(ad.normalize_rows, rng.standard_normal((5, 4)) + 0.5)
+
+    def test_normalize_rows_rejects_a_zero_row(self):
+        # the rule of aggregation.normalize_rows, which the cli reports with exit 2
+        with pytest.raises(DegenerateInputError, match="zero-norm"):
+            ad.normalize_rows(ad.Var(np.array([[0.6, 0.8], [0.0, 0.0]])))
+
 
 class TestTopkGradientRouting:
     """ad.temporal_topk_chamfer routes the upstream gradient, divided by
@@ -115,7 +121,7 @@ class TestGraphMechanics:
         def run():
             v = ad.Var(x)
             u = ad.normalize_rows(v)
-            total(ad.spatial_topk_chamfer(u, 3, 1, 2, 1)).backward()
+            total(ad.spatial_topk_chamfer(u, 3, 1, 2, 1 / 2)).backward()
             return v.grad.copy()
 
         assert np.array_equal(run(), run())
@@ -227,7 +233,7 @@ class TestSpatialTopkChamfer:
             g = signed_upstream(rng, (n, n, t, t))
             fused_guard, chain_guard = ad.BreakpointGuard(), ad.BreakpointGuard()
             u_fused, u_chain = ad.Var(rows), ad.Var(rows)
-            fused = ad.spatial_topk_chamfer(u_fused, n, t, r, k, guard=fused_guard)
+            fused = ad.spatial_topk_chamfer(u_fused, n, t, r, k / r, guard=fused_guard)
             chain = composed_chain(u_chain, n, t, r, k, guard=chain_guard)
             assert same_bits(fused.value, chain.value)
             assert same_bits(fused_guard.margins, chain_guard.margins)
@@ -272,11 +278,11 @@ class TestSpatialTopkChamfer:
         w = rng.standard_normal((n, n, t, t))
 
         def value(arr):
-            return float(np.sum(ad.spatial_topk_chamfer(ad.Var(arr), n, t, r, k).value * w))
+            return float(np.sum(ad.spatial_topk_chamfer(ad.Var(arr), n, t, r, k / r).value * w))
 
         guard = ad.BreakpointGuard()
         v = ad.Var(x.copy())
-        out = ad.spatial_topk_chamfer(v, n, t, r, k, guard=guard)
+        out = ad.spatial_topk_chamfer(v, n, t, r, k / r, guard=guard)
         assert guard.min_margin() > 1e-3  # the kinks stay out of the stencil
         ad.scalar_node(out, lambda values: (np.sum(values * w), w)).backward()
         assert rel_err(v.grad, fd_scalar(value, x.copy())) < 1e-6
@@ -290,7 +296,7 @@ class TestSpatialTopkChamfer:
 
         def graph():
             u = ad.Var(tied_unit_rows(rng, n * t * r, 3))
-            out = ad.spatial_topk_chamfer(u, n, t, r, 1)
+            out = ad.spatial_topk_chamfer(u, n, t, r, 1 / r)
             w = rng.standard_normal(out.shape)
             return u, out, ad.scalar_node(out, lambda values: (np.sum(values * w), w))
 
@@ -307,7 +313,7 @@ class TestSpatialTopkChamfer:
 
     def test_rejects_rows_of_another_shape(self):
         with pytest.raises(StructuralError):
-            ad.spatial_topk_chamfer(ad.Var(np.eye(4)), 1, 2, 3, 1)
+            ad.spatial_topk_chamfer(ad.Var(np.eye(4)), 1, 2, 3, 1 / 3)
 
 
 def refiner(kind, stride, weight, bias):
@@ -379,13 +385,15 @@ class TestRefine:
 
 class TestGraphStagesMatchEngine:
     """The graph's top-K stages against the engine's, bit for bit: the
-    spatial node against aggregation.spatial_topk_chamfer of the same gram
-    laid out as (a, b, T, R, R', T'), the temporal node against
-    aggregation.temporal_topk_chamfer. Both divide by R*K and T*K. From
-    R = 9 on, at 1 < K < R, numpy may add the query patches in another
-    order in the engine than in the node (at T = 1 it sums the engine's
-    contiguous patch axis pairwise), so the values may differ in the last
-    bits; the spatial check stops at R = 8."""
+    spatial node against aggregation.spatial_topk_chamfer of the same gram,
+    laid out as the node views it, (a, b, T, R, R', T'), and as
+    batch_similarity_matrix lays out each clip pair's slab; the temporal
+    node against aggregation.temporal_topk_chamfer. Both divide by R*K and
+    T*K. On the slab layout numpy may add the patches in another order
+    (pairwise along an axis that is contiguous there), so the values may
+    differ in the last bits at R = 8 with T = 1, at K = 1 with T = 1 from
+    R = 8, and at K = R from R = 8: the slab check covers every K up to
+    R = 7 and 1 < K < R at R = 9-12. No preset has R >= 8."""
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_spatial_node_is_the_engine_stage(self, r):
@@ -399,7 +407,25 @@ class TestGraphStagesMatchEngine:
                 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             sim = (rows @ rows.T).reshape(n, t, r, n, t, r).transpose(0, 3, 1, 2, 5, 4)
             for k in range(1, r + 1):
-                node = ad.spatial_topk_chamfer(ad.Var(rows), n, t, r, k)
+                node = ad.spatial_topk_chamfer(ad.Var(rows), n, t, r, k / r)
+                assert same_bits(node.value, aggregation.spatial_topk_chamfer(sim, k / r)), (rows, k)
+
+    @pytest.mark.parametrize("r", [*range(1, 8), *range(9, 13)])
+    def test_spatial_node_matches_the_engine_slab(self, r):
+        rng = np.random.default_rng(90 + r)
+        for trial in range(12):
+            n, t, d = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            t = t if trial % 3 else 1  # a lone frame leaves the patch axes contiguous
+            if trial % 2:
+                rows = tied_unit_rows(rng, n * t * r, d)
+            else:
+                rows = rng.standard_normal((n * t * r, d))
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            gram6 = (rows @ rows.T).reshape(n, t, r, n, t, r)
+            slab = np.ascontiguousarray(gram6.transpose(0, 3, 1, 2, 4, 5)).swapaxes(-1, -2)
+            for k in range(1, r + 1) if r <= 7 else range(2, r):
+                sim = np.ascontiguousarray(slab) if k == r else slab  # as the engine lays it out
+                node = ad.spatial_topk_chamfer(ad.Var(rows), n, t, r, k / r)
                 assert same_bits(node.value, aggregation.spatial_topk_chamfer(sim, k / r)), (rows, k)
 
     def test_temporal_node_is_the_engine_stage(self):

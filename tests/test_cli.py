@@ -72,6 +72,19 @@ class TestBenchLoss:
         res = run_cli(["bench-loss", "--losses", "nonsense", "--out", out_dir], tmp_path)
         assert res.returncode == 2
 
+    # a sweep of no step or of no points, a non-finite bound or step, and a
+    # gradient check over no seeds (which would report an error of 0.0)
+    @pytest.mark.parametrize("extra", [
+        ["--gap-step", "0"], ["--gap-step", "-0.05"], ["--gap-min", "0.5", "--gap-max", "0.4"],
+        ["--gap-step", "nan"], ["--gap-max", "inf"], ["--seeds", "0"], ["--seeds", "-3"],
+    ], ids=["zero-step", "negative-step", "max-below-min", "nan-step", "inf-max", "no-seeds", "negative-seeds"])
+    def test_sweep_that_runs_nothing_exits_2(self, out_dir, capsys, extra):
+        from apranking import cli
+
+        assert cli.main(["bench-loss", "--out", out_dir] + extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out_dir)
+
 
 def tiny_config(tmp_path, **overrides):
     from apranking.trainer import TrainConfig, config_to_dict
@@ -540,6 +553,24 @@ class TestAblate:
             tmp_path,
         )
         assert res.returncode == 0, res.stderr
+
+    # a bad entry after a good one: the whole grid is checked before the
+    # output directory is made and before any evaluation or training
+    @pytest.mark.parametrize("axis, grid, bad", [
+        ("k_t", "0.1,x", "x"), ("k_s", "0.1,1.5", "1.5"), ("delta_v", "0.05,abc", "abc"),
+        ("rho_f", "0.1,-1", "-1"), ("rates", "0.3:0.3,0.4", "0.4"), ("rates", "0.3:0.3,0.3:y", "0.3:y"),
+    ])
+    def test_bad_grid_entry_exits_2_before_anything_runs(self, tmp_path, out_dir, capsys, monkeypatch,
+                                                        axis, grid, bad):
+        from apranking import cli, trainer
+
+        calls = []
+        for name in ("train", "evaluate_model", "init_heldout_and_model"):
+            monkeypatch.setattr(trainer, name, lambda *a, name=name, **k: calls.append(name))
+        argv = ["ablate", "--axis", axis, "--grid", grid, "--config", tiny_config(tmp_path), "--out", out_dir]
+        assert cli.main(argv) == 2
+        assert f"error: {axis} grid entry {bad!r}: " in capsys.readouterr().err
+        assert calls == [] and not os.path.exists(out_dir)
 
     def test_empty_grid_exits_2(self, tmp_path, out_dir):
         res = run_cli(["ablate", "--axis", "k_t", "--grid", ",", "--out", out_dir], tmp_path)

@@ -6,6 +6,7 @@ import pytest
 
 from apranking import autodiff as ad
 from apranking.aggregation import AggregationParams
+from apranking.errors import ParameterError
 from apranking.losses import QuadLinearParams
 from apranking.model import eval_similarity_matrix, forward_similarity, init_model
 from apranking.synthetic import SyntheticConfig, generate_corpus
@@ -36,6 +37,14 @@ class TestForwardEquality:
         sim_var, _ = forward_similarity(model, data, agg)
         lib = eval_similarity_matrix(model, clips, agg)
         np.testing.assert_allclose(sim_var.value, lib, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, downsample, message", [
+        ("bogus", 1, "unknown refiner kind 'bogus'"), ("identity", 2, "identity refiner requires"),
+        ("affine", 0, "downsample stride must be >= 1"), ("conv", 0, "downsample stride must be >= 1"),
+    ])
+    def test_init_model_checks_the_refiner_as_refiner_params_does(self, kind, downsample, message):
+        with pytest.raises(ParameterError, match=message):
+            init_model(8, refiner_kind=kind, downsample=downsample)
 
     def test_identity_refiner_self_similarity(self):
         clips = generate_corpus(SyntheticConfig(**SMALL, seed=4))

@@ -1,5 +1,6 @@
 """Tensor files, checkpoints, and report writers."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,26 @@ class TestCheckpoint:
         path.write_bytes(raw.replace(b"weighz", b"weight"))
         with pytest.raises(StructuralError, match=f"{path}: tensor 'weight' named twice"):
             read_checkpoint(path)
+
+    # a corrupt length field of the first tensor, after the 48 bytes of
+    # magic, version, digest and count: its name length (<H at 48) or, after
+    # its 6-byte name, its ndim (<I at 56)
+    @pytest.mark.parametrize("offset, field", [(48, struct.pack("<H", 65535)), (56, struct.pack("<I", 2**32 - 1))],
+                             ids=["name_len", "ndim"])
+    def test_corrupt_length_field_reads_no_large_buffer(self, tmp_path, offset, field):
+        path = tmp_path / "ckpt.bin"
+        write_checkpoint(path, {"weight": np.eye(2)}, {})
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(field)] = field
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructuralError, match=f"truncated at byte {len(raw)}$"):
+                read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16384  # the file object's read buffer and the error, not 64 KB or 32 GB
 
     def test_config_hash_is_canonical(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
