@@ -297,12 +297,11 @@ def cmd_bench_loss(args) -> int:
     return 0
 
 
-def _save_model(out: str, tag: str, model, cfg_dict: dict) -> str:
-    from .tensorio import write_checkpoint
+def _save_model(out: str, tag: str, model) -> str:
+    from .tensorio import write_tensors
 
-    tensors = {name: p.value for name, p in model.parameters()}
     path = os.path.join(out, f"checkpoint_{tag}.bin" if tag else "checkpoint.bin")
-    write_checkpoint(path, tensors, cfg_dict)
+    write_tensors(path, {name: p.value for name, p in model.parameters()})
     return path
 
 
@@ -313,7 +312,6 @@ def cmd_train(args) -> int:
     from .trainer import VIDEO_LOSSES, config_to_dict
 
     started = time.time()
-    out = _ensure_out(args)
     cfg = _load_train_config(args)
 
     losses = None
@@ -325,6 +323,7 @@ def cmd_train(args) -> int:
 
             raise ParameterError(f"unknown loss name(s) {bad}; choose from {VIDEO_LOSSES}")
 
+    out = _ensure_out(args)
     results = {}
     if losses and len(losses) > 1:
         # comparative mode: identical budget, ranking loss only on top of the
@@ -358,8 +357,7 @@ def _run_one(out: str, tag: str, cfg) -> dict:
     from .trainer import config_to_dict, train
 
     result = train(cfg, out_dir=out)
-    cfg_dict = config_to_dict(cfg)
-    ckpt = _save_model(out, tag, result.model, cfg_dict)
+    ckpt = _save_model(out, tag, result.model)
     hist_name = f"history_{tag}.csv" if tag else "history.csv"
     write_csv(os.path.join(out, hist_name), _HISTORY_COLUMNS, result.history)
     return {
@@ -368,7 +366,7 @@ def _run_one(out: str, tag: str, cfg) -> dict:
         "initial_metrics": result.initial_report.to_dict(),
         "metrics": result.final_report.to_dict(),
         "history": result.history,
-        "config": cfg_dict,
+        "config": config_to_dict(cfg),
     }
 
 
@@ -429,7 +427,6 @@ def cmd_eval(args) -> int:
     from .tensorio import write_csv, write_json_report
 
     started = time.time()
-    out = _ensure_out(args)
     scores, labels = _read_eval_inputs(args)
     try:
         metrics = retrieval_report(scores, labels)
@@ -448,6 +445,7 @@ def cmd_eval(args) -> int:
         scored = [(s[s > -np.inf], l[s > -np.inf]) for s, l in zip(scores, labels) if (l == 1).any()]
         mismatches = sum(1 for (s, l), ap in zip(scored, aps) if brute_force_ap(ScoredList(s, l)) != ap)
         report["verify"] = {"oracle_mismatches": mismatches, "pass": mismatches == 0}
+    out = _ensure_out(args)
     write_json_report(os.path.join(out, "eval_report.json"), report)
     write_csv(
         os.path.join(out, "eval_per_query.csv"),
@@ -479,11 +477,13 @@ def cmd_ablate(args) -> int:
             grid.append(_override_axis(cfg, args.axis, entry))
         except ValueError as exc:
             raise ParameterError(f"{args.axis} grid entry {entry!r}: {exc}") from exc
+    # a k axis evaluates one model: its checkpoint is checked before anything is made
+    model = _ablate_model(args, cfg) if args.axis in ("k_t", "k_s") else None
     out = _ensure_out(args)
 
     extra = {}
-    if args.axis in ("k_t", "k_s"):
-        rows, extra = _ablate_k_axis(args, cfg, grid)
+    if model is not None:
+        rows, extra = _ablate_k_axis(args, cfg, grid, model)
     else:
         from .trainer import train
 
@@ -533,23 +533,33 @@ def _override_axis(cfg, axis: str, entry: str):
     return value, replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
 
 
-def _ablate_k_axis(args, cfg, grid):
-    from .aggregation import AggregationParams
+def _ablate_model(args, cfg):
+    """The config's initial model, with the parameters of ``--checkpoint``
+    when given; each must match the model's by name and shape, as float64."""
     from .errors import ParameterError
-    from .tensorio import read_checkpoint
-    from .trainer import evaluate_model, init_heldout_and_model
+    from .tensorio import read_tensors
+    from .trainer import initial_model
 
-    clips, model = init_heldout_and_model(cfg)
+    model = initial_model(cfg)
     if args.checkpoint:
-        tensors, _ = read_checkpoint(args.checkpoint)
+        tensors = read_tensors(args.checkpoint)
         params = dict(model.parameters())
         for name in sorted(params.keys() | tensors.keys()):
             got = f"shape {tensors[name].shape}" if name in tensors else "missing"
             want = f"shape {params[name].shape}" if name in params else "no such parameter"
             if got != want:
                 raise ParameterError(f"checkpoint {args.checkpoint}: {name!r} is {got}; the model has {want}")
+            if tensors[name].dtype != "float64":
+                raise ParameterError(f"checkpoint {args.checkpoint}: {name!r} is {tensors[name].dtype}, not float64")
             params[name].value = tensors[name]
+    return model
 
+
+def _ablate_k_axis(args, cfg, grid, model):
+    from .aggregation import AggregationParams
+    from .trainer import evaluate_model, heldout_corpus
+
+    clips = heldout_corpus(cfg)
     rows = []
     reports = {}
     for rate, run_cfg in grid:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import traceback
@@ -53,7 +54,8 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "train",
-    "init_heldout_and_model",
+    "heldout_corpus",
+    "initial_model",
     "build_losses",
     "evaluate_model",
     "easy_preset",
@@ -69,6 +71,22 @@ __all__ = [
 VIDEO_LOSSES = ("quadlinear", "smooth", "triplet", "contrastive")
 
 
+# range rule -> its test; NaN fails every test
+_RANGES = {
+    "finite and positive": lambda v: 0.0 < v < math.inf,
+    "finite and nonnegative": lambda v: 0.0 <= v < math.inf,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+}
+
+
+def _check_range(obj, rule: str, *names) -> None:
+    """ParameterError naming the first of ``names`` whose value on ``obj``
+    breaks ``rule``."""
+    for name in names:
+        if not _RANGES[rule](value := getattr(obj, name)):
+            raise ParameterError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Trade-off weights of the total loss and the InfoNCE temperature."""
@@ -79,10 +97,8 @@ class LossWeights:
     tau_nce: float = 0.1
 
     def __post_init__(self):
-        if min(self.lambda_v, self.lambda_f, self.lambda_s) < 0:
-            raise ParameterError("loss weights must be nonnegative")
-        if not self.tau_nce > 0:
-            raise ParameterError("tau_nce must be positive")
+        _check_range(self, "finite and nonnegative", "lambda_v", "lambda_f", "lambda_s")
+        _check_range(self, "finite and positive", "tau_nce")
 
 
 @dataclass(frozen=True)
@@ -98,10 +114,9 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ParameterError("lr must be positive")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ParameterError("warmup_frac must lie in [0, 1)")
+        _check_range(self, "finite and positive", "lr", "eps")
+        _check_range(self, "finite and nonnegative", "weight_decay")
+        _check_range(self, "in [0, 1)", "warmup_frac", "beta1", "beta2")
 
 
 class AdamWState:
@@ -184,10 +199,6 @@ class TrainConfig:
             raise ParameterError(
                 "frame-level loss needs downsample=1 so labels align with frames"
             )
-
-    @property
-    def batch_size(self) -> int:
-        return self.groups_per_batch * self.clips_per_group
 
 
 @dataclass
@@ -485,11 +496,10 @@ def _train_step(cfg: TrainConfig, model: Model, optimizer: AdamWState, batch, la
     return components
 
 
-def init_heldout_and_model(cfg: TrainConfig):
-    """(held-out clips, initial model) of a config: the held-out corpus is
-    the training recipe at ``cfg.heldout``'s size, seeded ``seed_offset``
-    past the training corpus; the model is seeded by ``cfg.seed``."""
-    heldout = generate_corpus(
+def heldout_corpus(cfg: TrainConfig) -> list:
+    """The held-out clips of a config: the training recipe at
+    ``cfg.heldout``'s size, seeded ``seed_offset`` past the training corpus."""
+    return generate_corpus(
         replace(
             cfg.synthetic,
             num_clips=cfg.heldout.num_clips,
@@ -497,20 +507,23 @@ def init_heldout_and_model(cfg: TrainConfig):
             seed=cfg.synthetic.seed + cfg.heldout.seed_offset,
         )
     )
-    model = init_model(
+
+
+def initial_model(cfg: TrainConfig) -> Model:
+    """The model a config trains from, seeded by ``cfg.seed``."""
+    return init_model(
         dim=cfg.synthetic.dim,
         refiner_kind=cfg.refiner_kind,
         downsample=cfg.downsample,
         seed=cfg.seed,
         init_noise=cfg.init_noise,
     )
-    return heldout, model
 
 
 def train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     """Run the optimization loop; deterministic for a fixed config."""
     corpus = generate_corpus(cfg.synthetic)
-    heldout, model = init_heldout_and_model(cfg)
+    heldout, model = heldout_corpus(cfg), initial_model(cfg)
 
     by_group: dict[int, list[int]] = {}
     for i, clip in enumerate(corpus):

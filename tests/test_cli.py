@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -113,15 +114,19 @@ def tiny_config(tmp_path, **overrides):
 
 class TestTrain:
     def test_zero_iterations_checkpoint_is_initialization(self, tmp_path, out_dir):
-        config = tiny_config(tmp_path)
+        # every parameter keeps its shape, the conv refiner's 0-d bias included
+        config = tiny_config(tmp_path, refiner_kind="conv")
         res = run_cli(["train", "--config", config, "--iterations", "0", "--out", out_dir], tmp_path)
         assert res.returncode == 0, res.stderr
         from apranking.model import init_model
-        from apranking.tensorio import read_checkpoint
+        from apranking.tensorio import read_tensors
 
-        tensors, _ = read_checkpoint(os.path.join(out_dir, "checkpoint.bin"))
-        fresh = init_model(8, seed=0, init_noise=0.02)
-        np.testing.assert_array_equal(tensors["weight"], fresh.weight.value)
+        tensors = read_tensors(os.path.join(out_dir, "checkpoint.bin"))
+        fresh = dict(init_model(8, refiner_kind="conv", seed=0, init_noise=0.02).parameters())
+        assert list(tensors) == list(fresh) and tensors["conv_bias"].shape == ()
+        for name, p in fresh.items():
+            assert tensors[name].dtype == np.float64 and tensors[name].shape == p.shape
+            np.testing.assert_array_equal(tensors[name], p.value)
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -176,6 +181,26 @@ class TestTrain:
         assert report["config"]["seed"] == 3
         assert report["config"]["synthetic"]["seed"] == 3
 
+    # a weight or optimizer setting that is not finite or not in range is a
+    # config error, not a run without that term or a failure mid-training
+    @pytest.mark.parametrize("extra, config, named", [
+        (["--lambda-f", "nan"], {}, "lambda_f"),
+        (["--lambda-v", "nan"], {}, "lambda_v"),
+        (["--lambda-v", "inf"], {}, "lambda_v"),
+        ([], {"optimizer": {"beta1": 1.0}}, "beta1"),
+    ], ids=["lambda_f-nan", "lambda_v-nan", "lambda_v-inf", "beta1-one"])
+    def test_config_value_out_of_range_exits_2(self, tmp_path, out_dir, extra, config, named):
+        path = tiny_config(tmp_path)
+        payload = json.load(open(path))
+        for group, fields in config.items():
+            payload[group].update(fields)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        res = run_cli(["train", "--config", path, "--iterations", "1", "--out", out_dir] + extra, tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"error: {named} must be" in res.stderr and "Traceback" not in res.stderr
+        assert not os.path.exists(out_dir)
+
     def test_bad_config_exits_2(self, tmp_path, out_dir):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"synthetic": {"bogus_key": 3}}))
@@ -195,6 +220,19 @@ class TestEval:
         report = json.load(open(os.path.join(out_dir, "eval_report.json")))
         assert report["micro_ap"] == pytest.approx(5 / 6, abs=1e-9)
         assert report["verify"]["oracle_mismatches"] == 0
+
+    # a file cut short in its manifest, and one whose labels are not binary
+    @pytest.mark.parametrize("content, named", [
+        (b"apranking-tensors 1\nscores f64 1,1\n", "missing manifest terminator"),
+        (b"apranking-tensors 1\nscores f64 1,1\nlabels f64 1,1\nend\n" + np.float64(0.5).tobytes() * 2, "binary"),
+    ], ids=["truncated", "labels"])
+    def test_bad_score_file_exits_2_and_writes_nothing(self, tmp_path, out_dir, content, named):
+        path = tmp_path / "bad.tensors"
+        path.write_bytes(content)
+        res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert str(path) in res.stderr and named in res.stderr and "Traceback" not in res.stderr
+        assert not os.path.exists(out_dir)
 
     def test_csv_perfect_ranking(self, tmp_path, out_dir):
         csv = tmp_path / "scores.csv"
@@ -493,6 +531,20 @@ class TestAblate:
             reports.append(json.load(open(os.path.join(out, "ablate_k_s.json")))["rows"])
         assert reports[0] == reports[1]
 
+    @staticmethod
+    def ablate_rejecting(tmp_path, out_dir, monkeypatch, capsys, ckpt, refiner_kind="identity") -> str:
+        """The error of a k_t ablation given checkpoint ``ckpt``, which must
+        exit 2 before it makes the output directory or builds a corpus."""
+        from apranking import cli, trainer
+
+        monkeypatch.setattr(trainer, "generate_corpus", lambda *a: pytest.fail("a corpus was built"))
+        config = tiny_config(tmp_path, refiner_kind=refiner_kind)
+        argv = ["ablate", "--axis", "k_t", "--grid", "0.3", "--config", config, "--checkpoint", str(ckpt),
+                "--out", out_dir]
+        assert cli.main(argv) == 2
+        assert not os.path.exists(out_dir)
+        return capsys.readouterr().err
+
     @pytest.mark.parametrize("refiner_kind, tensors, named", [
         # a conv model given an identity model's checkpoint
         ("conv", {"weight": np.eye(8)}, "'conv_bias' is missing"),
@@ -501,29 +553,37 @@ class TestAblate:
          "'conv_bias' is shape ()"),
         # a head for another embedding dim
         ("identity", {"weight": np.eye(4)}, "'weight' is shape (4, 4); the model has shape (8, 8)"),
-    ], ids=["missing", "extra", "shape"])
-    def test_checkpoint_not_matching_the_model_exits_2(self, tmp_path, out_dir, refiner_kind, tensors, named):
-        from apranking.tensorio import write_checkpoint
-
-        config = tiny_config(tmp_path, refiner_kind=refiner_kind)
-        ckpt = str(tmp_path / "ckpt.bin")
-        write_checkpoint(ckpt, tensors, {})
-        res = run_cli(["ablate", "--axis", "k_t", "--grid", "0.3", "--config", config, "--checkpoint", ckpt,
-                       "--out", out_dir], tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert named in res.stderr and "Traceback" not in res.stderr
-
-    def test_truncated_checkpoint_exits_2(self, tmp_path, out_dir):
-        from apranking.tensorio import write_checkpoint
-
-        config = tiny_config(tmp_path)
+        # a tensor file may hold float32; parameters are float64
+        ("identity", {"weight": np.eye(8, dtype=np.float32)}, "'weight' is float32, not float64"),
+    ], ids=["missing", "extra", "shape", "dtype"])
+    def test_checkpoint_not_matching_the_model_exits_2(self, tmp_path, out_dir, monkeypatch, capsys,
+                                                       refiner_kind, tensors, named):
         ckpt = tmp_path / "ckpt.bin"
-        write_checkpoint(ckpt, {"weight": np.eye(8)}, {})
+        write_tensors(ckpt, tensors)
+        assert named in self.ablate_rejecting(tmp_path, out_dir, monkeypatch, capsys, ckpt, refiner_kind)
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, out_dir, monkeypatch, capsys):
+        ckpt = tmp_path / "ckpt.bin"
+        write_tensors(ckpt, {"weight": np.eye(8)})
         ckpt.write_bytes(ckpt.read_bytes()[:50])
-        res = run_cli(["ablate", "--axis", "k_t", "--grid", "0.3", "--config", config, "--checkpoint", str(ckpt),
-                       "--out", out_dir], tmp_path)
+        assert "truncated" in self.ablate_rejecting(tmp_path, out_dir, monkeypatch, capsys, ckpt)
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, out_dir, monkeypatch, capsys):
+        ckpt = tmp_path / "missing.bin"
+        assert str(ckpt) in self.ablate_rejecting(tmp_path, out_dir, monkeypatch, capsys, ckpt)
+
+    def test_binary_checkpoint_exits_2(self, tmp_path, out_dir):
+        # the retired binary layout: magic, version, config digest, tensor
+        # count, then per tensor its name length, name, ndim, shape, payload
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes(
+            b"APRKCKPT" + struct.pack("<I", 1) + bytes(32) + struct.pack("<IH", 1, 6) + b"weight"
+            + struct.pack("<IQQ", 2, 8, 8) + np.eye(8).tobytes()
+        )
+        res = run_cli(["ablate", "--axis", "k_t", "--grid", "0.3", "--config", tiny_config(tmp_path),
+                       "--checkpoint", str(ckpt), "--out", out_dir], tmp_path)
         assert res.returncode == 2, res.stderr
-        assert "truncated" in res.stderr and "Traceback" not in res.stderr
+        assert f"error: {ckpt}: not an apranking tensor file" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("axis", ["delta_v", "rates"])
     def test_checkpoint_on_a_trained_axis_exits_2(self, tmp_path, out_dir, axis):
@@ -565,7 +625,7 @@ class TestAblate:
         from apranking import cli, trainer
 
         calls = []
-        for name in ("train", "evaluate_model", "init_heldout_and_model"):
+        for name in ("train", "evaluate_model", "heldout_corpus", "initial_model"):
             monkeypatch.setattr(trainer, name, lambda *a, name=name, **k: calls.append(name))
         argv = ["ablate", "--axis", axis, "--grid", grid, "--config", tiny_config(tmp_path), "--out", out_dir]
         assert cli.main(argv) == 2

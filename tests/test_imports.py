@@ -1,10 +1,11 @@
 """Every import in the package is used: a name imported at module or
 function scope must be read in that scope. A module's ``__all__`` counts as
 a read, and so does the package ``__init__``'s import at module scope, which
-is its public surface. The package declares no linter, so this is the
-check."""
+is its public surface. Every name a module exports in ``__all__`` is bound
+in it. The package declares no linter, so this is the check."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import apranking
@@ -54,6 +55,17 @@ def test_no_unused_imports():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_every_exported_name_is_bound():
+    # __main__ runs the CLI on import; neither it nor __init__ has an __all__
+    stale = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"apranking.{path.stem}")
+        stale[path.stem] = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert {name: names for name, names in stale.items() if names} == {}
 
 
 def test_the_check_sees_each_scope():

@@ -139,6 +139,26 @@ class TestScheduler:
         assert not np.array_equal(p.value, before)
 
 
+class TestConfigRanges:
+    # NaN fails every range check, so a NaN weight cannot drop its term
+    @pytest.mark.parametrize("cls, name, value", [
+        (LossWeights, "lambda_v", float("nan")), (LossWeights, "lambda_f", float("nan")),
+        (LossWeights, "lambda_v", float("inf")), (LossWeights, "lambda_s", -1.0),
+        (LossWeights, "tau_nce", 0.0), (LossWeights, "tau_nce", float("inf")),
+        (OptimizerConfig, "lr", float("nan")), (OptimizerConfig, "lr", float("inf")),
+        (OptimizerConfig, "weight_decay", float("inf")), (OptimizerConfig, "weight_decay", -1e-3),
+        (OptimizerConfig, "warmup_frac", float("nan")), (OptimizerConfig, "beta1", 1.0),
+        (OptimizerConfig, "beta2", -0.5), (OptimizerConfig, "eps", 0.0), (OptimizerConfig, "eps", float("nan")),
+    ])
+    def test_value_out_of_range_names_the_field(self, cls, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be .*, got {value}$"):
+            cls(**{name: value})
+
+    def test_range_ends_accepted(self):
+        LossWeights(lambda_v=0.0, lambda_f=0.0, lambda_s=0.0, tau_nce=1e-300)
+        OptimizerConfig(weight_decay=0.0, warmup_frac=0.0, beta1=0.0, beta2=0.0)
+
+
 class TestConfigRoundTrip:
     def test_round_trip_presets(self):
         for cfg in (easy_preset(seed=3), hard_preset(seed=4), TINY):
