@@ -10,8 +10,13 @@ bit.
 :func:`video_similarity` runs the pipeline on one clip pair and is the
 oracle; :func:`batch_similarity_matrix` reproduces it bitwise on a whole
 batch, running the gram and the spatial stage per tile of clip pairs and the
-refiner and the temporal stage once per block of query rows. Both top-K
-stages sum through the one top-K, :func:`topk_sum_values`. The training
+refiner and the temporal stage once per block of query rows. The engine
+allocates one workspace per call and every stage writes into it through the
+stages' optional ``out``/``work`` (and the refiner's ``padded``/``tap``)
+arguments, running the floating-point operations it runs without them, in
+the same order. Both top-K stages sum through the one top-K,
+:func:`topk_sum_values`, whose min/max passes replay a selection network
+built once per (extent, k). The training
 graph runs :func:`refine` and :func:`temporal_topk_chamfer` as nodes of
 their own; its fused spatial node divides by R*K, as
 :func:`spatial_topk_chamfer` does, and outside k = 1 sums through
@@ -20,6 +25,8 @@ their own; its fused spatial node divides by R*K, as
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +39,7 @@ __all__ = [
     "RefinerParams",
     "patch_similarity",
     "topk_count",
+    "topk_scratch",
     "topk_sum_values",
     "spatial_topk_chamfer",
     "chamfer_frame_similarity",
@@ -163,12 +171,55 @@ def topk_count(rate: float, extent: int) -> int:
     capped at the extent."""
     if extent < 1:
         raise ParameterError(f"extent must be positive, got {extent}")
-    if not (np.isfinite(rate) and 0.0 <= rate <= 1.0):
+    if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
-    return min(extent, max(1, int(np.floor(rate * extent + 0.5))))
+    return min(extent, max(1, math.floor(rate * extent + 0.5)))
 
 
-def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
+# slot of the output in a selection network's steps
+_OUT = -1
+
+
+@functools.lru_cache(maxsize=None)
+def _selection_network(extent: int, k: int):
+    """(steps, scratch, top) of topk_sum_values on an axis of 2 to
+    SELECT_MAX_EXTENT entries with k < extent: its k bubble passes as
+    (ufunc, x, y, dest) steps over slots, where slots 0 to extent - 1 are
+    the input columns, the next ``scratch`` slots are scratch arrays and
+    _OUT is the output; ``top`` are the slots of the k largest values,
+    descending. At k == 1 the chain of maxima runs in the output. Each
+    column position gets a scratch array of its own, plus one spare that
+    takes each maximum and then swaps places with the position it moved
+    to. Depends on its arguments only; at most SELECT_MAX_EXTENT**2 small
+    tuples are kept."""
+    if k == 1:
+        steps = [(np.maximum, 0, 1, _OUT)] + [(np.maximum, _OUT, j, _OUT) for j in range(2, extent)]
+        return tuple(steps), 0, (_OUT,)
+    cols = list(range(extent))  # slot holding each column position's value
+    scratch = list(range(extent, 2 * extent + 1))  # per position, then the spare
+    steps = []
+    for p in range(k):
+        for j in range(extent - 1 - p):
+            a, b = cols[j], cols[j + 1]
+            steps.append((np.maximum, a, b, scratch[-1]))
+            if p < k - 1:  # the last pass's minima are never summed
+                # in place: a is position j's own array or an input column
+                steps.append((np.minimum, a, b, scratch[j]))
+                cols[j] = scratch[j]
+            scratch[j + 1], scratch[-1] = scratch[-1], scratch[j + 1]
+            cols[j + 1] = scratch[j + 1]
+    return tuple(steps), extent + 1, tuple(cols[: -k - 1 : -1])
+
+
+def topk_scratch(extent: int, k: int) -> int:
+    """How many scratch arrays, shaped like the sums, topk_sum_values uses on
+    an axis of ``extent`` entries at this k."""
+    if k == extent or extent > SELECT_MAX_EXTENT:
+        return 0
+    return _selection_network(extent, k)[1]
+
+
+def topk_sum_values(values: np.ndarray, k: int, out=None, work=None) -> np.ndarray:
     """Sum of the k largest entries along the last axis: the one top-K, run
     by the batch engine and by the training graph's top-K stages.
 
@@ -182,45 +233,72 @@ def topk_sum_values(values: np.ndarray, k: int) -> np.ndarray:
     which are added from 0.0 in descending order, the order in which numpy
     reduces a contiguous row of fewer than 8 entries. Longer axes use
     ``np.max`` and a sort.
+
+    ``out`` receives the sums and must not overlap ``values``. ``work`` is
+    a sequence of at least :func:`topk_scratch` scratch arrays shaped like
+    the sums, for the min/max passes. Both are allocated when not given,
+    laid out as numpy lays out a ufunc's result on these columns; with both
+    given the min/max path allocates nothing.
     """
     values = np.asarray(values, dtype=np.float64)
     extent = values.shape[-1]
     if not 1 <= k <= extent:
         raise StructuralError(f"k={k} out of range for axis of length {extent}")
     if k == extent:
-        return values.sum(axis=-1)
+        return values.sum(axis=-1, out=out)
     if extent > SELECT_MAX_EXTENT:
         if k == 1:
-            return np.max(values, axis=-1)
+            return np.max(values, axis=-1, out=out)
         top = np.sort(values, axis=-1)[..., : -k - 1 : -1]  # k largest, descending
-        return np.ascontiguousarray(top).sum(axis=-1)
-    cols = [values[..., j] for j in range(extent)]
-    for p in range(k):
-        for j in range(extent - 1 - p):
-            hi = np.maximum(cols[j], cols[j + 1])
-            if p < k - 1:  # the last pass's minima are never summed
-                cols[j] = np.minimum(cols[j], cols[j + 1])
-            cols[j + 1] = hi
-    if k == 1:
-        return cols[-1]
-    total = 0.0
-    for col in cols[: -k - 1 : -1]:
-        total = total + col
-    return total
+        return np.ascontiguousarray(top).sum(axis=-1, out=out)
+    steps, scratch, top = _selection_network(extent, k)
+    if out is None:
+        out = np.empty_like(values[..., 0])
+    if work is None:
+        work = [np.empty_like(out) for _ in range(scratch)]
+    slots = [values[..., j] for j in range(extent)] + list(work[:scratch]) + [out]
+    for ufunc, x, y, dest in steps:
+        ufunc(slots[x], slots[y], out=slots[dest])
+    if k > 1:
+        np.add(0.0, slots[top[0]], out=out)
+        for slot in top[1:]:
+            np.add(out, slots[slot], out=out)
+    return out
 
 
-def spatial_topk_chamfer(sim: np.ndarray, k_s: float) -> np.ndarray:
+def spatial_topk_chamfer(sim: np.ndarray, k_s: float, out=None, work=None) -> np.ndarray:
     """Aggregate a (..., T, R, R', T') patch-similarity tensor over the
     candidate patch axis (top-K per query patch) and average over query
-    patches, producing the (..., T, T') frame-similarity matrices."""
+    patches, producing the (..., T, T') frame-similarity matrices.
+
+    ``out`` receives the frame matrices. ``work`` holds the stage's scratch
+    arrays, allocated when not given: the C-ordered (..., T, R, T') top-K
+    sums, a (..., T, T') accumulator, then the top-K's :func:`topk_scratch`
+    arrays shaped like the sums. With ``out`` given, the query patches are
+    added in the accumulator in the order numpy's sum takes them from such
+    sums (from 0.0, one after the other, or pairwise along a contiguous
+    axis of 8 or more patches when T' == 1), and divided into ``out``."""
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim < 4:
         raise StructuralError(f"expected a (..., T, R, R', T') tensor, got shape {sim.shape}")
     r, rc = sim.shape[-3], sim.shape[-2]
     k = topk_count(k_s, rc)
-    moved = np.moveaxis(sim, -2, -1)  # (..., T, R, T', R')
-    summed = topk_sum_values(moved, k)  # (..., T, R, T')
-    return summed.sum(axis=-2) / (r * k)
+    moved = sim.swapaxes(-1, -2)  # (..., T, R, T', R')
+    if out is None:
+        summed = topk_sum_values(moved, k)  # (..., T, R, T')
+        return summed.sum(axis=-2) / (r * k)
+    if work is None:
+        sums = moved.shape[:-1]
+        work = [np.empty(sums), np.empty(out.shape)] + [np.empty(sums) for _ in range(topk_scratch(rc, k))]
+    summed, acc = work[0], work[1]
+    topk_sum_values(moved, k, out=summed, work=work[2:])
+    if r >= 8 and summed.shape[-1] == 1:
+        np.add.reduce(summed, axis=-2, out=acc)
+    else:  # numpy's sum: from 0.0, one query patch after the other
+        np.add(0.0, summed[..., 0, :], out=acc)
+        for p in range(1, r):
+            np.add(acc, summed[..., p, :], out=acc)
+    return np.divide(acc, r * k, out=out)
 
 
 def chamfer_frame_similarity(sim: np.ndarray) -> np.ndarray:
@@ -238,17 +316,26 @@ def mean_frame_similarity(sim: np.ndarray) -> np.ndarray:
     return np.moveaxis(sim, 2, -1).sum(axis=-1).sum(axis=1) / (r * rc)
 
 
-def temporal_topk_chamfer(frame_sim: np.ndarray, k_t: float) -> float | np.ndarray:
+def temporal_topk_chamfer(frame_sim: np.ndarray, k_t: float, out=None, work=None) -> float | np.ndarray:
     """Video-level similarity: top-K of each query frame's row, averaged over
     frames and normalized by K. A (T, T') matrix gives a float; a
-    (..., T, T') stack gives an array over the leading axes."""
+    (..., T, T') stack gives an array over the leading axes, written into
+    ``out`` when given. ``work`` holds the (..., T) top-K sums, then the
+    top-K's :func:`topk_scratch` arrays shaped like them."""
     m = np.asarray(frame_sim, dtype=np.float64)
     if m.ndim < 2:
         raise StructuralError(f"expected a (..., T, T') matrix, got shape {m.shape}")
     t, tc = m.shape[-2], m.shape[-1]
     k = topk_count(k_t, tc)
-    out = topk_sum_values(m, k).sum(axis=-1) / (t * k)
-    return float(out) if m.ndim == 2 else out
+    if work is None:
+        summed = topk_sum_values(m, k)
+    else:
+        summed = topk_sum_values(m, k, out=work[0], work=work[1:])
+    if out is None:
+        out = summed.sum(axis=-1) / (t * k)
+        return float(out) if m.ndim == 2 else out
+    np.add.reduce(summed, axis=-1, out=out)
+    return np.divide(out, t * k, out=out)
 
 
 def temporal_mean(frame_sim: np.ndarray) -> float:
@@ -279,43 +366,70 @@ def average_pool_ceil(m: np.ndarray, stride: int) -> np.ndarray:
     return sums / np.outer(row_sizes, col_sizes)
 
 
+def _conv3x3_windows(h: int, w: int, stride: int) -> dict:
+    """Per kernel tap (a, b), the index of the strided window of an (h, w)
+    matrix's zero-bordered (h + 2, w + 2) copy that the tap multiplies."""
+    rows = [slice(a, a + (h - 1) // stride * stride + 1, stride) for a in range(3)]
+    cols = [slice(b, b + (w - 1) // stride * stride + 1, stride) for b in range(3)]
+    return {(a, b): (..., rows[a], cols[b]) for a in range(3) for b in range(3)}
+
+
 def conv3x3_taps(m: np.ndarray, stride: int):
     """(padded, windows): ``m`` zero-padded by 1 on its last two axes, and
-    per kernel tap (a, b) the index of the strided window of ``padded``
-    that the tap multiplies."""
+    its :func:`_conv3x3_windows`."""
     h, w = m.shape[-2], m.shape[-1]
     padded = np.zeros(m.shape[:-2] + (h + 2, w + 2), dtype=np.float64)
     padded[..., 1 : h + 1, 1 : w + 1] = m
-    rows = [slice(a, a + (h - 1) // stride * stride + 1, stride) for a in range(3)]
-    cols = [slice(b, b + (w - 1) // stride * stride + 1, stride) for b in range(3)]
-    return padded, {(a, b): (..., rows[a], cols[b]) for a in range(3) for b in range(3)}
+    return padded, _conv3x3_windows(h, w, stride)
 
 
-def conv3x3(m: np.ndarray, weights: np.ndarray, bias: float, stride: int) -> np.ndarray:
+def conv3x3(
+    m: np.ndarray, weights: np.ndarray, bias: float, stride: int, out=None, padded=None, tap=None
+) -> np.ndarray:
     """Single-channel 3x3 convolution with zero padding 1 and the given
-    stride over the last two axes of ``m``."""
-    padded, windows = conv3x3_taps(m, stride)
-    out = np.full(padded[windows[0, 0]].shape, bias, dtype=np.float64)
-    tap = np.empty_like(out)
+    stride over the last two axes of ``m``.
+
+    ``padded``, when given, is a zero-bordered (..., h + 2, w + 2) buffer
+    whose interior is ``m``; the taps then read their windows from it and
+    no padded copy is made. ``out`` and ``tap`` are buffers of the output's
+    shape, allocated when not given."""
+    h, w = m.shape[-2], m.shape[-1]
+    if padded is None:
+        padded, windows = conv3x3_taps(m, stride)
+    elif padded.shape != m.shape[:-2] + (h + 2, w + 2):
+        raise StructuralError(f"padded buffer {padded.shape} does not border {m.shape}")
+    else:
+        windows = _conv3x3_windows(h, w, stride)
+    if out is None:
+        out = np.empty(padded[windows[0, 0]].shape, dtype=np.float64)
+    if tap is None:
+        tap = np.empty_like(out)
+    out.fill(bias)
     for (a, b), win in windows.items():
         out += np.multiply(weights[a, b], padded[win], out=tap)
     return out
 
 
-def refine(frame_sim: np.ndarray, r: RefinerParams) -> np.ndarray:
+def refine(frame_sim: np.ndarray, r: RefinerParams, out=None, padded=None, tap=None) -> np.ndarray:
     """Apply the refiner to a frame-similarity matrix.
 
     identity: the input, unchanged. affine: stride-s average pooling, then
     scale * m + bias hard-clamped to [-1, 1]. conv: one 3x3 convolution with
     the stride folded in, then tanh. Outputs of all kinds stay in [-1, 1].
+    ``out`` receives the affine and conv outputs; ``padded`` and ``tap`` are
+    passed to :func:`conv3x3`.
     """
     m = np.asarray(frame_sim, dtype=np.float64)
     if r.kind == "identity":
         return m
     if r.kind == "affine":
         pooled = average_pool_ceil(m, r.downsample)
-        return np.clip(r.scale * pooled + r.bias, -1.0, 1.0)
-    out = conv3x3(m, r.conv_weights, r.conv_bias, r.downsample)
+        if out is None:
+            return np.clip(r.scale * pooled + r.bias, -1.0, 1.0)
+        np.multiply(r.scale, pooled, out=out)
+        np.add(out, r.bias, out=out)
+        return np.clip(out, -1.0, 1.0, out=out)
+    out = conv3x3(m, r.conv_weights, r.conv_bias, r.downsample, out=out, padded=padded, tap=tap)
     return np.tanh(out, out=out)
 
 
@@ -330,6 +444,23 @@ def video_similarity(
     frame = spatial_topk_chamfer(sim, params.k_s)
     refined = refine(frame, refiner)
     return temporal_topk_chamfer(refined, params.k_t)
+
+
+def _tile_views(q: int, c: int, t: int, r: int, slab, laid, spatial_bufs):
+    """(gram, cosines, sim, work): views of batch_similarity_matrix's
+    workspace for a tile of q query clips against c candidate clips. The
+    gram on the slab; the same cosines as (q, c, T, R, R', T'); what the
+    spatial stage reads, which is the cosines themselves or, with ``laid``
+    (K = R'), their copy laid out pair by pair as patch_similarity lays them
+    out, because the plain sum over R' adds in memory order (top-K and max
+    do not care); and the stage's work arrays."""
+    gram = slab[: q * c * (t * r) ** 2].reshape(q, c, t * r, t * r)
+    cosines = gram.reshape(q, c, t, r, t, r).swapaxes(-1, -2)
+    sim = cosines if laid is None else laid[: cosines.size].reshape(cosines.shape)
+    sums, acc = (q, c, t, r, t), (q, c, t, t)
+    shapes = [sums, acc] + [sums] * (len(spatial_bufs) - 2)
+    work = [buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(spatial_bufs, shapes)]
+    return gram, cosines, sim, work
 
 
 def batch_similarity_matrix(
@@ -352,7 +483,15 @@ def batch_similarity_matrix(
     cosines differently on some BLAS kernels. Per block of whole query tiles,
     whose frame buffer holds at most SLAB_BYTES (or one query tile, if that
     is larger), the refiner and the temporal stage then run once with the
-    clip pair as leading axes.
+    clip pair as leading axes, writing into the output's rows.
+
+    Every stage writes into one workspace allocated here, for this call
+    only: the query copy, the gram slab, the spatial top-K's sums,
+    accumulator and scratch, the frame block (zero-bordered for the conv
+    refiner, whose taps read from it in place), the refiner's output and
+    tap buffers and the temporal top-K's sums and scratch. A partial tile or
+    block uses the start of each buffer; the views a tile needs are made
+    once per tile shape.
     """
     if len(batch) == 0:
         raise StructuralError("batch must be nonempty")
@@ -365,24 +504,47 @@ def batch_similarity_matrix(
     pairs = max(1, SLAB_BYTES // (8 * (t * r) ** 2))
     cand_tile = min(n, pairs)
     query_tile = min(n, max(1, pairs // cand_tile))
-    rows = max(1, SLAB_BYTES // (8 * n * t * t) // query_tile) * query_tile
-    frames = np.empty((min(n, rows), n, t, t), dtype=np.float64)
-    contiguous = topk_count(params.k_s, r) == r
+    rows = min(n, max(1, SLAB_BYTES // (8 * n * t * t) // query_tile) * query_tile)
+    k_s = topk_count(params.k_s, r)
+    contiguous = k_s == r
+
+    # the workspace; a partial tile or block uses the start of each buffer
+    query = np.empty((query_tile, t * r, d))
+    slab = np.empty(query_tile * cand_tile * (t * r) ** 2)
+    laid = np.empty_like(slab) if contiguous else None
+    spatial_bufs = np.empty((2 + topk_scratch(r, k_s), query_tile * cand_tile * t * r * t))
+    border = 1 if refiner.kind == "conv" else 0
+    frames = np.zeros((rows, n, t + 2 * border, t + 2 * border))
+    interior = frames[..., border : border + t, border : border + t]
+    tr = len(pool_windows(t, refiner.downsample)[0])  # refined frames per side
+    refine_bufs = {}
+    if refiner.kind != "identity":
+        refine_bufs["out"] = np.empty((rows, n, tr, tr))
+    if border:
+        refine_bufs.update(padded=frames, tap=np.empty((rows, n, tr, tr)))
+    temporal_bufs = np.empty((1 + topk_scratch(tr, topk_count(params.k_t, tr)), rows * n * tr))
+    cand_tiles = [units[c0 : c0 + cand_tile].transpose(0, 2, 1)[None] for c0 in range(0, n, cand_tile)]
+    tiles = {}  # (query clips, candidate clips) -> _tile_views
+
     out = np.empty((n, n), dtype=np.float64)
     for b0 in range(0, n, rows):
-        block = frames[: n - b0]
-        for q0 in range(0, len(block), query_tile):
+        m = min(rows, n - b0)
+        for q0 in range(0, m, query_tile):
             # a buffer of its own: numpy sends the product of a matrix with
             # its own transpose (the diagonal pairs) to syrk, not to the
             # per-pair gemm
-            query = units[b0 + q0 : b0 + q0 + query_tile].copy()
-            for c0 in range(0, n, cand_tile):
-                gram = np.matmul(query[:, None], units[c0 : c0 + cand_tile].transpose(0, 2, 1)[None])
-                sim = gram.reshape(len(query), -1, t, r, t, r).swapaxes(-1, -2)  # (q, c, T, R, R', T')
-                if contiguous:
-                    # the plain sum over R' adds in memory order: lay each pair
-                    # out as patch_similarity does (top-K and max do not care)
-                    sim = np.ascontiguousarray(sim)
-                block[q0 : q0 + query_tile, c0 : c0 + cand_tile] = spatial_topk_chamfer(sim, params.k_s)
-        out[b0 : b0 + len(block)] = temporal_topk_chamfer(refine(block, refiner), params.k_t)
+            qv = query[: min(query_tile, m - q0)]
+            np.copyto(qv, units[b0 + q0 : b0 + q0 + len(qv)])
+            for c0, cands in zip(range(0, n, cand_tile), cand_tiles):
+                q, c = len(qv), cands.shape[1]
+                if (q, c) not in tiles:
+                    tiles[q, c] = _tile_views(q, c, t, r, slab, laid, spatial_bufs)
+                gram, cosines, sim, work = tiles[q, c]
+                np.matmul(qv[:, None], cands, out=gram)
+                if sim is not cosines:
+                    np.copyto(sim, cosines)
+                spatial_topk_chamfer(sim, params.k_s, out=interior[q0 : q0 + q, c0 : c0 + c], work=work)
+        block = refine(interior[:m], refiner, **{key: buf[:m] for key, buf in refine_bufs.items()})
+        temporal_work = [buf[: m * n * tr].reshape(m, n, tr) for buf in temporal_bufs]
+        temporal_topk_chamfer(block, params.k_t, out=out[b0 : b0 + m], work=temporal_work)
     return out

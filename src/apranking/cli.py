@@ -520,14 +520,18 @@ _AXIS_FIELDS = {
 def _override_axis(cfg, axis: str, entry: str):
     """(row value, config) of one ablate grid entry: the entry as a float
     set in the axis's field, or for ``rates`` the rt:rb entry itself with
-    both label rates set. A bad entry raises ValueError."""
+    both label rates set, which must not overlap on a clip's frames when the
+    frame loss is on. A bad entry raises ValueError."""
     from dataclasses import replace
 
     if axis == "rates":
         if entry.count(":") != 1:
             raise ValueError("expected rt:rb")
         rt, rb = entry.split(":")
-        return entry, replace(cfg, rates=replace(cfg.rates, r_t=float(rt), r_b=float(rb)))
+        run = replace(cfg, rates=replace(cfg.rates, r_t=float(rt), r_b=float(rb)))
+        if run.weights.lambda_f > 0:  # the frame loss labels each clip's frames at these rates
+            run.rates.counts(run.synthetic.frames)
+        return entry, run
     value = float(entry)
     group, name = _AXIS_FIELDS[axis]
     return value, replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})

@@ -19,6 +19,7 @@ import math
 import os
 import tempfile
 import traceback
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -44,7 +45,7 @@ from .metrics import MetricReport, evaluate_retrieval
 from .model import Model, eval_similarity_matrix, forward_similarity, init_model
 from .pseudolabels import LabelRates, pseudo_label_indices, teacher_frame_similarities
 from .ranking import RelevanceMatrix
-from .synthetic import AugmentToggles, SyntheticConfig, generate_corpus
+from .synthetic import SyntheticConfig, generate_corpus
 
 __all__ = [
     "LossWeights",
@@ -193,6 +194,8 @@ class TrainConfig:
             )
         if self.iterations < 0:
             raise ParameterError("iterations must be nonnegative")
+        if self.eval_every < 0:
+            raise ParameterError(f"eval_every must be nonnegative, got {self.eval_every}")
         if self.groups_per_batch < 1 or self.clips_per_group < 1:
             raise ParameterError("batch composition must be positive")
         if self.weights.lambda_f > 0 and self.downsample != 1:
@@ -574,35 +577,41 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-def _build(cls, payload: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - names
+# JSON value types a config field of each annotated type takes; a JSON
+# bool is a Python int, so the numeric fields exclude it by name
+_JSON_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _build(cls, payload, path: str):
+    """``cls`` from the JSON object ``payload`` found at ``path``, nested
+    configs built from their own objects; a value of the wrong JSON type
+    raises ParameterError naming its path."""
+    if not isinstance(payload, dict):
+        raise ParameterError(f"{path} must be an object, got {json.dumps(payload, default=repr)}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ParameterError(f"unknown config keys at {path}: {sorted(unknown)}")
-    return cls(**payload)
+    values = {}
+    for name, value in payload.items():
+        where = name if path == "<root>" else f"{path}.{name}"
+        if dataclasses.is_dataclass(hints[name]):
+            values[name] = _build(hints[name], value, where)
+            continue
+        kind, accepts = _JSON_TYPES[hints[name]]
+        if not accepts(value):
+            raise ParameterError(f"{where} must be {kind}, got {json.dumps(value, default=repr)}")
+        values[name] = value
+    return cls(**values)
 
 
 def config_from_dict(payload: dict) -> TrainConfig:
-    """Validate and build a TrainConfig from a plain (JSON) dict; unknown keys
-    and out-of-domain values raise ParameterError naming the offending path."""
-    payload = dict(payload)
-    built = {}
-    nested = {
-        "synthetic": SyntheticConfig,
-        "heldout": HeldoutConfig,
-        "agg": AggregationParams,
-        "qlap_video": QuadLinearParams,
-        "qlap_frame": QuadLinearParams,
-        "smooth": SmoothApParams,
-        "rates": LabelRates,
-        "weights": LossWeights,
-        "optimizer": OptimizerConfig,
-    }
-    for key, cls in nested.items():
-        if key in payload:
-            sub = dict(payload.pop(key))
-            if key == "synthetic" and "augment" in sub:
-                sub["augment"] = _build(AugmentToggles, dict(sub["augment"]), "synthetic.augment")
-            built[key] = _build(cls, sub, key)
-    built.update(payload)
-    return _build(TrainConfig, built, "<root>")
+    """Validate and build a TrainConfig from a plain (JSON) dict; unknown
+    keys, values of the wrong JSON type and out-of-domain values raise
+    ParameterError, the first two naming the offending path."""
+    return _build(TrainConfig, payload, "<root>")

@@ -469,10 +469,10 @@ class TestEngineMatchesOracle:
         for name, seen in calls.items():
             real, pair_ndim = getattr(aggregation, name), (4 if name == "spatial_topk_chamfer" else 2)
 
-            def wrapped(x, *args, real=real, seen=seen, pair_ndim=pair_ndim):
+            def wrapped(x, *args, real=real, seen=seen, pair_ndim=pair_ndim, **kwargs):
                 if np.ndim(x) > pair_ndim:
                     seen.append(np.shape(x)[:-pair_ndim])
-                return real(x, *args)
+                return real(x, *args, **kwargs)
 
             monkeypatch.setattr(aggregation, name, wrapped)
         return calls
@@ -519,3 +519,156 @@ class TestEngineMatchesOracle:
         batch_similarity_matrix(clips, AggregationParams(0.5, 0.3), REFINERS["conv"])
         assert len(calls["spatial_topk_chamfer"]) == 96
         assert calls["refine"] == calls["temporal_topk_chamfer"] == [(10, 48)] * 4 + [(8, 48)]
+
+
+def poison_allocations(monkeypatch):
+    """Make np.empty and np.empty_like fill float arrays with NaN, so that a
+    read of an entry nobody wrote shows in the result."""
+    real_empty, real_empty_like = np.empty, np.empty_like
+
+    def nan_filled(x):
+        if x.dtype.kind == "f":
+            x.fill(np.nan)
+        return x
+
+    monkeypatch.setattr(np, "empty", lambda *a, **k: nan_filled(real_empty(*a, **k)))
+    monkeypatch.setattr(np, "empty_like", lambda *a, **k: nan_filled(real_empty_like(*a, **k)))
+
+
+class TestStageBuffers:
+    """Each stage writes the same bits into given ``out`` and ``work``
+    buffers as into fresh arrays, and reads no entry of them it has not
+    written: the buffers start as NaN."""
+
+    def test_topk_sum_values(self):
+        rng = np.random.default_rng(40)
+        for extent in range(1, 13):
+            for k in range(1, extent + 1):
+                for _ in range(4):
+                    values = tied_values(rng, extent)
+                    out = np.full(values.shape[:-1], np.nan)
+                    work = [np.full_like(out, np.nan) for _ in range(aggregation.topk_scratch(extent, k) + 1)]
+                    got = topk_sum_values(values, k, out=out, work=work)
+                    assert got is out and same_bits(got, topk_sum_values(values, k)), (values, k)
+
+    @pytest.mark.parametrize("t, r", [(1, 1), (1, 5), (1, 8), (1, 9), (1, 12), (2, 8), (3, 4), (4, 9), (5, 3)])
+    def test_spatial_topk_chamfer(self, t, r):
+        # T' == 1 and R >= 8 is where numpy sums the query patches pairwise
+        rng = np.random.default_rng(41)
+        for rc in (1, 2, 4, 8, 9):
+            sim = np.round(rng.uniform(-1, 1, size=(2, 3, t, r, rc, t)), 1)
+            sim = np.where(rng.random(sim.shape) < 0.2, -0.0, sim)
+            for k_s in (0.0, 0.3, 0.5, 1.0):
+                k = topk_count(k_s, rc)
+                out = np.full((2, 3, t, t), np.nan)
+                sums = np.full((2, 3, t, r, t), np.nan)
+                work = [sums, np.full_like(out, np.nan)]
+                work += [np.full_like(sums, np.nan) for _ in range(aggregation.topk_scratch(rc, k))]
+                expected = spatial_topk_chamfer(sim, k_s)
+                got = spatial_topk_chamfer(sim, k_s, out=out, work=work)
+                assert got is out and same_bits(got, expected), (rc, k_s)
+                assert same_bits(spatial_topk_chamfer(sim, k_s, out=np.full_like(out, np.nan)), expected)
+
+    def test_temporal_topk_chamfer(self):
+        rng = np.random.default_rng(42)
+        for t in (1, 3, 8, 9, 12):
+            frames = np.round(rng.uniform(-1, 1, size=(4, 5, t, t)), 1)
+            for k_t in (0.0, 0.3, 0.5, 1.0):
+                k = topk_count(k_t, t)
+                out = np.full((4, 5), np.nan)
+                work = [np.full((4, 5, t), np.nan) for _ in range(1 + aggregation.topk_scratch(t, k))]
+                got = temporal_topk_chamfer(frames, k_t, out=out, work=work)
+                assert got is out and same_bits(got, temporal_topk_chamfer(frames, k_t)), (t, k_t)
+
+    @pytest.mark.parametrize("refiner", [REFINERS["affine"], REFINERS["affine-s2"], REFINERS["conv"],
+                                         REFINERS["conv-s2"], RefinerParams(kind="conv", downsample=3)])
+    def test_refine_into_buffers(self, refiner):
+        rng = np.random.default_rng(43)
+        for t in (1, 2, 5, 8):
+            frames = rng.uniform(-1, 1, size=(3, 4, t, t))
+            padded = np.zeros((3, 4, t + 2, t + 2))
+            padded[..., 1:-1, 1:-1] = frames
+            tr = len(aggregation.pool_windows(t, refiner.downsample)[0])
+            out = np.full((3, 4, tr, tr), np.nan)
+            if refiner.kind == "conv":
+                got = refine(padded[..., 1:-1, 1:-1], refiner, out=out, padded=padded, tap=np.full_like(out, np.nan))
+            else:
+                got = refine(frames, refiner, out=out)
+            assert got is out and same_bits(got, refine(frames, refiner)), (t, refiner)
+
+    def test_conv_rejects_a_buffer_that_does_not_border_the_input(self):
+        with pytest.raises(StructuralError):
+            aggregation.conv3x3(np.zeros((2, 4, 4)), np.ones((3, 3)), 0.0, 1, padded=np.zeros((2, 5, 6)))
+
+
+class TestEngineWorkspace:
+    """batch_similarity_matrix allocates its workspace per call: nothing
+    survives a call, and its memory does not grow with the batch beyond the
+    (n, n) output and the stack of unit patches."""
+
+    def test_no_state_survives_a_call(self, monkeypatch):
+        # 7 and then 5 clips against 1x3 tiles in blocks of 2 query rows: the
+        # last tile of each row and the last block of each call are partial
+        t, r = 4, 3
+        monkeypatch.setattr(aggregation, "SLAB_BYTES", 3 * 8 * (t * r) ** 2)
+        poison_allocations(monkeypatch)
+        rng = np.random.default_rng(44)
+        first = [random_embeddings(rng, t, r, 6) for _ in range(7)]
+        second = [PatchEmbeddings(c.data[::-1] * 2.0) for c in first[:5]]
+        for refiner in (REFINERS["identity"], REFINERS["conv"], REFINERS["affine-s2"]):
+            for rates in ((0.5, 0.5), (0.0, 1.0), (1.0, 0.3)):
+                params = AggregationParams(*rates)
+                before = batch_similarity_matrix(first, params, refiner)
+                other = batch_similarity_matrix(second, params, refiner)
+                after = batch_similarity_matrix(first, params, refiner)
+                assert same_bits(before, after)
+                for clips, got in ((first, before), (second, other)):
+                    expected = [[video_similarity(a, b, params, refiner) for b in clips] for a in clips]
+                    assert same_bits(got, np.array(expected)), (refiner, rates)
+
+    def test_one_frame_many_patches(self):
+        # T' == 1 with R >= 8: the query patches are summed pairwise, as numpy
+        # sums a contiguous axis of 8 or more entries
+        rng = np.random.default_rng(45)
+        for r in (8, 9, 12):
+            clips = [random_embeddings(rng, 1, r, 5) for _ in range(4)]
+            for k_s in (0.0, 0.3, 0.5, 1.0):
+                TestEngineMatchesOracle.assert_matches(clips, AggregationParams(k_s, 0.5), REFINERS["conv"])
+
+    def test_peak_memory_grows_with_output_and_units_only(self):
+        # the eval-sweep shape: clips of 8 frames x 4 patches x 16 dims, a conv
+        # refiner and each temporal top-K path
+        import tracemalloc
+
+        rng = np.random.default_rng(46)
+        refiner = RefinerParams(kind="conv", conv_weights=np.linspace(-1, 1, 9).reshape(3, 3))
+        clips = [PatchEmbeddings(rng.standard_normal((8, 4, 16))) for _ in range(96)]
+        for k_t in (0.03, 0.3, 1.0):
+            peaks = {}
+            for n in (48, 96):
+                tracemalloc.start()
+                try:
+                    batch_similarity_matrix(clips[:n], AggregationParams(0.5, k_t), refiner)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            grown = 8 * (96 * 96 - 48 * 48) + 8 * (96 - 48) * 8 * 4 * 16
+            assert peaks[96] - peaks[48] <= grown + (16 << 10), (k_t, peaks)
+
+    def test_conv_block_makes_no_block_sized_array(self):
+        # refine on its own pads a copy of the block and allocates its output
+        # and a tap buffer (957 KB at peak on this 250 KB block); the engine's
+        # call, into its workspace, allocates none of them
+        import tracemalloc
+
+        rng = np.random.default_rng(47)
+        padded = np.zeros((5, 100, 10, 10))
+        padded[..., 1:-1, 1:-1] = rng.uniform(-1, 1, size=(5, 100, 8, 8))
+        out, tap = np.empty((5, 100, 8, 8)), np.empty((5, 100, 8, 8))
+        tracemalloc.start()
+        try:
+            refine(padded[..., 1:-1, 1:-1], REFINERS["conv"], out=out, padded=padded, tap=tap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes // 2

@@ -14,9 +14,14 @@ from apranking.tensorio import write_tensors
 CLI = [sys.executable, "-m", "apranking.cli"]
 
 
-def run_cli(args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd, env=env)
+def run_cli(args, cwd, **env):
+    """The CLI in a fresh interpreter, with ``env`` added to the environment."""
+    return run_python(CLI[1:] + args, cwd, **env)
+
+
+def run_python(args, cwd, **env):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, cwd=cwd, env=env)
 
 
 @pytest.fixture
@@ -199,6 +204,33 @@ class TestTrain:
         res = run_cli(["train", "--config", path, "--iterations", "1", "--out", out_dir] + extra, tmp_path)
         assert res.returncode == 2, res.stderr
         assert f"error: {named} must be" in res.stderr and "Traceback" not in res.stderr
+        assert not os.path.exists(out_dir)
+
+    # a legal-looking value of the wrong JSON type, or a negative eval_every,
+    # is a config error naming its field: not a traceback, not a different run
+    @pytest.mark.parametrize("field, value, message", [
+        ("optimizer.beta1", "0.9", 'optimizer.beta1 must be a number, got "0.9"'),
+        ("synthetic.frames", "8", 'synthetic.frames must be an integer, got "8"'),
+        ("iterations", 2.5, "iterations must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("weights", None, "weights must be an object, got null"),
+        ("eval_every", -1, "eval_every must be nonnegative, got -1"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, out_dir, capsys, field, value, message):
+        from apranking import cli
+
+        path = tiny_config(tmp_path)
+        payload = json.load(open(path))
+        *groups, name = field.split(".")
+        target = payload
+        for group in groups:
+            target = target[group]
+        target[name] = value
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert cli.main(["train", "--config", path, "--out", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
         assert not os.path.exists(out_dir)
 
     def test_bad_config_exits_2(self, tmp_path, out_dir):
@@ -632,6 +664,22 @@ class TestAblate:
         assert f"error: {axis} grid entry {bad!r}: " in capsys.readouterr().err
         assert calls == [] and not os.path.exists(out_dir)
 
+    def test_overlapping_rates_exit_2_before_anything_runs(self, tmp_path, out_dir, capsys, monkeypatch):
+        # each rate is legal alone; together they overlap on the 5 frames the
+        # frame loss labels, which the grid check sees before any training
+        from apranking import cli, trainer
+
+        def train(*args, **kwargs):
+            raise AssertionError("ablate trained before it checked the grid")
+
+        monkeypatch.setattr(trainer, "train", train)
+        argv = ["ablate", "--axis", "rates", "--grid", "0.3:0.3,0.6:0.6", "--config", tiny_config(tmp_path),
+                "--out", out_dir]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: rates grid entry '0.6:0.6': rates (0.6, 0.6) overlap on 5 candidates\n"
+        assert not os.path.exists(out_dir)
+
     def test_empty_grid_exits_2(self, tmp_path, out_dir):
         res = run_cli(["ablate", "--axis", "k_t", "--grid", ",", "--out", out_dir], tmp_path)
         assert res.returncode == 2
@@ -639,3 +687,47 @@ class TestAblate:
     def test_unknown_axis_exits_2(self, tmp_path, out_dir):
         res = run_cli(["ablate", "--axis", "bogus", "--grid", "1", "--out", out_dir], tmp_path)
         assert res.returncode == 2
+
+
+class TestOneBlasThread:
+    """The benchmark pins BLAS to one thread, while these tests run OpenBLAS
+    at its default thread count. The engine's fast path and a deterministic
+    eval are checked here under the benchmark's setting as well."""
+
+    ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+    def test_engine_matches_oracle(self, tmp_path):
+        # the eval-sweep shape and refiner, on a batch with a partial last
+        # tile and a partial last block, against the per-pair oracle
+        script = tmp_path / "engine_vs_oracle.py"
+        script.write_text(
+            "import os\n"
+            "import numpy as np\n"
+            "from apranking.aggregation import (AggregationParams, PatchEmbeddings, RefinerParams,\n"
+            "                                   batch_similarity_matrix, video_similarity)\n"
+            "rng = np.random.default_rng(50)\n"
+            "clips = [PatchEmbeddings(rng.standard_normal((8, 4, 16))) for _ in range(36)]\n"
+            "refiner = RefinerParams(kind='conv', conv_weights=np.linspace(-1, 1, 9).reshape(3, 3))\n"
+            "for k_t in (0.03, 0.3, 1.0):\n"
+            "    params = AggregationParams(0.5, k_t)\n"
+            "    got = batch_similarity_matrix(clips, params, refiner)\n"
+            "    want = np.array([[video_similarity(a, b, params, refiner) for b in clips] for a in clips])\n"
+            "    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), k_t\n"
+            "print('threads', os.environ['OPENBLAS_NUM_THREADS'], 'ok')\n"
+        )
+        res = run_python([str(script)], tmp_path, **self.ENV)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "threads 1 ok\n"
+
+    def test_deterministic_eval_pinned(self, tmp_path, out_dir):
+        import hashlib
+
+        path = tmp_path / "input.scores"
+        TestEval._tied_score_file(path)
+        res = run_cli(["eval", "--scores", str(path), "--verify", "--deterministic", "--out", out_dir], tmp_path,
+                      **self.ENV)
+        assert res.returncode == 0, res.stderr
+        report = json.load(open(os.path.join(out_dir, "eval_report.json")))
+        digest = hashlib.sha256(open(os.path.join(out_dir, "eval_per_query.csv"), "rb").read()).hexdigest()
+        got = (digest, report["map"], report["micro_ap"], report["num_queries"], report["num_skipped"])
+        assert got == TestEval.PINNED["scores"] and report["verify"]["pass"] is True

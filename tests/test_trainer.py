@@ -171,6 +171,30 @@ class TestConfigRoundTrip:
         with pytest.raises(ParameterError, match="synthetic"):
             config_from_dict(payload)
 
+    def test_json_types_checked_per_field(self):
+        # an int field takes no bool or float, a float field takes an int,
+        # a bool field only a bool, a nested config only an object
+        for field, value, ok in [
+            (("iterations",), True, False), (("iterations",), 3.0, False), (("iterations",), 3, True),
+            (("margin",), 1, True), (("margin",), False, False), (("margin",), "0.2", False),
+            (("synthetic", "augment", "reverse"), 1, False), (("synthetic", "augment", "reverse"), True, True),
+            (("video_loss",), 1, False), (("rates",), [0.3, 0.3], False), (("synthetic", "augment"), None, False),
+        ]:
+            payload = config_to_dict(TINY)
+            target = payload
+            for name in field[:-1]:
+                target = target[name]
+            target[field[-1]] = value
+            if ok:
+                config_from_dict(payload)
+            else:
+                with pytest.raises(ParameterError, match="^" + ".".join(field) + " must be "):
+                    config_from_dict(payload)
+
+    def test_root_must_be_an_object(self):
+        with pytest.raises(ParameterError, match="must be an object"):
+            config_from_dict([1, 2])
+
     def test_bad_value_rejected(self):
         payload = config_to_dict(TINY)
         payload["video_loss"] = "nonsense"
