@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, StructuralError
+from .errors import DegenerateInputError, ParameterError, StructuralError, check_range
 
 __all__ = [
     "PatchEmbeddings",
@@ -103,9 +103,7 @@ class AggregationParams:
     k_t: float = 0.03
 
     def __post_init__(self):
-        for name, v in (("k_s", self.k_s), ("k_t", self.k_t)):
-            if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+        check_range("in [0, 1]", k_s=self.k_s, k_t=self.k_t)
 
 
 @dataclass(frozen=True)
@@ -169,10 +167,8 @@ def patch_similarity(a: PatchEmbeddings, b: PatchEmbeddings) -> np.ndarray:
 def topk_count(rate: float, extent: int) -> int:
     """Resolve a top-K rate to an integer count: round half up, floored at 1,
     capped at the extent."""
-    if extent < 1:
-        raise ParameterError(f"extent must be positive, got {extent}")
-    if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
-        raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+    check_range("an integer >= 1", extent=extent)
+    check_range("in [0, 1]", rate=rate)
     return min(extent, max(1, math.floor(rate * extent + 0.5)))
 
 

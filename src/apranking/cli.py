@@ -223,7 +223,7 @@ def cmd_bench_loss(args) -> int:
     import numpy as np
 
     from . import losses as L
-    from .errors import ParameterError
+    from .errors import ParameterError, check_range
     from .gradcheck import max_gradient_error, random_safe_context
     from .tensorio import write_csv, write_json_report
 
@@ -236,12 +236,14 @@ def cmd_bench_loss(args) -> int:
     if not (np.isfinite(gaps).all() and args.gap_step > 0 and args.gap_max >= args.gap_min and args.seeds >= 1):
         raise ParameterError(f"bench-loss needs finite --gap-min <= --gap-max, --gap-step > 0 and --seeds >= 1; "
                              f"got {gaps} and {args.seeds} seeds")
+    ql, sm = L.QuadLinearParams(args.delta, args.rho), L.SmoothApParams(args.tau)
+    check_range("nonnegative", margin=args.margin)
     out = _ensure_out(args)
 
     grid = np.arange(args.gap_min, args.gap_max + 1e-12, args.gap_step)
     curve_fns = {
-        "quadlinear": lambda x: (L.r_minus(x, args.delta), L.r_minus_grad(x, args.delta)),
-        "smooth": lambda x: (L.sigmoid_surrogate(x, args.tau), L.sigmoid_surrogate_grad(x, args.tau)),
+        "quadlinear": lambda x: (L.r_minus(x, ql.delta), L.r_minus_grad(x, ql.delta)),
+        "smooth": lambda x: (L.sigmoid_surrogate(x, sm.tau), L.sigmoid_surrogate_grad(x, sm.tau)),
         "heaviside": lambda x: (L.r_plus(x), 0.0),
         "triplet": lambda x: (max(0.0, x + args.margin), 1.0 if x + args.margin > 0 else 0.0),
         "contrastive": lambda x: (max(0.0, x - args.margin), 1.0 if x - args.margin > 0 else 0.0),
@@ -258,13 +260,13 @@ def cmd_bench_loss(args) -> int:
 
     # the headline contrast: constant-slope quad-linear vs vanished sigmoid
     contrast_gap = 0.5
-    ql_grad = L.r_minus_grad(contrast_gap, args.delta)
-    sg_grad = L.sigmoid_surrogate_grad(contrast_gap, args.tau)
+    ql_grad = L.r_minus_grad(contrast_gap, ql.delta)
+    sg_grad = L.sigmoid_surrogate_grad(contrast_gap, sm.tau)
     ratio = float("inf") if sg_grad == 0.0 else ql_grad / sg_grad
 
     context_losses = {
-        "quadlinear": functools.partial(L.quadlinear_ap_risk_rows, p=L.QuadLinearParams(args.delta, args.rho)),
-        "smooth": functools.partial(L.smooth_ap_risk_rows, p=L.SmoothApParams(args.tau)),
+        "quadlinear": functools.partial(L.quadlinear_ap_risk_rows, p=ql),
+        "smooth": functools.partial(L.smooth_ap_risk_rows, p=sm),
         "triplet": functools.partial(L.triplet_loss_rows, margin=args.margin),
         "contrastive": functools.partial(L.contrastive_loss_rows, margin=args.margin),
     }
@@ -276,11 +278,11 @@ def cmd_bench_loss(args) -> int:
         for s in range(args.seeds):
             rng = np.random.default_rng(_seed(args) + 1000 * s)
             contexts.append(
-                random_safe_context(rng, 3, 5, breakpoints=(0.0, -args.delta, -args.margin)))
+                random_safe_context(rng, 3, 5, breakpoints=(0.0, -ql.delta, -args.margin)))
         checks[name] = max_gradient_error(context_losses[name], contexts)
 
     report = _stamp(args, {
-        "params": {"delta": args.delta, "rho": args.rho, "tau": args.tau, "margin": args.margin},
+        "params": {"delta": ql.delta, "rho": ql.rho, "tau": sm.tau, "margin": args.margin},
         "curves": files,
         "gradient_contrast": {
             "gap": contrast_gap,
@@ -603,6 +605,7 @@ def main(argv=None) -> int:
         ParameterError,
         StructuralError,
         UndefinedMetricError,
+        check_range,
     )
 
     commands = {
@@ -612,6 +615,7 @@ def main(argv=None) -> int:
         "ablate": cmd_ablate,
     }
     try:
+        check_range("nonnegative", seed=_seed(args))
         return commands[args.command](args)
     except (ParameterError, StructuralError, DegenerateInputError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, StructuralError
+from .errors import DegenerateInputError, StructuralError, check_range
 from .ranking import QueryContext, RelevanceMatrix, heaviside
 
 __all__ = [
@@ -63,10 +63,8 @@ class QuadLinearParams:
     rho: float = 0.10
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ParameterError(f"delta must be positive, got {self.delta}")
-        if not (np.isfinite(self.rho) and self.rho >= 0):
-            raise ParameterError(f"rho must be nonnegative, got {self.rho}")
+        check_range("positive", delta=self.delta)
+        check_range("nonnegative", rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ class SmoothApParams:
     tau: float = 0.01
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        check_range("positive", tau=self.tau)
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,7 @@ def r_minus(x, delta: float):
     exactly 0 below -delta. Continuous, convex, nondecreasing, and an upper
     bound of the strict step.
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ParameterError(f"delta must be positive, got {delta}")
+    check_range("positive", delta=delta)
     x = np.asarray(x, dtype=np.float64)
     lin = 2.0 * x / delta + 1.0
     quad = (x / delta + 1.0) ** 2
@@ -122,8 +118,7 @@ def r_minus(x, delta: float):
 
 def r_minus_grad(x, delta: float):
     """Derivative of :func:`r_minus`; continuous, with value 2/delta on x >= 0."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ParameterError(f"delta must be positive, got {delta}")
+    check_range("positive", delta=delta)
     x = np.asarray(x, dtype=np.float64)
     # the ramp is written as 2(x/delta + 1)/delta so it is exactly 0 at the
     # dead-zone edge and exactly 2/delta at the linear joint
@@ -146,8 +141,7 @@ def sigmoid_surrogate(x, tau: float):
     Stable for large |x/tau|: saturates to exact 0.0 / 1.0 instead of
     overflowing.
     """
-    if not (np.isfinite(tau) and tau > 0):
-        raise ParameterError(f"tau must be positive, got {tau}")
+    check_range("positive", tau=tau)
     z = np.asarray(x, dtype=np.float64) / tau
     with np.errstate(over="ignore"):
         out = np.where(
@@ -161,8 +155,7 @@ def sigmoid_surrogate(x, tau: float):
 def sigmoid_surrogate_grad(x, tau: float):
     """d/dx of :func:`sigmoid_surrogate`, computed in the exp(-|z|) form so the
     tail magnitude stays representable instead of rounding through 1 - G."""
-    if not (np.isfinite(tau) and tau > 0):
-        raise ParameterError(f"tau must be positive, got {tau}")
+    check_range("positive", tau=tau)
     z = np.abs(np.asarray(x, dtype=np.float64)) / tau
     e = np.exp(-z)
     out = e / (tau * (1.0 + e) ** 2)
@@ -266,8 +259,7 @@ def smooth_ap_risk_rows(pos: np.ndarray, neg: np.ndarray, p: SmoothApParams):
 def triplet_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2):
     """Mean hinge over all positive-negative pairs of each row:
     max(0, s_neg - s_pos + margin). Rows without negatives give 0."""
-    if margin < 0:
-        raise ParameterError(f"margin must be nonnegative, got {margin}")
+    check_range("nonnegative", margin=margin)
     pos, neg = _rows(pos, neg)
     (nq, npos), nneg = pos.shape, neg.shape[1]
     if nneg == 0:
@@ -286,8 +278,7 @@ def contrastive_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2)
     """Mean of per-item terms of each row: (1 - s_pos) for positives,
     max(0, s_neg - margin) for negatives. Pulls positives toward similarity
     1 and pushes negatives below the margin."""
-    if margin < 0:
-        raise ParameterError(f"margin must be nonnegative, got {margin}")
+    check_range("nonnegative", margin=margin)
     pos, neg = _rows(pos, neg)
     n_terms = pos.shape[1] + neg.shape[1]
     neg_active = neg > margin
@@ -306,8 +297,7 @@ def infonce_loss_rows(pos: np.ndarray, neg: np.ndarray, tau: float):
     sum_j exp(s_neg_j/tau)) ], computed through log-sum-exp. Rows without
     negatives give 0.
     """
-    if not (np.isfinite(tau) and tau > 0):
-        raise ParameterError(f"tau must be positive, got {tau}")
+    check_range("positive", tau=tau)
     pos, neg = _rows(pos, neg)
     (nq, npos), nneg = pos.shape, neg.shape[1]
     if nneg == 0:

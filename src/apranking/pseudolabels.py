@@ -21,7 +21,7 @@ from math import ceil, floor
 import numpy as np
 
 from .aggregation import normalize_rows
-from .errors import DegenerateInputError, ParameterError, StructuralError
+from .errors import DegenerateInputError, ParameterError, StructuralError, check_range
 
 __all__ = [
     "POSITIVE",
@@ -72,9 +72,7 @@ class LabelRates:
     r_b: float = 0.35
 
     def __post_init__(self):
-        for name, v in (("r_t", self.r_t), ("r_b", self.r_b)):
-            if not (np.isfinite(v) and 0.0 < v < 1.0):
-                raise ParameterError(f"{name} must lie in (0, 1), got {v}")
+        check_range("in (0, 1)", r_t=self.r_t, r_b=self.r_b)
 
     def counts(self, num_candidates: int) -> tuple[int, int]:
         """(positives, negatives) per row: ceil(r_t * T'), floor(r_b * T')."""

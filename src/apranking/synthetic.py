@@ -17,7 +17,7 @@ from math import ceil, floor
 import numpy as np
 
 from .aggregation import PatchEmbeddings
-from .errors import ParameterError
+from .errors import ParameterError, check_range
 from .pseudolabels import FrameEmbeddings
 
 __all__ = [
@@ -48,11 +48,8 @@ class AugmentToggles:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for name, v in (("crop_rate", self.crop_rate), ("dropout_rate", self.dropout_rate)):
-            if not (np.isfinite(v) and 0.0 <= v < 1.0):
-                raise ParameterError(f"{name} must lie in [0, 1), got {v}")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be nonnegative")
+        check_range("in [0, 1)", crop_rate=self.crop_rate, dropout_rate=self.dropout_rate)
+        check_range("nonnegative", noise_sigma=self.noise_sigma)
 
     @property
     def any_active(self) -> bool:
@@ -84,24 +81,20 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_groups < 1 or self.num_clips < self.num_groups:
-            raise ParameterError("need at least one clip per group")
-        if not 0.0 < self.overlap <= 1.0:
-            raise ParameterError(f"overlap must lie in (0, 1], got {self.overlap}")
-        if self.noise < 0:
-            raise ParameterError("noise must be nonnegative")
-        if self.noise_jitter < 1.0:
-            raise ParameterError("noise_jitter is a max/min ratio and must be >= 1")
-        if not 0.0 <= self.theme_strength < 1.0:
-            raise ParameterError("theme_strength must lie in [0, 1)")
+        check_range("an integer >= 1", num_clips=self.num_clips, num_groups=self.num_groups,
+                    frames=self.frames, patches=self.patches, dim=self.dim,
+                    teacher_dim=self.teacher_dim, signal_dim=self.signal_dim)
+        check_range("nonnegative", noise=self.noise, nuisance_scale=self.nuisance_scale,
+                    teacher_noise_scale=self.teacher_noise_scale, num_themes=self.num_themes, seed=self.seed)
+        check_range(">= 1", noise_jitter=self.noise_jitter)  # a max/min ratio
+        check_range("in (0, 1]", overlap=self.overlap)
+        check_range("in [0, 1)", theme_strength=self.theme_strength, smoothness=self.smoothness)
+        if self.num_clips < self.num_groups:
+            raise ParameterError(f"num_groups must be at most num_clips ({self.num_clips}), got {self.num_groups}")
         if self.theme_strength > 0 and self.num_themes < 1:
             raise ParameterError("theme_strength needs num_themes >= 1")
-        if not 1 <= self.signal_dim <= self.dim:
-            raise ParameterError("signal_dim must lie in [1, dim]")
-        if not 0.0 <= self.smoothness < 1.0:
-            raise ParameterError("smoothness must lie in [0, 1)")
-        if min(self.frames, self.patches, self.teacher_dim) < 1:
-            raise ParameterError("frames, patches and teacher_dim must be positive")
+        if self.signal_dim > self.dim:
+            raise ParameterError(f"signal_dim must be at most dim ({self.dim}), got {self.signal_dim}")
 
 
 @dataclass(frozen=True)
@@ -269,8 +262,7 @@ def planted_correspondence_matrix(
     so rank-based labeling at any top rate <= overlap selects planted
     columns only. Returns (matrix, planted_mask).
     """
-    if not 0.0 < overlap <= 1.0:
-        raise ParameterError(f"overlap must lie in (0, 1], got {overlap}")
+    check_range("in (0, 1]", overlap=overlap)
     if not 0.0 <= noise < margin / 2:
         raise ParameterError("noise must stay below half the margin")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import tempfile
 import traceback
@@ -26,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import AggregationParams
-from .errors import NumericsError, ParameterError
+from .aggregation import AggregationParams, RefinerParams
+from .errors import NumericsError, ParameterError, check_range
 from .losses import (
     MatrixLossOutput,
     QuadLinearParams,
@@ -72,22 +71,6 @@ __all__ = [
 VIDEO_LOSSES = ("quadlinear", "smooth", "triplet", "contrastive")
 
 
-# range rule -> its test; NaN fails every test
-_RANGES = {
-    "finite and positive": lambda v: 0.0 < v < math.inf,
-    "finite and nonnegative": lambda v: 0.0 <= v < math.inf,
-    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
-}
-
-
-def _check_range(obj, rule: str, *names) -> None:
-    """ParameterError naming the first of ``names`` whose value on ``obj``
-    breaks ``rule``."""
-    for name in names:
-        if not _RANGES[rule](value := getattr(obj, name)):
-            raise ParameterError(f"{name} must be {rule}, got {value}")
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Trade-off weights of the total loss and the InfoNCE temperature."""
@@ -98,8 +81,8 @@ class LossWeights:
     tau_nce: float = 0.1
 
     def __post_init__(self):
-        _check_range(self, "finite and nonnegative", "lambda_v", "lambda_f", "lambda_s")
-        _check_range(self, "finite and positive", "tau_nce")
+        check_range("nonnegative", lambda_v=self.lambda_v, lambda_f=self.lambda_f, lambda_s=self.lambda_s)
+        check_range("positive", tau_nce=self.tau_nce)
 
 
 @dataclass(frozen=True)
@@ -115,9 +98,9 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        _check_range(self, "finite and positive", "lr", "eps")
-        _check_range(self, "finite and nonnegative", "weight_decay")
-        _check_range(self, "in [0, 1)", "warmup_frac", "beta1", "beta2")
+        check_range("positive", lr=self.lr, eps=self.eps)
+        check_range("nonnegative", weight_decay=self.weight_decay)
+        check_range("in [0, 1)", warmup_frac=self.warmup_frac, beta1=self.beta1, beta2=self.beta2)
 
 
 class AdamWState:
@@ -164,6 +147,12 @@ class HeldoutConfig:
     num_groups: int = 12
     seed_offset: int = 104729
 
+    def __post_init__(self):
+        check_range("an integer >= 1", num_clips=self.num_clips, num_groups=self.num_groups)
+        check_range("nonnegative", seed_offset=self.seed_offset)
+        if self.num_clips < self.num_groups:
+            raise ParameterError(f"num_groups must be at most num_clips ({self.num_clips}), got {self.num_groups}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -192,12 +181,11 @@ class TrainConfig:
             raise ParameterError(
                 f"unknown video loss {self.video_loss!r}; choose from {VIDEO_LOSSES}"
             )
-        if self.iterations < 0:
-            raise ParameterError("iterations must be nonnegative")
-        if self.eval_every < 0:
-            raise ParameterError(f"eval_every must be nonnegative, got {self.eval_every}")
-        if self.groups_per_batch < 1 or self.clips_per_group < 1:
-            raise ParameterError("batch composition must be positive")
+        check_range("nonnegative", iterations=self.iterations, eval_every=self.eval_every, seed=self.seed,
+                    margin=self.margin, init_noise=self.init_noise)
+        check_range("an integer >= 1", groups_per_batch=self.groups_per_batch,
+                    clips_per_group=self.clips_per_group, downsample=self.downsample)
+        RefinerParams(self.refiner_kind, downsample=self.downsample)  # checks the kind and the stride
         if self.weights.lambda_f > 0 and self.downsample != 1:
             raise ParameterError(
                 "frame-level loss needs downsample=1 so labels align with frames"

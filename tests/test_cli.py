@@ -78,17 +78,26 @@ class TestBenchLoss:
         res = run_cli(["bench-loss", "--losses", "nonsense", "--out", out_dir], tmp_path)
         assert res.returncode == 2
 
-    # a sweep of no step or of no points, a non-finite bound or step, and a
-    # gradient check over no seeds (which would report an error of 0.0)
-    @pytest.mark.parametrize("extra", [
-        ["--gap-step", "0"], ["--gap-step", "-0.05"], ["--gap-min", "0.5", "--gap-max", "0.4"],
-        ["--gap-step", "nan"], ["--gap-max", "inf"], ["--seeds", "0"], ["--seeds", "-3"],
-    ], ids=["zero-step", "negative-step", "max-below-min", "nan-step", "inf-max", "no-seeds", "negative-seeds"])
-    def test_sweep_that_runs_nothing_exits_2(self, out_dir, capsys, extra):
+    # a sweep of no step or of no points, a non-finite bound or step, a
+    # gradient check over no seeds (which would report an error of 0.0), and
+    # a loss parameter or seed out of its range, checked before anything is
+    # made: a NaN margin failed mid-run, an infinite one reported an error of 0.0
+    @pytest.mark.parametrize("extra, message", [
+        (["--gap-step", "0"], "bench-loss needs"), (["--gap-step", "-0.05"], "bench-loss needs"),
+        (["--gap-min", "0.5", "--gap-max", "0.4"], "bench-loss needs"), (["--gap-step", "nan"], "bench-loss needs"),
+        (["--gap-max", "inf"], "bench-loss needs"), (["--seeds", "0"], "bench-loss needs"),
+        (["--seeds", "-3"], "bench-loss needs"), (["--delta", "nan"], "delta must be positive, got nan"),
+        (["--margin", "nan"], "margin must be nonnegative, got nan"),
+        (["--margin", "inf", "--losses", "triplet"], "margin must be nonnegative, got inf"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ], ids=["zero-step", "negative-step", "max-below-min", "nan-step", "inf-max", "no-seeds", "negative-seeds",
+            "nan-delta", "nan-margin", "inf-margin", "negative-seed"])
+    def test_sweep_that_runs_nothing_exits_2(self, out_dir, capsys, extra, message):
         from apranking import cli
 
         assert cli.main(["bench-loss", "--out", out_dir] + extra) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not os.path.exists(out_dir)
 
 
@@ -186,24 +195,35 @@ class TestTrain:
         assert report["config"]["seed"] == 3
         assert report["config"]["synthetic"]["seed"] == 3
 
-    # a weight or optimizer setting that is not finite or not in range is a
-    # config error, not a run without that term or a failure mid-training
-    @pytest.mark.parametrize("extra, config, named", [
-        (["--lambda-f", "nan"], {}, "lambda_f"),
-        (["--lambda-v", "nan"], {}, "lambda_v"),
-        (["--lambda-v", "inf"], {}, "lambda_v"),
-        ([], {"optimizer": {"beta1": 1.0}}, "beta1"),
-    ], ids=["lambda_f-nan", "lambda_v-nan", "lambda_v-inf", "beta1-one"])
-    def test_config_value_out_of_range_exits_2(self, tmp_path, out_dir, extra, config, named):
+    # a weight, optimizer setting, margin, held-out size, seed or refiner
+    # setting that is not finite or not in range is a config error, not a
+    # run without that term or a failure after the output directory is made
+    @pytest.mark.parametrize("extra, config, message", [
+        (["--lambda-f", "nan"], {}, "lambda_f must be"),
+        (["--lambda-v", "nan"], {}, "lambda_v must be"),
+        (["--lambda-v", "inf"], {}, "lambda_v must be"),
+        ([], {"optimizer.beta1": 1.0}, "beta1 must be"),
+        ([], {"video_loss": "triplet", "margin": float("nan")}, "margin must be nonnegative, got nan"),
+        ([], {"heldout.num_clips": 0}, "num_clips must be an integer >= 1, got 0"),
+        (["--seed", "-1"], {}, "seed must be nonnegative, got -1"),
+        ([], {"refiner_kind": "bogus"}, "unknown refiner kind 'bogus'"),
+        ([], {"downsample": 0, "weights.lambda_f": 0.0}, "downsample must be an integer >= 1, got 0"),
+    ], ids=["lambda_f-nan", "lambda_v-nan", "lambda_v-inf", "beta1-one", "triplet-margin-nan", "heldout-no-clips",
+            "negative-seed", "refiner-kind", "refiner-stride"])
+    def test_config_value_out_of_range_exits_2(self, tmp_path, out_dir, extra, config, message):
         path = tiny_config(tmp_path)
         payload = json.load(open(path))
-        for group, fields in config.items():
-            payload[group].update(fields)
+        for field, value in config.items():
+            *groups, name = field.split(".")
+            target = payload
+            for group in groups:
+                target = target[group]
+            target[name] = value
         with open(path, "w") as fh:
             json.dump(payload, fh)
         res = run_cli(["train", "--config", path, "--iterations", "1", "--out", out_dir] + extra, tmp_path)
         assert res.returncode == 2, res.stderr
-        assert f"error: {named} must be" in res.stderr and "Traceback" not in res.stderr
+        assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
         assert not os.path.exists(out_dir)
 
     # a legal-looking value of the wrong JSON type, or a negative eval_every,

@@ -1,9 +1,11 @@
 """Training loop behavior: determinism, zero-iteration identity, NaN abort,
 scheduler shape, config round-trips, and loss values pinned bitwise."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from apranking.errors import NumericsError, ParameterError
 from apranking.losses import QuadLinearParams
 from apranking.pseudolabels import LabelRates
 from apranking.ranking import partition_query
-from apranking.synthetic import SyntheticConfig
+from apranking.synthetic import AugmentToggles, SyntheticConfig
 from apranking.trainer import (
     AdamWState,
     HeldoutConfig,
@@ -139,8 +141,23 @@ class TestScheduler:
         assert not np.array_equal(p.value, before)
 
 
+def numeric_fields(cls):
+    """(config class, field name, type) of every int and float field of
+    ``cls`` and of the configs nested in it, each once."""
+    found = {}
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            found.update(dict.fromkeys(numeric_fields(kind)))
+        elif kind in (int, float):
+            found[cls, f.name, kind] = None
+    return list(found)
+
+
 class TestConfigRanges:
-    # NaN fails every range check, so a NaN weight cannot drop its term
+    # every numeric field of the config tree has a range rule, and NaN fails
+    # every rule, so a NaN weight or margin cannot drop its term
     @pytest.mark.parametrize("cls, name, value", [
         (LossWeights, "lambda_v", float("nan")), (LossWeights, "lambda_f", float("nan")),
         (LossWeights, "lambda_v", float("inf")), (LossWeights, "lambda_s", -1.0),
@@ -149,6 +166,15 @@ class TestConfigRanges:
         (OptimizerConfig, "weight_decay", float("inf")), (OptimizerConfig, "weight_decay", -1e-3),
         (OptimizerConfig, "warmup_frac", float("nan")), (OptimizerConfig, "beta1", 1.0),
         (OptimizerConfig, "beta2", -0.5), (OptimizerConfig, "eps", 0.0), (OptimizerConfig, "eps", float("nan")),
+        (TrainConfig, "margin", -1.0), (TrainConfig, "margin", float("inf")), (TrainConfig, "init_noise", -1.0),
+        (SyntheticConfig, "noise", float("inf")), (SyntheticConfig, "noise_jitter", float("inf")),
+        (SyntheticConfig, "nuisance_scale", -1.0), (SyntheticConfig, "teacher_noise_scale", -1.0),
+        (SyntheticConfig, "num_themes", -3), (AugmentToggles, "noise_sigma", float("inf")),
+        (HeldoutConfig, "num_clips", 0), (HeldoutConfig, "num_clips", -5), (HeldoutConfig, "num_groups", 0),
+        (HeldoutConfig, "num_groups", 49),
+    ] + [
+        pytest.param(cls, name, float("nan") if kind is float else -1, id=f"{cls.__name__}.{name}")
+        for cls, name, kind in numeric_fields(TrainConfig)
     ])
     def test_value_out_of_range_names_the_field(self, cls, name, value):
         with pytest.raises(ParameterError, match=f"^{name} must be .*, got {value}$"):
@@ -157,6 +183,7 @@ class TestConfigRanges:
     def test_range_ends_accepted(self):
         LossWeights(lambda_v=0.0, lambda_f=0.0, lambda_s=0.0, tau_nce=1e-300)
         OptimizerConfig(weight_decay=0.0, warmup_frac=0.0, beta1=0.0, beta2=0.0)
+        HeldoutConfig(num_clips=1, num_groups=1, seed_offset=0)
 
 
 class TestConfigRoundTrip:
