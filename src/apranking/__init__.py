@@ -26,28 +26,22 @@ from .losses import (
     heaviside_ap_risk,
     r_minus,
     r_minus_grad,
-    r_plus,
     sigmoid_surrogate,
     sigmoid_surrogate_grad,
 )
 from .metrics import (
     MetricReport,
     average_precision,
-    average_precision_rows,
     brute_force_ap,
     evaluate_retrieval,
-    micro_ap,
     pooled_positions,
     retrieval_report,
 )
 from .pseudolabels import (
     FrameEmbeddings,
     LabelRates,
-    PseudoLabelMatrix,
-    generate_pseudo_labels,
     pseudo_label_indices,
     teacher_frame_similarities,
-    teacher_frame_similarity,
 )
 from .ranking import (
     QueryContext,

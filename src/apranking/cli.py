@@ -180,6 +180,21 @@ def _wall_clock(args, started: float):
     return None if args.deterministic else time.time() - started
 
 
+def _loss_names(text: str, choices) -> list:
+    """The names of a --losses comma list, each one of ``choices`` and
+    none twice."""
+    from .errors import ParameterError
+
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    unknown = [n for n in names if n not in choices]
+    if unknown or not names:
+        raise ParameterError(f"unknown loss name(s) {unknown}; choose from {tuple(choices)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ParameterError(f"loss name(s) {repeated} given more than once in --losses")
+    return names
+
+
 def _load_train_config(args):
     from dataclasses import replace
 
@@ -225,13 +240,11 @@ def cmd_bench_loss(args) -> int:
     from . import losses as L
     from .errors import ParameterError, check_range
     from .gradcheck import max_gradient_error, random_safe_context
+    from .ranking import heaviside
     from .tensorio import write_csv, write_json_report
 
     started = time.time()
-    names = [s.strip() for s in args.losses.split(",") if s.strip()]
-    unknown = [n for n in names if n not in BENCH_LOSSES]
-    if unknown or not names:
-        raise ParameterError(f"unknown loss name(s) {unknown}; choose from {BENCH_LOSSES}")
+    names = _loss_names(args.losses, BENCH_LOSSES)
     gaps = (args.gap_min, args.gap_max, args.gap_step)
     if not (np.isfinite(gaps).all() and args.gap_step > 0 and args.gap_max >= args.gap_min and args.seeds >= 1):
         raise ParameterError(f"bench-loss needs finite --gap-min <= --gap-max, --gap-step > 0 and --seeds >= 1; "
@@ -244,7 +257,7 @@ def cmd_bench_loss(args) -> int:
     curve_fns = {
         "quadlinear": lambda x: (L.r_minus(x, ql.delta), L.r_minus_grad(x, ql.delta)),
         "smooth": lambda x: (L.sigmoid_surrogate(x, sm.tau), L.sigmoid_surrogate_grad(x, sm.tau)),
-        "heaviside": lambda x: (L.r_plus(x), 0.0),
+        "heaviside": lambda x: (heaviside(x), 0.0),
         "triplet": lambda x: (max(0.0, x + args.margin), 1.0 if x + args.margin > 0 else 0.0),
         "contrastive": lambda x: (max(0.0, x - args.margin), 1.0 if x - args.margin > 0 else 0.0),
     }
@@ -264,22 +277,16 @@ def cmd_bench_loss(args) -> int:
     sg_grad = L.sigmoid_surrogate_grad(contrast_gap, sm.tau)
     ratio = float("inf") if sg_grad == 0.0 else ql_grad / sg_grad
 
-    context_losses = {
-        "quadlinear": functools.partial(L.quadlinear_ap_risk_rows, p=ql),
-        "smooth": functools.partial(L.smooth_ap_risk_rows, p=sm),
-        "triplet": functools.partial(L.triplet_loss_rows, margin=args.margin),
-        "contrastive": functools.partial(L.contrastive_loss_rows, margin=args.margin),
-    }
     checks = {}
     for name in names:
-        if name not in context_losses:
+        if name not in L.RANKING_LOSSES:
             continue
         contexts = []
         for s in range(args.seeds):
             rng = np.random.default_rng(_seed(args) + 1000 * s)
             contexts.append(
                 random_safe_context(rng, 3, 5, breakpoints=(0.0, -ql.delta, -args.margin)))
-        checks[name] = max_gradient_error(context_losses[name], contexts)
+        checks[name] = max_gradient_error(L.RANKING_LOSSES[name](ql, sm, args.margin), contexts)
 
     report = _stamp(args, {
         "params": {"delta": ql.delta, "rho": ql.rho, "tau": sm.tau, "margin": args.margin},
@@ -310,21 +317,13 @@ def _save_model(out: str, tag: str, model) -> str:
 def cmd_train(args) -> int:
     from dataclasses import replace
 
+    from .losses import RANKING_LOSSES
     from .tensorio import write_json_report
-    from .trainer import VIDEO_LOSSES, config_to_dict
+    from .trainer import config_to_dict
 
     started = time.time()
     cfg = _load_train_config(args)
-
-    losses = None
-    if args.losses:
-        losses = [s.strip() for s in args.losses.split(",") if s.strip()]
-        bad = [l for l in losses if l not in VIDEO_LOSSES]
-        if bad:
-            from .errors import ParameterError
-
-            raise ParameterError(f"unknown loss name(s) {bad}; choose from {VIDEO_LOSSES}")
-
+    losses = None if args.losses is None else _loss_names(args.losses, RANKING_LOSSES)
     out = _ensure_out(args)
     results = {}
     if losses and len(losses) > 1:

@@ -4,6 +4,8 @@ Each loss is one rows function: it maps a (Q, P) stack of positive scores
 and a (Q, M) stack of negative scores to the Q loss values and closed-form
 gradients with respect to every score. :func:`matrix_loss` runs it on the
 query rows of a similarity matrix; one query is a stack of one row.
+:data:`RANKING_LOSSES` maps each ranking-loss name that training, ``train
+--losses`` and ``bench-loss`` accept to its rows function.
 
 The quad-linear surrogate replaces the step penalty on positive-negative
 gaps with a piecewise map that is zero in the dead zone (gap < -delta),
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +40,6 @@ __all__ = [
     "MatrixLossOutput",
     "r_minus",
     "r_minus_grad",
-    "r_plus",
     "sigmoid_surrogate",
     "sigmoid_surrogate_grad",
     "quadlinear_ap_risk_rows",
@@ -47,6 +49,7 @@ __all__ = [
     "contrastive_loss_rows",
     "infonce_loss_rows",
     "sshn_loss_rows",
+    "RANKING_LOSSES",
     "query_masks",
     "matrix_loss",
     "sshn_matrix_loss",
@@ -125,14 +128,6 @@ def r_minus_grad(x, delta: float):
     ramp = 2.0 * (x / delta + 1.0) / delta
     slope = np.where(x >= 0.0, 2.0 / delta, np.where(x >= -delta, ramp, 0.0))
     return float(slope) if slope.ndim == 0 else slope
-
-
-def r_plus(x):
-    """Rank weight for positive-positive gaps: the exact strict step.
-
-    Contributes zero gradient during differentiation.
-    """
-    return heaviside(x)
 
 
 def sigmoid_surrogate(x, tau: float):
@@ -288,6 +283,16 @@ def contrastive_loss_rows(pos: np.ndarray, neg: np.ndarray, margin: float = 0.2)
     grad_pos = np.full_like(pos, -1.0 / n_terms)
     grad_neg = neg_active.astype(np.float64) / n_terms
     return values, grad_pos, grad_neg
+
+
+# ranking-loss name -> its rows function, given the quad-linear parameters,
+# the smooth-AP parameters and the pairwise margin
+RANKING_LOSSES = {
+    "quadlinear": lambda ql, smooth, margin: partial(quadlinear_ap_risk_rows, p=ql),
+    "smooth": lambda ql, smooth, margin: partial(smooth_ap_risk_rows, p=smooth),
+    "triplet": lambda ql, smooth, margin: partial(triplet_loss_rows, margin=margin),
+    "contrastive": lambda ql, smooth, margin: partial(contrastive_loss_rows, margin=margin),
+}
 
 
 def infonce_loss_rows(pos: np.ndarray, neg: np.ndarray, tau: float):

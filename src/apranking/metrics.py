@@ -1,5 +1,10 @@
 """Exact retrieval metrics: per-query AP, macro mAP, and pooled micro-AP.
 
+A (queries, items) stack of scores and labels goes through
+:func:`retrieval_report`, and a similarity matrix through
+:func:`evaluate_retrieval`, which calls it; :func:`average_precision` is the
+AP of one :class:`~apranking.ranking.ScoredList`.
+
 Every AP here is a mean of ratios of integer ranks, (1/P)·Σ aᵢ/bᵢ, and is
 returned as that rational number correctly rounded once to float64. numpy
 does the counting, from ``np.sort`` alone:
@@ -43,9 +48,7 @@ from .ranking import RelevanceMatrix, ScoredList
 __all__ = [
     "MetricReport",
     "average_precision",
-    "average_precision_rows",
     "brute_force_ap",
-    "micro_ap",
     "pooled_positions",
     "retrieval_report",
     "evaluate_retrieval",
@@ -165,17 +168,10 @@ def _ap_rows(scores, positives) -> list:
     return _means_of_ratios(rank_pos, rank_all, counts.tolist())
 
 
-def average_precision_rows(scores, labels) -> list:
-    """AP of every query of a (queries, items) stack of scores and binary
-    labels; each row needs a positive. Rows of unequal length are padded with
-    -inf scores and label 0 (see :func:`retrieval_report`)."""
-    return _ap_rows(*_checked_rows(scores, labels))
-
-
 def average_precision(sl: ScoredList) -> float:
     """AP of one query: mean over positives of rank-among-positives divided
     by rank-among-all, with strict (tie-optimistic) descending ranks."""
-    return average_precision_rows(sl.scores[None], sl.labels[None])[0]
+    return _ap_rows(*_checked_rows(sl.scores[None], sl.labels[None]))[0]
 
 
 def brute_force_ap(sl: ScoredList) -> float:
@@ -301,32 +297,12 @@ def pooled_positions(scores, positives) -> np.ndarray:
     return places
 
 
-def _pooled_micro_ap(scores, positives) -> float:
-    """Micro-AP of the pooled list of :func:`pooled_positions`."""
-    places = pooled_positions(scores, positives) + 1
-    if places.size == 0:
-        raise UndefinedMetricError("no positive label in the pooled list")
-    return _means_of_ratios(np.arange(1, places.size + 1), places, [places.size])[0]
-
-
-def micro_ap(queries) -> float:
-    """Pooled micro-AP: every (score, label) pair across all queries enters a
-    single descending list; ties keep query order then item order. The value
-    is the sum of precision-at-rank times the per-positive recall increment.
-    Queries are ScoredLists, or any objects with 1-d ``scores`` and
-    ``labels``; -inf padding with label 0 is allowed, as it ranks last.
-    """
-    queries = list(queries)
-    if not queries:
-        raise UndefinedMetricError("no positive label in the pooled list")
-    scores = np.concatenate([q.scores for q in queries])
-    labels = np.concatenate([q.labels for q in queries])
-    return _pooled_micro_ap(scores, labels == 1)
-
-
 def retrieval_report(scores, labels) -> MetricReport:
     """Per-query AP, mAP and micro-AP of a (queries, items) stack of scores
-    and binary labels; queries without a positive are skipped.
+    and binary labels; queries without a positive are skipped, from the
+    pooled list too. Micro-AP pools every (score, label) pair of the kept
+    queries into one descending list, in which tied scores keep query order,
+    then item order.
 
     Queries of unequal length are padded to one width with -inf scores and
     label 0. That is exact: ranks count only strictly greater scores, and no
@@ -339,10 +315,11 @@ def retrieval_report(scores, labels) -> MetricReport:
     if not scored.all():
         scores, positives = scores[scored], positives[scored]
     aps = tuple(_ap_rows(scores, positives))
+    places = pooled_positions(scores, positives) + 1
     return MetricReport(
         ap_per_query=aps,
         map=fsum(aps) / len(aps),
-        micro_ap=_pooled_micro_ap(scores, positives),
+        micro_ap=_means_of_ratios(np.arange(1, places.size + 1), places, [places.size])[0],
         num_queries=len(aps),
         num_positives=int(np.count_nonzero(positives)),
     )

@@ -6,11 +6,10 @@ are fixed by rank (ceil for positives, floor for negatives) rather than by
 value thresholds, so batch shapes are stable and ties resolve
 deterministically.
 
-Both steps have a stacked form over clip pairs, which training uses to
-label all of a batch's new pairs at once: :func:`teacher_frame_similarities`
-and :func:`pseudo_label_indices`. The one-pair functions
-:func:`teacher_frame_similarity` and :func:`generate_pseudo_labels` are
-their views.
+Both steps work on stacks of clip pairs, so training labels all of a
+batch's new pairs at once: :func:`teacher_frame_similarities` gives the
+teacher's frame-pair cosines and :func:`pseudo_label_indices` the column
+indices of each row's positives and negatives. One pair is a stack of one.
 """
 
 from __future__ import annotations
@@ -24,21 +23,11 @@ from .aggregation import normalize_rows
 from .errors import DegenerateInputError, ParameterError, StructuralError, check_range
 
 __all__ = [
-    "POSITIVE",
-    "NEGATIVE",
-    "IGNORE",
     "FrameEmbeddings",
     "LabelRates",
-    "PseudoLabelMatrix",
-    "teacher_frame_similarity",
     "teacher_frame_similarities",
-    "generate_pseudo_labels",
     "pseudo_label_indices",
 ]
-
-POSITIVE = 1
-NEGATIVE = -1
-IGNORE = 0
 
 
 @dataclass(frozen=True)
@@ -85,25 +74,6 @@ class LabelRates:
         return npos, nneg
 
 
-@dataclass(frozen=True)
-class PseudoLabelMatrix:
-    """Ternary (T, T') label grid: +1 positive, -1 negative, 0 ignore."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        l = np.asarray(self.labels)
-        if l.ndim != 2:
-            raise StructuralError(f"expected a (T, T') matrix, got shape {l.shape}")
-        if not ((l == POSITIVE) | (l == NEGATIVE) | (l == IGNORE)).all():
-            raise StructuralError("labels must be in {+1, -1, 0}")
-        object.__setattr__(self, "labels", l.astype(np.int8))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return tuple(self.labels.shape)
-
-
 def _unit_frames(clips) -> np.ndarray:
     """The (P, T, D') stack of the clips' frame features, each frame scaled
     to unit norm."""
@@ -125,11 +95,6 @@ def teacher_frame_similarities(queries, candidates) -> np.ndarray:
     return np.matmul(_unit_frames(queries), _unit_frames(candidates).transpose(0, 2, 1))
 
 
-def teacher_frame_similarity(a: FrameEmbeddings, b: FrameEmbeddings) -> np.ndarray:
-    """Frame-pair cosine matrix (T, T') between two clips' teacher features."""
-    return teacher_frame_similarities([a], [b])[0]
-
-
 def pseudo_label_indices(teacher_stack: np.ndarray, rates: LabelRates) -> tuple[np.ndarray, np.ndarray]:
     """Rank-threshold labeling of a (..., T, T') stack of teacher similarity
     matrices, as column indices: (positives (..., T, npos), negatives (...,
@@ -147,16 +112,3 @@ def pseudo_label_indices(teacher_stack: np.ndarray, rates: LabelRates) -> tuple[
     npos, nneg = rates.counts(tc)
     order = np.argsort(-s, axis=-1, kind="stable")
     return np.sort(order[..., :npos], axis=-1), np.sort(order[..., tc - nneg :], axis=-1)
-
-
-def generate_pseudo_labels(teacher_sim: np.ndarray, rates: LabelRates) -> PseudoLabelMatrix:
-    """The ternary label grid of one (T, T') teacher similarity matrix, by
-    :func:`pseudo_label_indices`."""
-    s = np.asarray(teacher_sim, dtype=np.float64)
-    if s.ndim != 2:
-        raise StructuralError(f"expected a (T, T') matrix, got shape {s.shape}")
-    pos, neg = pseudo_label_indices(s, rates)
-    labels = np.zeros(s.shape, dtype=np.int8)
-    np.put_along_axis(labels, pos, POSITIVE, axis=1)
-    np.put_along_axis(labels, neg, NEGATIVE, axis=1)
-    return PseudoLabelMatrix(labels)

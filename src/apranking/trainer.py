@@ -28,17 +28,14 @@ from . import autodiff as ad
 from .aggregation import AggregationParams, RefinerParams
 from .errors import NumericsError, ParameterError, check_range
 from .losses import (
-    MatrixLossOutput,
+    RANKING_LOSSES,
     QuadLinearParams,
     SmoothApParams,
-    contrastive_loss_rows,
     infonce_loss_rows,
     matrix_loss,
     query_masks,
     quadlinear_ap_risk_rows,
-    smooth_ap_risk_rows,
     sshn_matrix_loss,
-    triplet_loss_rows,
 )
 from .metrics import MetricReport, evaluate_retrieval
 from .model import Model, eval_similarity_matrix, forward_similarity, init_model
@@ -65,10 +62,7 @@ __all__ = [
     "hard_variant",
     "config_to_dict",
     "config_from_dict",
-    "VIDEO_LOSSES",
 ]
-
-VIDEO_LOSSES = ("quadlinear", "smooth", "triplet", "contrastive")
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,9 @@ class TrainConfig:
     init_noise: float = 0.02
 
     def __post_init__(self):
-        if self.video_loss not in VIDEO_LOSSES:
+        if self.video_loss not in RANKING_LOSSES:
             raise ParameterError(
-                f"unknown video loss {self.video_loss!r}; choose from {VIDEO_LOSSES}"
+                f"unknown video loss {self.video_loss!r}; choose from {tuple(RANKING_LOSSES)}"
             )
         check_range("nonnegative", iterations=self.iterations, eval_every=self.eval_every, seed=self.seed,
                     margin=self.margin, init_noise=self.init_noise)
@@ -249,16 +243,6 @@ def hard_variant(tag: str, seed: int) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # loss assembly over the graph
 # ---------------------------------------------------------------------------
-
-
-def _video_matrix_loss(cfg: TrainConfig, sim: np.ndarray, rel: RelevanceMatrix) -> MatrixLossOutput:
-    rows_fn = {
-        "quadlinear": partial(quadlinear_ap_risk_rows, p=cfg.qlap_video),
-        "smooth": partial(smooth_ap_risk_rows, p=cfg.smooth),
-        "triplet": partial(triplet_loss_rows, margin=cfg.margin),
-        "contrastive": partial(contrastive_loss_rows, margin=cfg.margin),
-    }[cfg.video_loss]
-    return matrix_loss(sim, rel, rows_fn)
 
 
 def _gap_margins(gaps: np.ndarray, pos_gaps: np.ndarray, delta: float, guard: ad.BreakpointGuard):
@@ -363,21 +347,19 @@ def build_losses(
     if guard is not None:
         _record_video_loss_margins(cfg, sim_var.value, rel, guard)
 
-    def video_fn(values):
-        out = _video_matrix_loss(cfg, values, rel)
-        return out.value, out.grad
+    def matrix_node(loss_fn):
+        """The scalar node of ``loss_fn(similarity, rel)`` on the similarity matrix."""
 
-    def nce_fn(values):
-        out = matrix_loss(values, rel, partial(infonce_loss_rows, tau=cfg.weights.tau_nce))
-        return out.value, out.grad
+        def fn(values):
+            out = loss_fn(values, rel)
+            return out.value, out.grad
 
-    def sshn_fn(values):
-        out = sshn_matrix_loss(values, rel)
-        return out.value, out.grad
+        return ad.scalar_node(sim_var, fn)
 
-    loss_v = ad.scalar_node(sim_var, video_fn)
-    loss_nce = ad.scalar_node(sim_var, nce_fn)
-    loss_sshn = ad.scalar_node(sim_var, sshn_fn)
+    video_rows = RANKING_LOSSES[cfg.video_loss](cfg.qlap_video, cfg.smooth, cfg.margin)
+    loss_v = matrix_node(partial(matrix_loss, rows_fn=video_rows))
+    loss_nce = matrix_node(partial(matrix_loss, rows_fn=partial(infonce_loss_rows, tau=cfg.weights.tau_nce)))
+    loss_sshn = matrix_node(sshn_matrix_loss)
     components = {
         "loss_video": loss_v.item(),
         "loss_nce": loss_nce.item(),
@@ -578,7 +560,8 @@ _JSON_TYPES = {
 def _build(cls, payload, path: str):
     """``cls`` from the JSON object ``payload`` found at ``path``, nested
     configs built from their own objects; a value of the wrong JSON type
-    raises ParameterError naming its path."""
+    raises ParameterError naming its path, and so does a nested config's
+    out-of-range value (each such message starts with the field's name)."""
     if not isinstance(payload, dict):
         raise ParameterError(f"{path} must be an object, got {json.dumps(payload, default=repr)}")
     hints = typing.get_type_hints(cls)
@@ -595,7 +578,12 @@ def _build(cls, payload, path: str):
         if not accepts(value):
             raise ParameterError(f"{where} must be {kind}, got {json.dumps(value, default=repr)}")
         values[name] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ParameterError as exc:
+        if path == "<root>":
+            raise
+        raise ParameterError(f"{path}.{exc}") from exc
 
 
 def config_from_dict(payload: dict) -> TrainConfig:

@@ -33,14 +33,13 @@ from apranking.losses import (
     quadlinear_ap_risk_rows,
     r_minus,
     r_minus_grad,
-    r_plus,
     sigmoid_surrogate_grad,
     smooth_ap_risk_rows,
     sshn_loss_rows,
 )
-from apranking.metrics import average_precision, brute_force_ap, micro_ap
-from apranking.pseudolabels import POSITIVE, LabelRates, generate_pseudo_labels
-from apranking.ranking import ScoredList
+from apranking.metrics import average_precision, brute_force_ap, retrieval_report
+from apranking.pseudolabels import LabelRates, pseudo_label_indices
+from apranking.ranking import ScoredList, heaviside
 from apranking.synthetic import generate_corpus, planted_correspondence_matrix
 from apranking.trainer import (
     HARD_VARIANTS,
@@ -100,7 +99,7 @@ def test_criterion_1_surrogate_properties():
     def rm_grad(values):
         return r_minus_grad(values / deltas, 1.0) / deltas
 
-    upper_ok = int(np.sum(rm(x) < r_plus(x)))
+    upper_ok = int(np.sum(rm(x) < heaviside(x)))
 
     mid = t * x + (1 - t) * x2
     convex_bad = int(np.sum(t * rm(x) + (1 - t) * rm(x2) < rm(mid) - 1e-10))
@@ -253,7 +252,7 @@ def test_criterion_3_ap_oracle_equivalence():
 
 def test_criterion_4_hand_anchors():
     ap = average_precision(ScoredList([0.9, 0.8, 0.7], [1, 0, 1]))
-    pooled = micro_ap([ScoredList([0.9, 0.1], [1, 0]), ScoredList([0.8, 0.7], [0, 1])])
+    pooled = retrieval_report([[0.9, 0.1], [0.8, 0.7]], [[1, 0], [0, 1]]).micro_ap
     ql = quadlinear_ap_risk_rows([[0.8, 0.4]], [[0.6]], QuadLinearParams(0.05, 1.0))[0][0]
     ok = ap == 5 / 6 and pooled == 5 / 6 and abs(ql - 9 / 22) < 1e-12
     report(4, ok, f"AP={ap:.12f} (5/6), microAP={pooled:.12f} (5/6), quadlinear={ql:.12f} (9/22)")
@@ -297,14 +296,15 @@ def test_criterion_7_pseudo_label_fidelity():
         r_t = float(rng.uniform(0.05, overlap))
         r_b = float(rng.uniform(0.05, min(0.9 - r_t, 0.4)))
         rates = LabelRates(r_t, r_b)
-        labels = generate_pseudo_labels(sim, rates).labels
+        pos, neg = pseudo_label_indices(sim, rates)
         npos, nneg = rates.counts(cols)
-        if not np.all(mask[labels == POSITIVE]):
+        if not np.all(np.take_along_axis(mask, pos, axis=1)):
             bad_precision += 1
-        if not (
-            np.all((labels == 1).sum(axis=1) == npos) and np.all((labels == -1).sum(axis=1) == nneg)
-        ):
-            bad_counts += 1
+        for row_pos, row_neg in zip(pos, neg):
+            picked = np.concatenate([row_pos, row_neg])
+            if not (row_pos.size == npos and row_neg.size == nneg and np.unique(picked).size == picked.size):
+                bad_counts += 1
+                break
     ok = bad_precision == 0 and bad_counts == 0
     report(7, ok, f"50 planted matrices: precision violations={bad_precision}, count violations={bad_counts}")
 

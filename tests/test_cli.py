@@ -79,9 +79,10 @@ class TestBenchLoss:
         assert res.returncode == 2
 
     # a sweep of no step or of no points, a non-finite bound or step, a
-    # gradient check over no seeds (which would report an error of 0.0), and
-    # a loss parameter or seed out of its range, checked before anything is
-    # made: a NaN margin failed mid-run, an infinite one reported an error of 0.0
+    # gradient check over no seeds (which would report an error of 0.0), a
+    # loss parameter or seed out of its range, and a --losses list naming no
+    # loss or a loss twice, checked before anything is made: a NaN margin
+    # failed mid-run, an infinite one reported an error of 0.0
     @pytest.mark.parametrize("extra, message", [
         (["--gap-step", "0"], "bench-loss needs"), (["--gap-step", "-0.05"], "bench-loss needs"),
         (["--gap-min", "0.5", "--gap-max", "0.4"], "bench-loss needs"), (["--gap-step", "nan"], "bench-loss needs"),
@@ -90,8 +91,12 @@ class TestBenchLoss:
         (["--margin", "nan"], "margin must be nonnegative, got nan"),
         (["--margin", "inf", "--losses", "triplet"], "margin must be nonnegative, got inf"),
         (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--losses", ","], "unknown loss name(s) []"),
+        (["--losses", "smooth,smooth"], "loss name(s) ['smooth'] given more than once in --losses"),
+        (["--losses", "heaviside,smooth,heaviside"], "loss name(s) ['heaviside'] given more than once in --losses"),
     ], ids=["zero-step", "negative-step", "max-below-min", "nan-step", "inf-max", "no-seeds", "negative-seeds",
-            "nan-delta", "nan-margin", "inf-margin", "negative-seed"])
+            "nan-delta", "nan-margin", "inf-margin", "negative-seed", "no-loss", "repeated-loss",
+            "repeated-heaviside"])
     def test_sweep_that_runs_nothing_exits_2(self, out_dir, capsys, extra, message):
         from apranking import cli
 
@@ -197,19 +202,31 @@ class TestTrain:
 
     # a weight, optimizer setting, margin, held-out size, seed or refiner
     # setting that is not finite or not in range is a config error, not a
-    # run without that term or a failure after the output directory is made
+    # run without that term or a failure after the output directory is made;
+    # so is a --losses list naming no loss, another loss, or a loss twice (which
+    # trained twice in comparative mode, frame loss off, and reported one run).
+    # A nested config's value is named by its path
     @pytest.mark.parametrize("extra, config, message", [
         (["--lambda-f", "nan"], {}, "lambda_f must be"),
         (["--lambda-v", "nan"], {}, "lambda_v must be"),
         (["--lambda-v", "inf"], {}, "lambda_v must be"),
-        ([], {"optimizer.beta1": 1.0}, "beta1 must be"),
+        ([], {"optimizer.beta1": 1.0}, "optimizer.beta1 must be"),
         ([], {"video_loss": "triplet", "margin": float("nan")}, "margin must be nonnegative, got nan"),
-        ([], {"heldout.num_clips": 0}, "num_clips must be an integer >= 1, got 0"),
+        ([], {"heldout.num_clips": 0}, "heldout.num_clips must be an integer >= 1, got 0"),
+        ([], {"synthetic.num_clips": 0}, "synthetic.num_clips must be an integer >= 1, got 0"),
+        ([], {"qlap_frame.delta": 0.0}, "qlap_frame.delta must be positive, got 0.0"),
+        ([], {"synthetic.augment.crop_rate": 1.0}, "synthetic.augment.crop_rate must be in [0, 1), got 1.0"),
         (["--seed", "-1"], {}, "seed must be nonnegative, got -1"),
         ([], {"refiner_kind": "bogus"}, "unknown refiner kind 'bogus'"),
         ([], {"downsample": 0, "weights.lambda_f": 0.0}, "downsample must be an integer >= 1, got 0"),
+        (["--losses", "quadlinear,quadlinear"], {}, "loss name(s) ['quadlinear'] given more than once in --losses"),
+        (["--losses", "triplet,smooth,triplet,smooth"], {},
+         "loss name(s) ['smooth', 'triplet'] given more than once in --losses"),
+        (["--losses", "quadlinear,heaviside"], {}, "unknown loss name(s) ['heaviside']"),
+        (["--losses", ""], {}, "unknown loss name(s) []"),
     ], ids=["lambda_f-nan", "lambda_v-nan", "lambda_v-inf", "beta1-one", "triplet-margin-nan", "heldout-no-clips",
-            "negative-seed", "refiner-kind", "refiner-stride"])
+            "synthetic-no-clips", "frame-delta-zero", "crop-rate-one", "negative-seed", "refiner-kind",
+            "refiner-stride", "repeated-loss", "repeated-losses", "unknown-loss", "no-loss"])
     def test_config_value_out_of_range_exits_2(self, tmp_path, out_dir, extra, config, message):
         path = tiny_config(tmp_path)
         payload = json.load(open(path))

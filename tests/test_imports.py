@@ -1,8 +1,9 @@
-"""Every import in the package is used: a name imported at module or
-function scope must be read in that scope. A module's ``__all__`` counts as
-a read, and so does the package ``__init__``'s import at module scope, which
-is its public surface. Every name a module exports in ``__all__`` is bound
-in it. The package declares no linter, so this is the check."""
+"""Every import in the package, its tests and its scripts is used: a name
+imported at module or function scope must be read in that scope. A module's
+``__all__`` counts as a read, and so does the package ``__init__``'s import
+at module scope, which is its public surface. Every name a module exports in
+``__all__`` is bound in it. The package declares no linter, so this is the
+check."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ from pathlib import Path
 import apranking
 
 PACKAGE = Path(apranking.__file__).parent
+TESTS = Path(__file__).parent
+SCRIPTS = TESTS.parent / "scripts"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -51,9 +54,11 @@ def unused_imports(source: str, reexports: bool = False) -> list:
 
 def test_no_unused_imports():
     found = {
-        path.name: unused_imports(path.read_text(), reexports=path.name == "__init__.py")
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.parent.name}/{path.name}": unused_imports(path.read_text(), reexports=path == PACKAGE / "__init__.py")
+        for folder in (PACKAGE, TESTS, SCRIPTS)
+        for path in sorted(folder.glob("*.py"))
     }
+    assert any(name.startswith("scripts/") for name in found)
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from apranking.errors import DegenerateInputError, ParameterError, StructuralError
@@ -22,7 +22,6 @@ from apranking.losses import (
     quadlinear_ap_risk_rows,
     r_minus,
     r_minus_grad,
-    r_plus,
     sigmoid_surrogate,
     sigmoid_surrogate_grad,
     smooth_ap_risk_rows,
@@ -30,7 +29,7 @@ from apranking.losses import (
     sshn_matrix_loss,
     triplet_loss_rows,
 )
-from apranking.ranking import QueryContext, RelevanceMatrix, partition_query
+from apranking.ranking import QueryContext, RelevanceMatrix, heaviside, partition_query
 
 
 def one_query(rows_fn, pos, neg, *params):
@@ -67,7 +66,7 @@ class TestRMinus:
 
     @given(st.floats(-3, 3), st.floats(1e-3, 1.0))
     def test_upper_bounds_heaviside(self, x, delta):
-        assert r_minus(x, delta) >= r_plus(x)
+        assert r_minus(x, delta) >= heaviside(x)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 1), st.floats(1e-3, 1.0))
     def test_midpoint_convexity(self, x1, x2, t, delta):

@@ -15,10 +15,8 @@ from apranking.losses import heaviside_ap_risk
 from apranking.errors import StructuralError
 from apranking.metrics import (
     average_precision,
-    average_precision_rows,
     brute_force_ap,
     evaluate_retrieval,
-    micro_ap,
     pooled_positions,
     retrieval_report,
 )
@@ -28,10 +26,11 @@ from apranking.ranking import RelevanceMatrix, ScoredList
 def reference_micro_ap(queries) -> float:
     """Oracle of the numpy micro-AP: a Python sort of the pooled scores
     (stable, so tied items keep query then item order) and one exact
-    Fraction per positive."""
+    Fraction per positive. Queries without a positive are left out of the
+    pool, as the report leaves them out."""
     pooled_scores = []
     pooled_labels = []
-    for q in queries:
+    for q in filter(lambda q: q.labels.any(), queries):
         pooled_scores.extend(q.scores.tolist())
         pooled_labels.extend(q.labels.tolist())
     total_pos = sum(pooled_labels)
@@ -67,6 +66,22 @@ def scored_lists(draw, max_size=40, need_positive=True):
         if need_positive and not any(labels):
             labels[0] = 1
     return ScoredList(scores, labels)
+
+
+def stacked(queries):
+    """The (queries, items) stack of ragged queries, each padded to the
+    longest with -inf scores and label 0."""
+    width = max((q.scores.size for q in queries), default=0)
+    scores = np.full((len(queries), width), -np.inf)
+    labels = np.zeros((len(queries), width), dtype=int)
+    for row, q in enumerate(queries):
+        scores[row, : q.scores.size], labels[row, : q.scores.size] = q.scores, q.labels
+    return scores, labels
+
+
+def pooled_micro_ap(queries) -> float:
+    """Micro-AP of ragged queries, from the one report path."""
+    return retrieval_report(*stacked(queries)).micro_ap
 
 
 def tied_queries(rng, num_queries, max_items):
@@ -176,7 +191,7 @@ def score_stacks(draw):
 class TestAveragePrecisionRows:
     @given(score_stacks())
     def test_rows_match_single_query_ap_and_oracles(self, stack):
-        aps = average_precision_rows(*stack)
+        aps = list(retrieval_report(*stack).ap_per_query)
         lists = [ScoredList(s, l) for s, l in zip(*stack)]
         assert aps == [average_precision(q) for q in lists]
         assert aps == [brute_force_ap(q) for q in lists]
@@ -193,11 +208,17 @@ class TestAveragePrecisionRows:
         pad = np.array(data.draw(st.lists(st.booleans(), min_size=q * n, max_size=q * n))).reshape(q, n) & (labels == 0)
         lists = [ScoredList(s[~p], l[~p]) for s, l, p in zip(scores, labels, pad)]
         scores[pad] = -np.inf
-        assert average_precision_rows(scores, labels) == [brute_force_ap(sl) for sl in lists]
+        assert retrieval_report(scores, labels).ap_per_query == tuple(brute_force_ap(sl) for sl in lists)
 
     def test_row_without_positive_raises(self):
+        # the report skips a row without positives, and raises when no row
+        # is left; the AP of such a row alone raises
+        report = retrieval_report([[0.9, 0.1], [0.5, 0.4]], [[1, 0], [0, 0]])
+        assert (report.ap_per_query, report.num_queries) == ((1.0,), 1)
         with pytest.raises(UndefinedMetricError):
-            average_precision_rows([[0.9, 0.1], [0.5, 0.4]], [[1, 0], [0, 0]])
+            retrieval_report([[0.5, 0.4]], [[0, 0]])
+        with pytest.raises(UndefinedMetricError):
+            average_precision(ScoredList([0.5, 0.4], [0, 0]))
 
     @pytest.mark.parametrize(
         "scores, labels, reason",
@@ -211,21 +232,16 @@ class TestAveragePrecisionRows:
     )
     def test_bad_row_is_named(self, scores, labels, reason):
         with pytest.raises(StructuralError, match=reason):
-            average_precision_rows(scores, labels)
+            retrieval_report(scores, labels)
 
     def test_padding_changes_no_metric(self):
         # ragged queries padded with -inf scores and label 0 give the same
         # per-query APs and micro-AP as the queries themselves
         rng = np.random.default_rng(11)
         queries = [q for q in tied_queries(rng, 12, 15) if q.labels.any()]
-        width = max(q.scores.size for q in queries)
-        scores = np.full((len(queries), width), -np.inf)
-        labels = np.zeros((len(queries), width), dtype=int)
-        for row, q in enumerate(queries):
-            scores[row, : q.scores.size], labels[row, : q.scores.size] = q.scores, q.labels
-        report = retrieval_report(scores, labels)
+        report = retrieval_report(*stacked(queries))
         assert report.ap_per_query == tuple(average_precision(q) for q in queries)
-        assert report.micro_ap == micro_ap(queries) == reference_micro_ap(queries)
+        assert report.micro_ap == reference_micro_ap(queries)
 
 
 def _ulp_steps(x, steps):
@@ -344,69 +360,69 @@ class TestMicroAp:
     def test_pooled_hand_anchor(self):
         q1 = ScoredList([0.9, 0.1], [1, 0])
         q2 = ScoredList([0.8, 0.7], [0, 1])
-        assert micro_ap([q1, q2]) == float(5 / 6)
+        assert pooled_micro_ap([q1, q2]) == float(5 / 6)
 
     def test_perfectly_calibrated(self):
         q1 = ScoredList([0.9, 0.1], [1, 0])
         q2 = ScoredList([0.8, 0.2], [1, 0])
-        assert micro_ap([q1, q2]) == 1.0
+        assert pooled_micro_ap([q1, q2]) == 1.0
 
     def test_miscalibration_hurts_micro_but_not_macro(self):
         q1 = ScoredList([0.6, 0.5], [1, 0])
         q2 = ScoredList([0.9, 0.8], [1, 0])
         assert macro_map([q1, q2]) == 1.0
-        assert micro_ap([q1, q2]) < macro_map([q1, q2])
+        assert pooled_micro_ap([q1, q2]) < macro_map([q1, q2])
 
     def test_single_query_equals_ap(self):
         q = ScoredList([0.9, 0.8, 0.7], [1, 0, 1])
-        assert micro_ap([q]) == average_precision(q) == macro_map([q])
+        assert pooled_micro_ap([q]) == average_precision(q) == macro_map([q])
 
     def test_tie_rules_differ_from_per_query_ap(self):
         # per-query AP ranks a tied positive above its negative; micro-AP
         # keeps the pooled item order (query, then item) among tied scores
         tied = ScoredList([0.5, 0.5], [0, 1])
         assert average_precision(tied) == 1.0
-        assert micro_ap([tied]) == 0.5
+        assert pooled_micro_ap([tied]) == 0.5
         q1 = ScoredList([0.9, 0.5], [1, 0])
         q2 = ScoredList([0.5, 0.1], [1, 0])
         assert macro_map([q1, q2]) == 1.0
-        assert micro_ap([q1, q2]) == float(5 / 6)
+        assert pooled_micro_ap([q1, q2]) == float(5 / 6)
 
     def test_global_monotone_transform_invariant(self):
         q1 = ScoredList([0.6, 0.5], [1, 0])
         q2 = ScoredList([0.9, 0.8], [0, 1])
         warped = [ScoredList(2 * q.scores + 1, q.labels) for q in (q1, q2)]
-        assert micro_ap(warped) == micro_ap([q1, q2])
+        assert pooled_micro_ap(warped) == pooled_micro_ap([q1, q2])
 
     @given(st.lists(scored_lists(max_size=12, need_positive=False), min_size=1, max_size=6))
     def test_matches_reference(self, queries):
         if not any(q.labels.any() for q in queries):
             with pytest.raises(UndefinedMetricError):
-                micro_ap(queries)
+                pooled_micro_ap(queries)
             return
-        assert micro_ap(queries) == reference_micro_ap(queries)
+        assert pooled_micro_ap(queries) == reference_micro_ap(queries)
 
     def test_ties_across_and_within_queries_match_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             queries = tied_queries(rng, int(rng.integers(1, 9)), 30)
             if any(q.labels.any() for q in queries):
-                assert micro_ap(queries) == reference_micro_ap(queries)
+                assert pooled_micro_ap(queries) == reference_micro_ap(queries)
 
     def test_tied_signed_zeros_keep_pooled_order(self):
         # -0.0 and 0.0 are one score: the pooled order decides, not the sign
         queries = [ScoredList([-0.0, 0.0], [0, 1]), ScoredList([0.0, -0.0], [1, 0])]
-        assert micro_ap(queries) == reference_micro_ap(queries) == float(Fraction(1, 2) * (Fraction(1, 2) + Fraction(2, 3)))
+        assert pooled_micro_ap(queries) == reference_micro_ap(queries) == float(Fraction(1, 2) * (Fraction(1, 2) + Fraction(2, 3)))
 
     def test_large_pool_matches_reference(self):
         rng = np.random.default_rng(8)
         queries = tied_queries(rng, 240, 1000)
         assert sum(q.scores.size for q in queries) >= 100_000
-        assert micro_ap(queries) == reference_micro_ap(queries)
+        assert pooled_micro_ap(queries) == reference_micro_ap(queries)
 
     def test_empty_pool_raises(self):
         with pytest.raises(UndefinedMetricError):
-            micro_ap([])
+            pooled_micro_ap([])
 
 
 class TestExactBracketFallback:
@@ -425,9 +441,9 @@ class TestExactBracketFallback:
         rng = np.random.default_rng(10)
         pools = [tied_queries(rng, 5, 30) for _ in range(50)]
         pools = [p for p in pools if any(q.labels.any() for q in p)]
-        expected = [micro_ap(p) for p in pools]
+        expected = [pooled_micro_ap(p) for p in pools]
         monkeypatch.setattr(metrics, "BRACKET_BITS", 0)
-        assert [micro_ap(p) for p in pools] == expected
+        assert [pooled_micro_ap(p) for p in pools] == expected
         assert [reference_micro_ap(p) for p in pools] == expected
 
 

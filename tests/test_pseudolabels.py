@@ -7,18 +7,7 @@ from hypothesis import strategies as st
 
 from apranking.errors import DegenerateInputError, ParameterError, StructuralError
 from apranking.losses import heaviside_ap_risk
-from apranking.pseudolabels import (
-    IGNORE,
-    NEGATIVE,
-    POSITIVE,
-    FrameEmbeddings,
-    LabelRates,
-    PseudoLabelMatrix,
-    generate_pseudo_labels,
-    pseudo_label_indices,
-    teacher_frame_similarities,
-    teacher_frame_similarity,
-)
+from apranking.pseudolabels import FrameEmbeddings, LabelRates, pseudo_label_indices, teacher_frame_similarities
 from apranking.ranking import QueryContext
 from apranking.synthetic import planted_correspondence_matrix
 
@@ -27,21 +16,21 @@ class TestTeacherSimilarity:
     def test_self_diagonal(self):
         rng = np.random.default_rng(0)
         a = FrameEmbeddings(rng.standard_normal((4, 6)))
-        np.testing.assert_allclose(np.diag(teacher_frame_similarity(a, a)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(teacher_frame_similarities([a], [a])[0]), 1.0, atol=1e-12)
 
     def test_orthogonal(self):
         a = FrameEmbeddings([[1.0, 0.0]])
         b = FrameEmbeddings([[0.0, 1.0]])
-        assert teacher_frame_similarity(a, b)[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert teacher_frame_similarities([a], [b])[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_cosine(self):
         a = FrameEmbeddings([[1.0, 0.0]])
         b = FrameEmbeddings([[0.6, 0.8]])
-        assert teacher_frame_similarity(a, b)[0, 0] == pytest.approx(0.6, abs=1e-12)
+        assert teacher_frame_similarities([a], [b])[0, 0, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
-            teacher_frame_similarity(FrameEmbeddings([[0.0, 0.0]]), FrameEmbeddings([[1.0, 0.0]]))
+            teacher_frame_similarities([FrameEmbeddings([[0.0, 0.0]])], [FrameEmbeddings([[1.0, 0.0]])])
 
 
 class TestLabelRates:
@@ -57,37 +46,16 @@ class TestLabelRates:
             LabelRates(0.0, 0.35)
 
 
-class TestPseudoLabelMatrix:
-    @pytest.mark.parametrize("bad", [2, -2, 0.5, np.nan])
-    def test_rejects_labels_outside_the_three_values(self, bad):
-        labels = np.array([[POSITIVE, NEGATIVE], [IGNORE, POSITIVE]], dtype=np.float64)
-        labels[1, 0] = bad
-        with pytest.raises(StructuralError):
-            PseudoLabelMatrix(labels)
-
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
-    def test_accepts_ternary_dtypes(self, dtype):
-        m = PseudoLabelMatrix(np.array([[1, -1], [0, 1]], dtype=dtype))
-        assert m.labels.dtype == np.int8
-        np.testing.assert_array_equal(m.labels, [[1, -1], [0, 1]])
-
-    def test_accepts_bool(self):
-        m = PseudoLabelMatrix(np.array([[True, False], [False, True]]))
-        np.testing.assert_array_equal(m.labels, [[1, 0], [0, 1]])
-
-
 class TestGeneratePseudoLabels:
+    """The labels of one teacher matrix: a stack of one."""
+
     def test_sort_oracle_row(self):
-        labels = generate_pseudo_labels(
-            np.array([[0.9, 0.5, 0.2, 0.7]]), LabelRates(0.25, 0.25)
-        ).labels
-        np.testing.assert_array_equal(labels[0], [POSITIVE, IGNORE, NEGATIVE, IGNORE])
+        pos, neg = pseudo_label_indices(np.array([[0.9, 0.5, 0.2, 0.7]]), LabelRates(0.25, 0.25))
+        assert (pos.tolist(), neg.tolist()) == ([[0]], [[2]])
 
     def test_constant_row_tie_break(self):
-        labels = generate_pseudo_labels(np.zeros((1, 5)), LabelRates(0.4, 0.4)).labels
-        np.testing.assert_array_equal(
-            labels[0], [POSITIVE, POSITIVE, IGNORE, NEGATIVE, NEGATIVE]
-        )
+        pos, neg = pseudo_label_indices(np.zeros((1, 5)), LabelRates(0.4, 0.4))
+        assert (pos.tolist(), neg.tolist()) == ([[0, 1]], [[3, 4]])
 
     @given(st.integers(0, 10_000))
     def test_counts_exact_per_row(self, seed):
@@ -96,45 +64,42 @@ class TestGeneratePseudoLabels:
         r_t, r_b = float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.05, 0.4))
         rates = LabelRates(r_t, r_b)
         npos, nneg = rates.counts(tc)
-        labels = generate_pseudo_labels(rng.standard_normal((t, tc)), rates).labels
-        np.testing.assert_array_equal((labels == POSITIVE).sum(axis=1), npos)
-        np.testing.assert_array_equal((labels == NEGATIVE).sum(axis=1), nneg)
+        pos, neg = pseudo_label_indices(rng.standard_normal((t, tc)), rates)
+        assert pos.shape == (t, npos) and neg.shape == (t, nneg)
+        for row in np.concatenate([pos, neg], axis=1):
+            assert np.unique(row).size == row.size  # distinct, none on both sides
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         emb = rng.standard_normal((5, 7))
         a, b = FrameEmbeddings(emb), FrameEmbeddings(rng.standard_normal((6, 7)))
         rates = LabelRates(0.3, 0.3)
-        before = generate_pseudo_labels(teacher_frame_similarity(a, b), rates).labels
+        before = pseudo_label_indices(teacher_frame_similarities([a], [b]), rates)
         scaled = FrameEmbeddings(emb * 3.7)
-        after = generate_pseudo_labels(teacher_frame_similarity(scaled, b), rates).labels
-        np.testing.assert_array_equal(before, after)
+        after = pseudo_label_indices(teacher_frame_similarities([scaled], [b]), rates)
+        for x, y in zip(before, after):
+            np.testing.assert_array_equal(x, y)
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
         sim = rng.standard_normal((6, 9))
         rates = LabelRates(0.3, 0.3)
-        a = generate_pseudo_labels(sim, rates).labels
-        b = generate_pseudo_labels(sim.copy(), rates).labels
-        np.testing.assert_array_equal(a, b)
+        for x, y in zip(pseudo_label_indices(sim, rates), pseudo_label_indices(sim.copy(), rates)):
+            np.testing.assert_array_equal(x, y)
 
     def test_planted_precision_is_total_below_overlap(self):
         for overlap in (0.3, 0.5):
             sim, mask = planted_correspondence_matrix(12, 20, overlap, seed=5)
             for r_t in (0.1, 0.2, overlap):
-                labels = generate_pseudo_labels(sim, LabelRates(r_t, 0.2)).labels
-                predicted = labels == POSITIVE
-                assert predicted.sum() > 0
-                assert np.all(mask[predicted]), "a pseudo-positive fell outside the planted set"
+                pos, _ = pseudo_label_indices(sim, LabelRates(r_t, 0.2))
+                assert pos.size > 0
+                assert np.all(np.take_along_axis(mask, pos, axis=1)), "a pseudo-positive fell outside the planted set"
 
     def test_student_equals_teacher_gives_zero_risk(self):
         rng = np.random.default_rng(3)
         sim = rng.standard_normal((5, 11))
-        labels = generate_pseudo_labels(sim, LabelRates(0.3, 0.3)).labels
-        for row, row_labels in zip(sim, labels):
-            ctx = QueryContext(row[row_labels == POSITIVE], row[row_labels == NEGATIVE])
-            assert heaviside_ap_risk(ctx) == 0.0
-
+        for row, row_pos, row_neg in zip(sim, *pseudo_label_indices(sim, LabelRates(0.3, 0.3))):
+            assert heaviside_ap_risk(QueryContext(row[row_pos], row[row_neg])) == 0.0
 
 
 def one_pair_teacher(a, b):
@@ -145,15 +110,16 @@ def one_pair_teacher(a, b):
 
 
 def argsort_labels(sim, rates):
-    """Oracle: the label grid from a stable descending argsort per matrix."""
+    """Oracle: the label grid (1 positive, -1 negative, 0 ignored) from a
+    stable descending argsort per matrix."""
     t, tc = sim.shape
     npos, nneg = rates.counts(tc)
     order = np.argsort(-sim, axis=1, kind="stable")
     labels = np.zeros((t, tc), dtype=np.int8)
     rows = np.arange(t)[:, None]
-    labels[rows, order[:, :npos]] = POSITIVE
+    labels[rows, order[:, :npos]] = 1
     if nneg:
-        labels[rows, order[:, tc - nneg :]] = NEGATIVE
+        labels[rows, order[:, tc - nneg :]] = -1
     return labels
 
 
@@ -185,12 +151,10 @@ class TestStackedLabels:
         for p, (a, b) in enumerate(zip(queries, candidates)):
             sim = one_pair_teacher(a, b)
             assert np.array_equal(stack[p], sim) and np.array_equal(np.signbit(stack[p]), np.signbit(sim))
-            assert np.array_equal(teacher_frame_similarity(a, b), sim)
             expected = argsort_labels(sim, rates)
-            assert np.array_equal(generate_pseudo_labels(sim, rates).labels, expected)
             for x in range(t):
-                assert np.array_equal(pos[p, x], np.flatnonzero(expected[x] == POSITIVE))
-                assert np.array_equal(neg[p, x], np.flatnonzero(expected[x] == NEGATIVE))
+                assert np.array_equal(pos[p, x], np.flatnonzero(expected[x] == 1))
+                assert np.array_equal(neg[p, x], np.flatnonzero(expected[x] == -1))
 
     def test_tied_rows_prefer_lower_columns(self):
         stack = np.array([[[0.5, 0.5, 0.5, 0.5, 0.5]], [[0.0, 1.0, 0.0, 1.0, 0.0]]])

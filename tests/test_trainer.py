@@ -368,6 +368,40 @@ class TestLossesPinned:
         assert (digest, result.history[-1]["total"]) == PINNED_RUNS[case]
 
 
+def test_loss_nodes_in_build_order(monkeypatch):
+    # perfbench names each scalar node that build_losses makes by its place:
+    # video, InfoNCE, SSHN, then frame; the total adds them in that order
+    from apranking import autodiff as ad
+    from apranking.model import init_model
+    from apranking.synthetic import generate_corpus
+    from apranking.trainer import build_losses
+
+    made, summed = [], []
+    scalar_node, add_scaled = ad.scalar_node, ad.add_scaled
+
+    def recording_scalar_node(v, forward_with_grad):
+        made.append((v, scalar_node(v, forward_with_grad)))
+        return made[-1][1]
+
+    def recording_add_scaled(terms):
+        summed.append(list(terms))
+        return add_scaled(summed[-1])
+
+    monkeypatch.setattr(ad, "scalar_node", recording_scalar_node)
+    monkeypatch.setattr(ad, "add_scaled", recording_add_scaled)
+    clips = generate_corpus(PINNED_SYN)
+    weights = LossWeights(lambda_v=4.0, lambda_s=2.0, lambda_f=6.0)
+    cfg = TrainConfig(synthetic=PINNED_SYN, video_loss="triplet", weights=weights)  # every term nonzero
+    model = init_model(PINNED_SYN.dim, seed=7, init_noise=0.05)
+    _, components = build_losses(cfg, model, [clips[i] for i in PINNED_BATCHES["balanced"]], {})
+    names = ("loss_video", "loss_nce", "loss_sshn", "loss_frame")
+    assert [node.item() for _, node in made] == [components[name] for name in names]
+    assert [v is made[0][0] for v, _ in made] == [True, True, True, False]  # the frame node reads frames
+    [terms] = summed
+    assert [weight for weight, _ in terms] == [4.0, 1.0, 2.0, 6.0]
+    assert all(term is node for (_, term), (_, node) in zip(terms, made, strict=True))
+
+
 def _per_row_video_margin(cfg, sim, rel):
     """Reference: the smallest breakpoint distance of the video-level losses,
     row by row over QueryContexts."""
@@ -395,7 +429,8 @@ class TestLossMargins:
 
         from apranking import autodiff as ad
         from apranking.ranking import RelevanceMatrix
-        from apranking.trainer import VIDEO_LOSSES, _record_video_loss_margins
+        from apranking.losses import RANKING_LOSSES
+        from apranking.trainer import _record_video_loss_margins
 
         rng = np.random.default_rng(4)
         for i in range(40):
@@ -404,7 +439,7 @@ class TestLossMargins:
             sim = rng.uniform(-1.0, 1.0, size=(rel.n, rel.n))
             if i % 4 < 2:
                 sim = np.round(sim, 1)  # ties: zero gaps
-            for loss in VIDEO_LOSSES:
+            for loss in RANKING_LOSSES:
                 cfg = replace(TINY, video_loss=loss)
                 guard = ad.BreakpointGuard()
                 _record_video_loss_margins(cfg, sim, rel, guard)
@@ -457,9 +492,8 @@ def add_at_frame_loss(frame_values, spec, p):
 
 def per_pair_spec(batch_clips, rel, rates):
     """Oracle: the frame-loss labels of every relevant ordered pair from a
-    loop over all n^2 pairs, one teacher product and label grid each."""
-    from apranking.pseudolabels import generate_pseudo_labels
-
+    loop over all n^2 pairs, one teacher product and one stable descending
+    argsort per frame row each."""
     pairs, pos, neg = [], [], []
     for a, ca in enumerate(batch_clips):
         for b, cb in enumerate(batch_clips):
@@ -467,10 +501,12 @@ def per_pair_spec(batch_clips, rel, rates):
                 continue
             na = np.linalg.norm(ca.teacher.data, axis=1, keepdims=True)
             nb = np.linalg.norm(cb.teacher.data, axis=1, keepdims=True)
-            labels = generate_pseudo_labels((ca.teacher.data / na) @ (cb.teacher.data / nb).T, rates).labels
+            sim = (ca.teacher.data / na) @ (cb.teacher.data / nb).T
+            npos, nneg = rates.counts(sim.shape[1])
+            order = [np.argsort(-row, kind="stable") for row in sim]
             pairs.append((a, b))
-            pos.append(np.stack([np.flatnonzero(row == 1) for row in labels]))
-            neg.append(np.stack([np.flatnonzero(row == -1) for row in labels]))
+            pos.append(np.stack([np.sort(o[:npos]) for o in order]))
+            neg.append(np.stack([np.sort(o[o.size - nneg :]) for o in order]))
     return np.asarray(pairs), np.stack(pos), np.stack(neg)
 
 
