@@ -10,6 +10,7 @@ import typing
 import numpy as np
 import pytest
 
+from apranking.aggregation import AggregationParams
 from apranking.errors import NumericsError, ParameterError
 from apranking.losses import QuadLinearParams
 from apranking.pseudolabels import LabelRates
@@ -297,6 +298,25 @@ PINNED_LOSSES = {
     ("conv-s2", "quadlinear", "ragged"): (3.464778762832676, 4.68673346659676e-06, "731a4e6024713457"),
     ("conv-s2", "triplet", "balanced"): (3.575341075050778, 3.8049556206898316e-06, "beecc5b6e350e8e2"),
     ("conv-s2", "triplet", "ragged"): (2.466299981892794, 4.68673346659676e-06, "d6fce3762ffc5a05"),
+    # top-K rates past K = 1, recorded from the backward that routed the
+    # gradient through a selection mask; the fourth field keys PINNED_TOPK
+    ("identity", "quadlinear", "balanced", "ks2"): (2.505989616241013, 4.190444945206817e-07, "b32055ad085a0e11"),
+    ("conv", "triplet", "ragged", "ks2"): (3.8244512702016986, 4.190444945206817e-07, "753cb372ab4dc760"),
+    ("affine", "quadlinear", "balanced", "ksR"): (2.5090740566734717, 1.1775682569603596e-05, "054d36d88d3dd945"),
+    ("identity", "quadlinear", "ragged", "kt3"): (2.7187736771211086, 4.68673346659676e-06, "dcc16b074930d625"),
+    ("conv", "smooth", "balanced", "kt3"): (4.566228198095045, 3.8049556206898316e-06, "b89498d1543ae351"),
+    ("affine", "triplet", "ragged", "ks2-kt3"): (2.704407689727595, 4.190444945206817e-07, "c40ca8c721d19853"),
+    ("identity", "quadlinear", "balanced", "r10-ks3"): (2.7595514069448193, 4.969368999629964e-07, "807ac9c277f217f4"),
+    ("conv", "contrastive", "balanced", "r10-ks3"): (4.605547129318492, 4.969368999629964e-07, "13b48bc1ee3960a8"),
+}
+# (patches, rates) of the top-K cases: on PINNED_SYN (R = 3, T = 6) K_s = 2,
+# K_s = R, K_t = 3, and both; at R = 10 K_s = 3, where the top-K sorts
+PINNED_TOPK = {
+    "ks2": (3, AggregationParams(k_s=0.5)),
+    "ksR": (3, AggregationParams(k_s=1.0)),
+    "kt3": (3, AggregationParams(k_t=0.5)),
+    "ks2-kt3": (3, AggregationParams(k_s=0.5, k_t=0.5)),
+    "r10-ks3": (10, AggregationParams(k_s=0.3)),
 }
 # digest of the final parameters and last total loss of train(TINY) per
 # video loss, and per refiner kind under the quad-linear loss; re-recorded with
@@ -308,6 +328,8 @@ PINNED_RUNS = {
     "contrastive": ("4e45ddfb122ffe34", 2.6671307587139945),
     "quadlinear-affine": ("2fda0d1c44ed7f07", 1.438039281387557),
     "quadlinear-conv": ("9bdefd0d457d9732", 1.8502942109813132),
+    # TINY with R = 4 patches at k_s 0.5 and k_t 0.4: K_s = 2 and K_t = 2
+    "quadlinear-topk": ("2b8a35a6ed11f9de", 1.8173435187494045),
 }
 
 
@@ -324,18 +346,22 @@ class TestLossesPinned:
 
     @pytest.mark.parametrize("case", sorted(PINNED_LOSSES), ids="-".join)
     def test_build_losses(self, case):
+        from dataclasses import replace
+
         from apranking import autodiff as ad
         from apranking.model import init_model
         from apranking.synthetic import generate_corpus
         from apranking.trainer import build_losses
 
-        refiner, loss, batch_name = case
+        refiner, loss, batch_name, *topk = case
         kind, _, stride = refiner.partition("-s")
         downsample = int(stride or 1)
-        clips = generate_corpus(PINNED_SYN)
+        patches, agg = PINNED_TOPK[topk[0]] if topk else (PINNED_SYN.patches, AggregationParams())
+        syn = replace(PINNED_SYN, patches=patches)
+        clips = generate_corpus(syn)
         batch = [clips[i] for i in PINNED_BATCHES[batch_name]]
         cfg = TrainConfig(
-            synthetic=PINNED_SYN, refiner_kind=kind, downsample=downsample, video_loss=loss,
+            synthetic=syn, agg=agg, refiner_kind=kind, downsample=downsample, video_loss=loss,
             weights=LossWeights(lambda_f=0.0) if downsample > 1 else LossWeights(),
         )
         model = init_model(PINNED_SYN.dim, refiner_kind=kind, downsample=downsample, seed=7, init_noise=0.05)
@@ -363,7 +389,11 @@ class TestLossesPinned:
         from dataclasses import replace
 
         loss, _, kind = case.partition("-")
-        result = train(replace(TINY, video_loss=loss, refiner_kind=kind or "identity"))
+        if kind == "topk":
+            cfg = replace(TINY, synthetic=replace(TINY.synthetic, patches=4), agg=AggregationParams(k_s=0.5, k_t=0.4))
+        else:
+            cfg = replace(TINY, refiner_kind=kind or "identity")
+        result = train(replace(cfg, video_loss=loss))
         digest = _digest(*(p.value for _, p in result.model.parameters()))
         assert (digest, result.history[-1]["total"]) == PINNED_RUNS[case]
 
