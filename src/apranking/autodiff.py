@@ -7,11 +7,13 @@ cosine gram, top-K over candidate patches, mean over query patches; the
 refiner; the temporal TopK-Chamfer), and an escape hatch for scalar nodes
 with hand-derived gradients. The nodes run :mod:`aggregation` forward:
 ``normalize_rows``, ``refine``, ``temporal_topk_chamfer``, and
-``spatial_topk_chamfer`` except at K = 1, where the spatial node selects
-along rows of the symmetric gram and scatters its gradient at the selected
-patch. The other top-K paths route their gradient through a selection mask.
-Anything else fails loudly at graph-build time; there is no silent fallback
-that could produce wrong gradients.
+``spatial_topk_chamfer`` except at K = 1, where the spatial node takes the
+maximum along rows of the symmetric gram. Each top-K node makes one
+selection per forward, a stable descending argsort (at the spatial node's
+K = 1, the row maximum's first position), and its backward scatters the
+gradient at the selected entries; at K = extent it broadcasts. Anything
+else fails loudly at graph-build time; there is no silent fallback that
+could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -152,33 +154,20 @@ def normalize_rows(v: Var) -> Var:
     return out
 
 
-def _topk_mask(values: np.ndarray, top: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the k (< extent) largest entries along the last axis, ties to
-    the lower index; ``top`` is the row max, read only when k == 1."""
-    extent = values.shape[-1]
-    if k == 1 and extent <= aggregation.SELECT_MAX_EXTENT:
-        # the first column equal to the max
-        sel = values == top[..., None]
-        taken = sel[..., 0].copy()
-        for j in range(1, extent):
-            col = sel[..., j]
-            np.greater(col, taken, out=col)
-            taken |= col
-        return sel
-    kth = top[..., None] if k == 1 else np.partition(values, extent - k, axis=-1)[..., extent - k, None]
-    tied = values == kth
-    room = k - np.count_nonzero(values > kth, axis=-1)[..., None]
-    return (values > kth) | (tied & (np.cumsum(tied, axis=-1) <= room))
+def _topk_order(values: np.ndarray) -> np.ndarray:
+    """The one top-K selection: positions along the last axis in the order of
+    a stable descending argsort, so the first K are the K largest entries,
+    ties to the lower index. The spatial and temporal backward scatter at
+    the first K and both guards read the entries at K and K + 1."""
+    return np.argsort(-values, axis=-1, kind="stable")
 
 
-def _topk_margins(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """k-th largest minus next entry per row: the last smallest selected
-    entry minus the first largest unselected one, the two a stable
-    descending argsort puts at k and k + 1. Read at their positions, so a
-    zero margin keeps the sign the argsort gives it (entries are finite)."""
-    last = values.shape[-1] - 1 - np.argmin(np.where(sel, values, np.inf)[..., ::-1], axis=-1, keepdims=True)
-    first = np.argmax(np.where(sel, -np.inf, values), axis=-1, keepdims=True)
-    return np.take_along_axis(values, last, axis=-1) - np.take_along_axis(values, first, axis=-1)
+def _topk_margins(values: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
+    """k-th largest minus (k+1)-th largest entry per row, read at their
+    positions in ``order``, so a zero margin keeps the sign the argsort
+    gives it (entries are finite)."""
+    pair = np.take_along_axis(values, order[..., k - 1 : k + 1], axis=-1)
+    return pair[..., 0] - pair[..., 1]
 
 
 def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: BreakpointGuard | None = None) -> Var:
@@ -194,30 +183,31 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     adjoint S = G + G.T of that product directly and leaves through one
     ``S @ u``.
 
-    At K = 1 (R > 1) the forward takes the selection along rows of the
-    cosine buffer (:func:`_select_rows`), adds the query patches in p order
-    and divides by R*K; backward scatters the upstream gradient at each
-    selected position and adds it at the transposed one, in the cosine
-    buffer, which is dead once the selection is taken. Other K run the
-    engine's stage, :func:`aggregation.spatial_topk_chamfer` of the cosines
-    viewed as (a, b, T, R, R', T'), and route the gradient through the
-    temporal stage's selection mask. Either way one copy lays the frames
-    out clip pair first, and backward reads the upstream gradient back
-    through a ``moveaxis`` view. A guard records each row's top-K margin, as
-    the temporal stage does."""
+    The selection is read along rows of the exactly symmetric cosine buffer,
+    where candidate patch q of frame f against every query patch is one
+    contiguous row: at K = 1 (R > 1) :func:`_select_rows`, whose maxima the
+    forward adds in p order and divides by R*K; for 1 < K < R
+    :func:`_topk_order`, while the forward runs the engine's stage,
+    :func:`aggregation.spatial_topk_chamfer` of the cosines viewed as (a, b,
+    T, R, R', T'). Backward scatters the upstream gradient at each selected
+    position and adds it at the transposed one, in the cosine buffer, which
+    is dead once the selection is taken; at K = R it broadcasts. One copy
+    lays the frames out clip pair first, and backward reads the upstream
+    gradient back through a ``moveaxis`` view. A guard records each row's
+    top-K margin, as the temporal stage does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
         raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
     k = aggregation.topk_count(k_s, r)
     cosines = uv @ uv.T
-    sim6 = cosines.reshape(n, t, r, n, t, r)
-    scatter = k == 1 and r > 1
-    if scatter:
+    by_frame = cosines.reshape(n * t, r, size).transpose(0, 2, 1)  # (candidate frame, query patch, q)
+    order = _topk_order(by_frame) if k < r and (k > 1 or guard is not None) else None
+    if guard is not None and k < r:
+        guard.record(_topk_margins(by_frame, order, k))
+    if k == 1 and r > 1:
         top, first = _select_rows(cosines, n, t, r)
-        if guard is not None:
-            summed = top.reshape(n, t, n, t, r).transpose(2, 3, 4, 0, 1)
-            guard.record(_topk_margins(sim6, _topk_mask(sim6, summed, k)))
+        selected = first[..., None]
         by_patch = top.reshape(n * t, n * t, r)  # (candidate frame, query frame, p)
         frames = by_patch[..., 0] + by_patch[..., 1]
         for p in range(2, r):
@@ -225,24 +215,20 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
         frames /= r * k
         value = np.ascontiguousarray(frames.reshape(n, t, n, t).transpose(2, 0, 3, 1))
     else:  # K > 1, or K = R = 1
-        if guard is not None and k < r:
-            guard.record(_topk_margins(sim6, _topk_mask(sim6, None, k)))
-        value = np.ascontiguousarray(aggregation.spatial_topk_chamfer(sim6.transpose(0, 3, 1, 2, 5, 4), k_s))
+        # held until backward, so as compact as _select_rows' first
+        selected = None if k == r else order[..., :k].astype(np.min_scalar_type(r - 1))
+        sim = cosines.reshape(n, t, r, n, t, r).transpose(0, 3, 1, 2, 5, 4)
+        value = np.ascontiguousarray(aggregation.spatial_topk_chamfer(sim, k_s))
     out = Var(value, parents=(u,))
 
     def backward(g):
         gs = np.moveaxis(g, 2, 1) / (r * k)  # (n, T, n, T)
         gs += 0.0  # -0.0 -> +0.0, as a sum into a zero gradient gives
-        if scatter:
-            adjoint = _scatter_plan(n, t, r).adjoint(cosines, first, gs)
-        else:
-            spread = gs[:, :, None, :, :, None]
-            if k == r:
-                grad6 = np.broadcast_to(spread, sim6.shape)
-            else:
-                grad6 = np.where(_topk_mask(sim6, None, k), spread, 0.0)
-            grad = grad6.reshape(size, size)
+        if selected is None:
+            grad = np.broadcast_to(gs[:, :, None, :, :, None], (n, t, r, n, t, r)).reshape(size, size)
             adjoint = grad + grad.T
+        else:
+            adjoint = _scatter_plan(n, t, r, k).adjoint(cosines, selected, gs)
         u.grad += adjoint @ uv
 
     out._backward = backward
@@ -253,12 +239,13 @@ def _select_rows(cosines: np.ndarray, n: int, t: int, r: int) -> tuple[np.ndarra
     """The k = 1 spatial selection from the exactly symmetric cosine buffer
     (numpy mirrors syrk's triangle): ``top[f, x]``, the max over the R
     candidate patches of candidate frame f against query patch x, and
-    ``first[f, x]``, the first candidate patch holding it. Patch q of frame
-    f against every query patch is one contiguous row, so the max is a
-    chain of ``np.maximum`` over those rows in q order, exact like
-    ``np.max`` to the sign of zero (``np.max`` of the transposed layout from
-    R = 9, where topk_sum_values takes it), and ``first`` counts the
-    patches before it, all below the max."""
+    ``first[f, x]``, the first candidate patch holding it, which is
+    :func:`_topk_order`'s first. Patch q of frame f against every query
+    patch is one contiguous row, so the max is a chain of ``np.maximum``
+    over those rows in q order, exact like ``np.max`` to the sign of zero
+    (``np.max`` of the transposed layout from R = 9, where topk_sum_values
+    takes it), and ``first`` counts the patches before it, all below the
+    max."""
     size = n * t * r
     rows = cosines.reshape(n * t, r, size)  # (candidate frame, q, query patch)
     if r <= aggregation.SELECT_MAX_EXTENT:
@@ -277,46 +264,48 @@ def _select_rows(cosines: np.ndarray, n: int, t: int, r: int) -> tuple[np.ndarra
 
 
 class _ScatterPlan:
-    """Flat positions and scratch of the k = 1 adjoint scatter for one
-    (n, T, R). Kept across calls, because allocating these ~512 KB arrays on
-    every backward costs about a thousand minor page faults per training
-    step. The scratch is written only inside one backward call, so two
-    threads must not run backward on graphs of the same shape at once."""
+    """Flat positions and scratch of the adjoint scatter for one (n, T, R,
+    K). Kept across calls, because allocating these ~512 KB arrays (at K =
+    1) on every backward costs about a thousand minor page faults per
+    training step. The scratch is written only inside one backward call, so
+    two threads must not run backward on graphs of the same shape at once."""
 
-    def __init__(self, n: int, t: int, r: int):
+    def __init__(self, n: int, t: int, r: int, k: int):
         size = n * t * r
-        patch = np.arange(size).reshape(n, t, r, 1, 1)
+        patch = np.arange(size)
         frame = np.arange(0, size, r).reshape(n, t)  # first patch of each frame
-        # (query patch x, candidate frame f) -> x * size + first patch of f,
-        # so that each row of the adjoint is written in one sweep
-        self.rows = patch * size + frame
-        # the transposed positions, laid out as the selection (f, x), so
-        # that each frame's R rows of the adjoint are written in one sweep
-        self.cols = frame[:, :, None, None, None] * size + patch.reshape(n, t, r)
-        self.index = np.empty(self.rows.shape, np.intp)
-        self.index_t = np.empty(self.cols.shape, np.intp)
-        self.taken = np.empty(self.cols.shape)
+        # (query patch x, candidate frame f, slot) -> x * size + first patch
+        # of f, so that each row of the adjoint is written in one sweep
+        self.rows = patch.reshape(n, t, r, 1, 1, 1) * size + frame[:, :, None]
+        # the transposed positions, laid out as the selection (f, x, slot),
+        # so that each frame's R rows of the adjoint are written in one sweep
+        self.cols = frame.reshape(n, t, 1, 1, 1, 1) * size + patch.reshape(n, t, r, 1)
+        # one buffer for the positions, then for the transposed positions
+        positions = np.empty(size * n * t * k, np.intp)
+        self.index = positions.reshape(self.rows.shape[:-1] + (k,))
+        self.index_t = positions.reshape(self.cols.shape[:-1] + (k,))
+        self.taken = np.empty(self.index_t.shape)
 
-    def adjoint(self, buf: np.ndarray, first: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    def adjoint(self, buf: np.ndarray, selected: np.ndarray, gs: np.ndarray) -> np.ndarray:
         """S = G + G.T in ``buf``, where row x of G holds gs at the
-        ``first[f, x]``-th candidate patch of each candidate frame f and +0.0
-        elsewhere."""
+        ``selected[f, x]`` candidate patches of each candidate frame f and
+        +0.0 elsewhere."""
         buf.fill(0.0)
         flat = buf.reshape(-1)
-        first = first.reshape(self.cols.shape)
-        np.add(self.rows, first.transpose(2, 3, 4, 0, 1), out=self.index)
-        flat[self.index] = gs[:, :, None]
-        np.multiply(first, np.intp(buf.shape[0]), out=self.index_t)
+        selected = selected.reshape(self.index_t.shape)
+        np.add(self.rows, selected.transpose(2, 3, 4, 0, 1, 5), out=self.index)
+        flat[self.index] = gs[:, :, None, :, :, None]
+        np.multiply(selected, np.intp(buf.shape[0]), out=self.index_t)
         self.index_t += self.cols
         np.take(flat, self.index_t, out=self.taken, mode="clip")
-        self.taken += gs.transpose(2, 3, 0, 1)[..., None]
+        self.taken += gs.transpose(2, 3, 0, 1)[..., None, None]
         flat[self.index_t] = self.taken
         return buf
 
 
 @functools.lru_cache(maxsize=8)
-def _scatter_plan(n: int, t: int, r: int) -> _ScatterPlan:
-    return _ScatterPlan(n, t, r)
+def _scatter_plan(n: int, t: int, r: int, k: int) -> _ScatterPlan:
+    return _ScatterPlan(n, t, r, k)
 
 
 def refine(v: Var, r: aggregation.RefinerParams, params, guard: BreakpointGuard | None = None) -> Var:
@@ -379,23 +368,25 @@ def temporal_topk_chamfer(v: Var, k_t: float, guard: BreakpointGuard | None = No
     similarities ``v`` at rate ``k_t``, the sum of each query frame's K
     largest entries, summed over frames and divided by T*K.
 
-    Backward routes the upstream gradient, divided by T*K, through a
-    boolean mask of the selected entries, built in backward: the K largest,
-    ties to the lower index, as a stable descending argsort selects them. A
-    guard records each row's margin from the same selection."""
+    Backward scatters the upstream gradient, divided by T*K, at the K
+    entries :func:`_topk_order` selects (ties to the lower index), and +0.0
+    elsewhere. A guard records each row's margin from the same order."""
     x = v.value
     out = Var(aggregation.temporal_topk_chamfer(x, k_t), parents=(v,))
     t, extent = x.shape[-2:]
     k = aggregation.topk_count(k_t, extent)
+    order = _topk_order(x) if k < extent else None
     if guard is not None and k < extent:
-        guard.record(_topk_margins(x, _topk_mask(x, np.max(x, axis=-1), k)))
+        guard.record(_topk_margins(x, order, k))
 
     def backward(g):
         gs = (g / (t * k))[..., None, None]
         if k == extent:
             v.grad += gs
         else:
-            v.grad += np.where(_topk_mask(x, np.max(x, axis=-1), k), gs, 0.0)
+            routed = np.zeros_like(x)
+            np.put_along_axis(routed, order[..., :k], gs, axis=-1)
+            v.grad += routed
 
     out._backward = backward
     return out

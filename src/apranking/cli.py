@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Trains the similarity model on a seeded synthetic corpus and writes a "
             "checkpoint, a per-iteration CSV history, and a JSON run report. With a "
             "comma list in --losses, one model is trained per ranking loss under an "
-            "identical budget (frame-level loss disabled) for a side-by-side table."
+            "identical budget for a side-by-side table; these runs disable the "
+            "frame-level loss, so --lambda-f is rejected with them."
         ),
     )
     trainp.add_argument("--preset", choices=("easy", "hard"), default="easy")
@@ -317,6 +318,7 @@ def _save_model(out: str, tag: str, model) -> str:
 def cmd_train(args) -> int:
     from dataclasses import replace
 
+    from .errors import ParameterError
     from .losses import RANKING_LOSSES
     from .tensorio import write_json_report
     from .trainer import config_to_dict
@@ -324,6 +326,8 @@ def cmd_train(args) -> int:
     started = time.time()
     cfg = _load_train_config(args)
     losses = None if args.losses is None else _loss_names(args.losses, RANKING_LOSSES)
+    if losses and len(losses) > 1 and args.lambda_f is not None:
+        raise ParameterError("--lambda-f does not apply to a comparative run: each run disables the frame-level loss")
     out = _ensure_out(args)
     results = {}
     if losses and len(losses) > 1:

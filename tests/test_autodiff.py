@@ -1,6 +1,7 @@
 """The reverse-mode engine: each op against finite differences, plus the
 structural guarantees (closed op set, gradient routing, determinism)."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -139,6 +140,28 @@ class TestGraphMechanics:
         ]
         assert unused == []
 
+    def test_every_private_helper_has_a_caller(self):
+        # each module-level _name function or class of the package is named
+        # by package code outside its own definition, so no private helper
+        # lives on for its tests alone
+        package = Path(ad.__file__).parent
+        statements = []  # (module, top-level statement, the names it reads)
+        for path in sorted(package.glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                nodes = list(ast.walk(stmt))
+                names = {n.id for n in nodes if isinstance(n, ast.Name)}
+                names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                statements.append((path.name, stmt, names))
+        unused = [
+            f"{module}:{stmt.name}"
+            for module, stmt, _ in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_")
+            and not stmt.name.startswith("__")
+            and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        ]
+        assert unused == []
+
 
 def same_bits(a, b):
     """Equal values, shapes and signs of zero."""
@@ -149,9 +172,11 @@ def same_bits(a, b):
 def composed_chain(u, n, t, r, k, guard=None):
     """Oracle: the spatial stage as four generic nodes, gram -> reshape ->
     top-K mean over candidate patches -> move to (n, n, T, T), with the
-    gram's adjoint (G + G.T) @ u. The top-K sums, routes its gradient and
-    reads its guard margins test-locally, from topk_sum_values and the
-    selection mask, then sums the query patches and divides by R*K."""
+    gram's adjoint (G + G.T) @ u. The top-K sums through topk_sum_values;
+    it selects with its own stable descending argsort (ties to the lower
+    index), routes its gradient through a mask of that selection and reads
+    its guard margins at positions k and k + 1, then sums the query patches
+    and divides by R*K."""
     uv = u.value
     cosines = ad.Var(uv @ uv.T, parents=(u,))
 
@@ -166,8 +191,12 @@ def composed_chain(u, n, t, r, k, guard=None):
 
     sim6._backward = reshape_backward
     summed = topk_sum_values(sim6.value, k)  # (n, T, R, n, T)
+    order = np.argsort(-sim6.value, axis=-1, kind="stable")
     if guard is not None and k < r:
-        guard.record(ad._topk_margins(sim6.value, ad._topk_mask(sim6.value, summed, k)))
+        kth = np.take_along_axis(sim6.value, order[..., k - 1 : k], axis=-1)
+        guard.record(kth - np.take_along_axis(sim6.value, order[..., k : k + 1], axis=-1))
+    mask = np.zeros(sim6.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
     frames = ad.Var(summed.sum(axis=2) / (r * k), parents=(sim6,))  # (n, T, n, T)
 
     def topk_backward(g):
@@ -175,7 +204,7 @@ def composed_chain(u, n, t, r, k, guard=None):
         if k == r:
             sim6.grad += spread
         else:
-            sim6.grad += np.where(ad._topk_mask(sim6.value, summed, k), spread, 0.0)
+            sim6.grad += np.where(mask, spread, 0.0)
 
     frames._backward = topk_backward
     moved = ad.Var(np.ascontiguousarray(np.moveaxis(frames.value, 1, 2)), parents=(frames,))
@@ -218,11 +247,15 @@ class TestSpatialTopkChamfer:
     values, input gradients and guard margins, bit for bit."""
 
     # (n, T, R, k): k = 1 on every short axis and on the np.max path
-    # (R = 9, 10), in-between k, k = extent, and R = 1
+    # (R = 9, 10), in-between k, k = extent, and R = 1; then R = 9-12, where
+    # the engine's top-K sorts, at 1 < k < R and at k = R, with T > 1 (at T =
+    # 1 numpy may add the chain's query patches pairwise)
     CASES = [
         (2, 3, 4, 1), (3, 2, 2, 1), (1, 2, 8, 1), (2, 2, 9, 1), (2, 1, 10, 1),
         (2, 2, 3, 1), (1, 3, 5, 1), (2, 2, 6, 1), (2, 1, 7, 1),
         (2, 2, 5, 2), (2, 3, 4, 3), (1, 2, 9, 4), (2, 2, 3, 3), (3, 2, 1, 1),
+        (2, 2, 9, 2), (1, 2, 9, 8), (1, 2, 9, 9), (2, 2, 10, 5), (1, 3, 10, 10),
+        (1, 2, 11, 3), (1, 2, 11, 10), (2, 2, 11, 11), (2, 2, 12, 2), (1, 2, 12, 7), (1, 3, 12, 12),
     ]
 
     @pytest.mark.parametrize("n,t,r,k", CASES)
@@ -289,14 +322,15 @@ class TestSpatialTopkChamfer:
 
     def test_backward_again_after_another_graph(self):
         # backward writes the adjoint into the node's own cosine buffer and
-        # shares per-shape scratch between graphs; the selection it scatters
-        # at is held per node
+        # shares per-(n, T, R, K) scratch between graphs; the selection it
+        # scatters at is held per node. Graphs of one (n, T, R) at every K,
+        # interleaved, each give the gradient they gave first
         rng = np.random.default_rng(41)
         n, t, r = 3, 2, 4
 
-        def graph():
+        def graph(k):
             u = ad.Var(tied_unit_rows(rng, n * t * r, 3))
-            out = ad.spatial_topk_chamfer(u, n, t, r, 1 / r)
+            out = ad.spatial_topk_chamfer(u, n, t, r, k / r)
             w = rng.standard_normal(out.shape)
             return u, out, ad.scalar_node(out, lambda values: (np.sum(values * w), w))
 
@@ -306,10 +340,12 @@ class TestSpatialTopkChamfer:
             nodes[-1].backward()
             return nodes[0].grad.copy()
 
-        first, second = graph(), graph()
-        expected = gradient(first)
-        gradient(second)
-        assert same_bits(gradient(first), expected)
+        graphs = [graph(k) for k in (1, 2, 1, 3, 2, 4)]
+        expected = [gradient(nodes) for nodes in graphs]
+        for nodes, grad in zip(graphs[::-1], expected[::-1]):
+            assert same_bits(gradient(nodes), grad)
+        for nodes, grad in zip(graphs, expected):
+            assert same_bits(gradient(nodes), grad)
 
     def test_rejects_rows_of_another_shape(self):
         with pytest.raises(StructuralError):

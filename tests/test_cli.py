@@ -176,6 +176,19 @@ class TestTrain:
         for res_block in report["results"].values():
             assert "micro_ap" in res_block["metrics"]
 
+    def test_comparative_mode_rejects_lambda_f(self, tmp_path, out_dir):
+        # comparative runs disable the frame-level loss, so a --lambda-f
+        # would be dropped without a word: a usage error before the output
+        # directory is made
+        config = tiny_config(tmp_path)
+        res = run_cli(
+            ["train", "--config", config, "--losses", "quadlinear,triplet", "--lambda-f", "3", "--out", out_dir],
+            tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: --lambda-f does not apply to a comparative run")
+        assert not os.path.exists(out_dir)
+
     def test_config_seed_kept_without_seed_flag(self, tmp_path, out_dir):
         config = tiny_config(tmp_path, seed=7)
         payload = json.load(open(config))
