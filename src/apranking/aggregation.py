@@ -16,11 +16,11 @@ stages' optional ``out``/``work`` (and the refiner's ``padded``/``tap``)
 arguments, running the floating-point operations it runs without them, in
 the same order. Both top-K stages sum through the one top-K,
 :func:`topk_sum_values`, whose min/max passes replay a selection network
-built once per (extent, k). The training
-graph runs :func:`refine` and :func:`temporal_topk_chamfer` as nodes of
-their own; its fused spatial node divides by R*K, as
-:func:`spatial_topk_chamfer` does, and outside k = 1 sums through
-:func:`topk_sum_values` too.
+built once per (extent, k). The training graph runs :func:`refine` and
+:func:`temporal_topk_chamfer` as nodes of their own; its fused spatial node
+divides by R*K, as :func:`spatial_topk_chamfer` does, and outside k = 1
+sums through :func:`topk_sum_values` too, whose k = 1 chain also gives
+each slot's maximum in the graph's one top-K selection.
 """
 
 from __future__ import annotations

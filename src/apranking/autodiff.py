@@ -7,13 +7,13 @@ cosine gram, top-K over candidate patches, mean over query patches; the
 refiner; the temporal TopK-Chamfer), and an escape hatch for scalar nodes
 with hand-derived gradients. The nodes run :mod:`aggregation` forward:
 ``normalize_rows``, ``refine``, ``temporal_topk_chamfer``, and
-``spatial_topk_chamfer`` except at K = 1, where the spatial node takes the
-maximum along rows of the symmetric gram. Each top-K node makes one
-selection per forward, a stable descending argsort (at the spatial node's
-K = 1, the row maximum's first position), and its backward scatters the
-gradient at the selected entries; at K = extent it broadcasts. Anything
-else fails loudly at graph-build time; there is no silent fallback that
-could produce wrong gradients.
+``spatial_topk_chamfer`` except at K = 1, where the spatial node adds the
+maxima its selection takes along rows of the symmetric gram. Both top-K
+nodes select once per forward with :func:`_topk_order` (K slots, K + 1
+with a guard), and backward scatters the gradient at the selected
+entries; at K = extent it broadcasts. Anything else fails loudly at
+graph-build time; there is no silent fallback that could produce wrong
+gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -154,18 +154,43 @@ def normalize_rows(v: Var) -> Var:
     return out
 
 
-def _topk_order(values: np.ndarray) -> np.ndarray:
-    """The one top-K selection: positions along the last axis in the order of
-    a stable descending argsort, so the first K are the K largest entries,
-    ties to the lower index. The spatial and temporal backward scatter at
-    the first K and both guards read the entries at K and K + 1."""
-    return np.argsort(-values, axis=-1, kind="stable")
+def _topk_order(values: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one top-K selection: (positions, top). ``positions[..., s]`` is
+    where slot s of a stable descending argsort of the last axis lies (ties
+    to the lower index), in the smallest integer type, as backward holds
+    it. Each slot is one pass over the column views: the row maximum by the
+    k = 1 chain of :func:`aggregation.topk_sum_values`, then a count of the
+    leading columns below it; later passes read a copy of the columns with
+    the earlier slots' entries at -inf (entries are finite). ``top``, slot
+    0's maxima, is exact like ``np.max`` to the sign of zero on axes of up
+    to SELECT_MAX_EXTENT entries and None on longer ones, which take more
+    than one slot from an argsort."""
+    extent = values.shape[-1]
+    dtype = np.min_scalar_type(extent - 1)
+    if slots > 1 and extent > aggregation.SELECT_MAX_EXTENT:
+        return np.argsort(-values, axis=-1, kind="stable")[..., :slots].astype(dtype), None
+    top = aggregation.topk_sum_values(values, 1)
+    positions = np.empty((slots,) + top.shape, dtype)
+    columns = np.moveaxis(values, -1, 0)
+    if slots > 1:
+        columns = columns.copy()
+    maxima = top
+    for s, first in enumerate(positions):
+        if s:
+            np.put_along_axis(columns, positions[s - 1][None], -np.inf, axis=0)
+            maxima = aggregation.topk_sum_values(np.moveaxis(columns, 0, -1), 1)
+        below = columns[0] != maxima
+        first[...] = below
+        for column in columns[1:-1]:
+            below &= column != maxima
+            first += below
+    return np.moveaxis(positions, 0, -1), top if extent <= aggregation.SELECT_MAX_EXTENT else None
 
 
 def _topk_margins(values: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
     """k-th largest minus (k+1)-th largest entry per row, read at their
-    positions in ``order``, so a zero margin keeps the sign the argsort
-    gives it (entries are finite)."""
+    positions in ``order``, so a zero margin keeps the sign the selected
+    entries give it (entries are finite)."""
     pair = np.take_along_axis(values, order[..., k - 1 : k + 1], axis=-1)
     return pair[..., 0] - pair[..., 1]
 
@@ -183,31 +208,34 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     adjoint S = G + G.T of that product directly and leaves through one
     ``S @ u``.
 
-    The selection is read along rows of the exactly symmetric cosine buffer,
-    where candidate patch q of frame f against every query patch is one
-    contiguous row: at K = 1 (R > 1) :func:`_select_rows`, whose maxima the
-    forward adds in p order and divides by R*K; for 1 < K < R
-    :func:`_topk_order`, while the forward runs the engine's stage,
-    :func:`aggregation.spatial_topk_chamfer` of the cosines viewed as (a, b,
-    T, R, R', T'). Backward scatters the upstream gradient at each selected
-    position and adds it at the transposed one, in the cosine buffer, which
-    is dead once the selection is taken; at K = R it broadcasts. One copy
-    lays the frames out clip pair first, and backward reads the upstream
-    gradient back through a ``moveaxis`` view. A guard records each row's
-    top-K margin, as the temporal stage does."""
+    For K < R, :func:`_topk_order` selects along rows of the exactly
+    symmetric cosine buffer, where candidate patch q of frame f against
+    every query patch is one contiguous row. At K = 1 (R > 1) the forward
+    adds its maxima (from R = 9, ``np.max`` along contiguous candidate
+    patches, as in the engine) in p order and divides by R*K; else it runs
+    the engine's stage, :func:`aggregation.spatial_topk_chamfer` of the
+    cosines as (a, b, T, R, R', T'). Backward scatters the upstream gradient
+    at each selected position and adds it at the transposed one, in the
+    cosine buffer, which is dead once the selection is taken; at K = R it
+    broadcasts. One copy lays the frames out clip pair first, and backward
+    reads the upstream gradient back through a ``moveaxis`` view. A guard
+    records each row's top-K margin, as the temporal stage does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
         raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
     k = aggregation.topk_count(k_s, r)
     cosines = uv @ uv.T
-    by_frame = cosines.reshape(n * t, r, size).transpose(0, 2, 1)  # (candidate frame, query patch, q)
-    order = _topk_order(by_frame) if k < r and (k > 1 or guard is not None) else None
-    if guard is not None and k < r:
-        guard.record(_topk_margins(by_frame, order, k))
+    selected = None
+    if k < r:
+        by_frame = cosines.reshape(n * t, r, size).transpose(0, 2, 1)  # (candidate frame, query patch, q)
+        order, top = _topk_order(by_frame, k + (guard is not None))
+        if guard is not None:
+            guard.record(_topk_margins(by_frame, order, k))
+        selected = order[..., :k]
     if k == 1 and r > 1:
-        top, first = _select_rows(cosines, n, t, r)
-        selected = first[..., None]
+        if top is None:  # np.max along contiguous candidate patches, as the engine takes it
+            top = np.max(cosines.reshape(size, n * t, r), axis=-1).T
         by_patch = top.reshape(n * t, n * t, r)  # (candidate frame, query frame, p)
         frames = by_patch[..., 0] + by_patch[..., 1]
         for p in range(2, r):
@@ -215,8 +243,6 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
         frames /= r * k
         value = np.ascontiguousarray(frames.reshape(n, t, n, t).transpose(2, 0, 3, 1))
     else:  # K > 1, or K = R = 1
-        # held until backward, so as compact as _select_rows' first
-        selected = None if k == r else order[..., :k].astype(np.min_scalar_type(r - 1))
         sim = cosines.reshape(n, t, r, n, t, r).transpose(0, 3, 1, 2, 5, 4)
         value = np.ascontiguousarray(aggregation.spatial_topk_chamfer(sim, k_s))
     out = Var(value, parents=(u,))
@@ -233,34 +259,6 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
 
     out._backward = backward
     return out
-
-
-def _select_rows(cosines: np.ndarray, n: int, t: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k = 1 spatial selection from the exactly symmetric cosine buffer
-    (numpy mirrors syrk's triangle): ``top[f, x]``, the max over the R
-    candidate patches of candidate frame f against query patch x, and
-    ``first[f, x]``, the first candidate patch holding it, which is
-    :func:`_topk_order`'s first. Patch q of frame f against every query
-    patch is one contiguous row, so the max is a chain of ``np.maximum``
-    over those rows in q order, exact like ``np.max`` to the sign of zero
-    (``np.max`` of the transposed layout from R = 9, where topk_sum_values
-    takes it), and ``first`` counts the patches before it, all below the
-    max."""
-    size = n * t * r
-    rows = cosines.reshape(n * t, r, size)  # (candidate frame, q, query patch)
-    if r <= aggregation.SELECT_MAX_EXTENT:
-        top = np.maximum(rows[:, 0], rows[:, 1])
-        for q in range(2, r):
-            np.maximum(top, rows[:, q], out=top)
-    else:  # a chain may keep another signed zero than np.max
-        sim6 = cosines.reshape(n, t, r, n, t, r)
-        top = np.ascontiguousarray(np.max(sim6, axis=-1).transpose(3, 4, 0, 1, 2)).reshape(n * t, size)
-    below = rows[:, 0] != top
-    first = below.astype(np.min_scalar_type(r - 1))
-    for q in range(1, r - 1):
-        below &= rows[:, q] != top
-        first += below
-    return top, first
 
 
 class _ScatterPlan:
@@ -370,12 +368,13 @@ def temporal_topk_chamfer(v: Var, k_t: float, guard: BreakpointGuard | None = No
 
     Backward scatters the upstream gradient, divided by T*K, at the K
     entries :func:`_topk_order` selects (ties to the lower index), and +0.0
-    elsewhere. A guard records each row's margin from the same order."""
+    elsewhere. A guard records each row's margin from the same selection,
+    taken one slot further."""
     x = v.value
     out = Var(aggregation.temporal_topk_chamfer(x, k_t), parents=(v,))
     t, extent = x.shape[-2:]
     k = aggregation.topk_count(k_t, extent)
-    order = _topk_order(x) if k < extent else None
+    order = _topk_order(x, k + (guard is not None))[0] if k < extent else None
     if guard is not None and k < extent:
         guard.record(_topk_margins(x, order, k))
 

@@ -333,9 +333,9 @@ def cmd_train(args) -> int:
     if losses and len(losses) > 1:
         # comparative mode: identical budget, ranking loss only on top of the
         # base loss, so the listwise/pairwise contrast is isolated
+        cfg = replace(cfg, weights=replace(cfg.weights, lambda_f=0.0))
         for loss in losses:
-            run_cfg = replace(cfg, video_loss=loss, weights=replace(cfg.weights, lambda_f=0.0))
-            results[loss] = _run_one(out, loss, run_cfg)
+            results[loss] = _run_one(out, loss, replace(cfg, video_loss=loss))
     else:
         if losses:
             cfg = replace(cfg, video_loss=losses[0])

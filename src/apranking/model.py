@@ -115,9 +115,9 @@ def forward_similarity(
     tensor or adjoint enters the graph. Outside K = 1 that node runs the
     evaluation spatial stage
     :func:`~apranking.aggregation.spatial_topk_chamfer` forward; at K = 1 it
-    takes the maximum along rows of the symmetric gram. It selects once per
-    forward and scatters its gradient at the selected patches for every
-    K < R. One node,
+    adds the maxima its selection takes along rows of the symmetric gram.
+    It selects once per forward, as the temporal node does, and scatters
+    its gradient at the selected patches for every K < R. One node,
     :func:`autodiff.refine`, runs the evaluation refiner
     :func:`~apranking.aggregation.refine` on them, and one node,
     :func:`autodiff.temporal_topk_chamfer`, the evaluation temporal stage

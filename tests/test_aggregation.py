@@ -266,10 +266,24 @@ class TestAutodiffTopkMatchesOracle:
             extent = values.shape[-1]
             for k in range(1, extent):
                 expected = topk_margin_oracle(values, k)
-                assert same_bits(ad._topk_margins(values, ad._topk_order(values), k), expected[..., 0]), (values, k)
+                order = ad._topk_order(values, k + 1)[0]
+                assert same_bits(ad._topk_margins(values, order, k), expected[..., 0]), (values, k)
                 guard = ad.BreakpointGuard()
                 ad.temporal_topk_chamfer(ad.Var(values), k / extent, guard=guard)
                 assert same_bits(guard.margins, [expected.min()]), (values, k)
+
+    def test_order_is_the_stable_argsort(self):
+        # ties, signed zeros and strided views on both sides of
+        # SELECT_MAX_EXTENT: every slot count gives the stable argsort's
+        # first positions, ties to the lower index, and no slot twice
+        rng = np.random.default_rng(20)
+        for extent in range(2, 13):
+            for _ in range(40):
+                values = np.atleast_2d(tied_values(rng, extent))
+                expected = np.argsort(-values, axis=-1, kind="stable")
+                for slots in range(1, extent + 1):
+                    order, _ = ad._topk_order(values, slots)
+                    assert np.array_equal(order, expected[..., :slots]), (values, slots)
 
     def test_full_k_records_no_margin(self):
         guard = ad.BreakpointGuard()

@@ -10,7 +10,7 @@ import pytest
 
 from apranking import aggregation
 from apranking import autodiff as ad
-from apranking.aggregation import RefinerParams, topk_sum_values
+from apranking.aggregation import SELECT_MAX_EXTENT, RefinerParams, topk_sum_values
 from apranking.errors import DegenerateInputError, StructuralError
 from apranking.gradcheck import rel_err
 
@@ -247,13 +247,17 @@ class TestSpatialTopkChamfer:
     values, input gradients and guard margins, bit for bit."""
 
     # (n, T, R, k): k = 1 on every short axis and on the np.max path
-    # (R = 9, 10), in-between k, k = extent, and R = 1; then R = 9-12, where
-    # the engine's top-K sorts, at 1 < k < R and at k = R, with T > 1 (at T =
-    # 1 numpy may add the chain's query patches pairwise)
+    # (R = 9, 10), in-between k, k = extent, and R = 1; every 1 < k < R at R
+    # = 6-8, the longest axes the column passes select from; then R = 9-12,
+    # where the engine's top-K sorts, at 1 < k < R and at k = R, with T > 1
+    # (at T = 1 numpy may add the chain's query patches pairwise)
     CASES = [
         (2, 3, 4, 1), (3, 2, 2, 1), (1, 2, 8, 1), (2, 2, 9, 1), (2, 1, 10, 1),
         (2, 2, 3, 1), (1, 3, 5, 1), (2, 2, 6, 1), (2, 1, 7, 1),
         (2, 2, 5, 2), (2, 3, 4, 3), (1, 2, 9, 4), (2, 2, 3, 3), (3, 2, 1, 1),
+        (2, 2, 6, 2), (1, 3, 6, 3), (2, 2, 6, 4), (2, 1, 6, 5),
+        (2, 2, 7, 2), (1, 2, 7, 3), (2, 3, 7, 4), (2, 2, 7, 5), (1, 2, 7, 6),
+        (2, 1, 8, 2), (2, 2, 8, 3), (1, 3, 8, 4), (2, 2, 8, 5), (2, 1, 8, 6), (1, 2, 8, 7),
         (2, 2, 9, 2), (1, 2, 9, 8), (1, 2, 9, 9), (2, 2, 10, 5), (1, 3, 10, 10),
         (1, 2, 11, 3), (1, 2, 11, 10), (2, 2, 11, 11), (2, 2, 12, 2), (1, 2, 12, 7), (1, 3, 12, 12),
     ]
@@ -286,10 +290,11 @@ class TestSpatialTopkChamfer:
 
     @pytest.mark.parametrize("r", range(2, 11))
     def test_k1_selection_keeps_the_sign_of_zero(self, r):
-        # hand-built symmetric buffers of -0.0, +0.0, -1 and 0.5: the row
-        # selection's max must equal np.max of the transposed layout to the
-        # sign of zero (the chain up to R = 8, np.max from R = 9), and its
-        # index must be the first maximal candidate patch
+        # hand-built symmetric buffers of -0.0, +0.0, -1 and 0.5, read along
+        # rows as the spatial node reads them: slot 0's positions must be the
+        # first maximal candidate patch, and its maxima must equal np.max of
+        # the transposed layout to the sign of zero (the column chain up to R
+        # = 8; from R = 9 the node takes that np.max itself)
         rng = np.random.default_rng(60 + r)
         for n, t in ((1, 1), (2, 1), (1, 2), (2, 2)):
             size = n * t * r
@@ -299,9 +304,12 @@ class TestSpatialTopkChamfer:
                 sim6 = buf.reshape(n, t, r, n, t, r)
                 expected = np.max(sim6, axis=-1)
                 first_max = np.argmax(sim6 == expected[..., None], axis=-1)
-                top, first = ad._select_rows(buf, n, t, r)
+                order, top = ad._topk_order(buf.reshape(n * t, r, size).transpose(0, 2, 1), 1)
+                assert np.array_equal(order[..., 0], first_max.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
+                if r > SELECT_MAX_EXTENT:
+                    assert top is None
+                    continue
                 assert same_bits(top, expected.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
-                assert np.array_equal(first, first_max.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fd_every_k_path(self, k):

@@ -173,8 +173,12 @@ class TestTrain:
         report = json.load(open(os.path.join(out_dir, "train_report.json")))
         assert report["comparative"] is True
         assert set(report["results"]) == {"quadlinear", "triplet"}
+        # every run trains without the frame-level loss, and the top-level
+        # config says so
+        assert report["config"]["weights"]["lambda_f"] == 0.0
         for res_block in report["results"].values():
             assert "micro_ap" in res_block["metrics"]
+            assert res_block["config"]["weights"]["lambda_f"] == 0.0
 
     def test_comparative_mode_rejects_lambda_f(self, tmp_path, out_dir):
         # comparative runs disable the frame-level loss, so a --lambda-f
