@@ -154,23 +154,18 @@ def normalize_rows(v: Var) -> Var:
     return out
 
 
-def _topk_order(values: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _topk_order(values: np.ndarray, slots: int, top: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one top-K selection: (positions, top). ``positions[..., s]`` is
-    where slot s of a stable descending argsort of the last axis lies (ties
-    to the lower index), in the smallest integer type, as backward holds
-    it. Each slot is one pass over the column views: the row maximum by the
-    k = 1 chain of :func:`aggregation.topk_sum_values`, then a count of the
-    leading columns below it; later passes read a copy of the columns with
-    the earlier slots' entries at -inf (entries are finite). ``top``, slot
-    0's maxima, is exact like ``np.max`` to the sign of zero on axes of up
-    to SELECT_MAX_EXTENT entries and None on longer ones, which take more
-    than one slot from an argsort."""
-    extent = values.shape[-1]
-    dtype = np.min_scalar_type(extent - 1)
-    if slots > 1 and extent > aggregation.SELECT_MAX_EXTENT:
-        return np.argsort(-values, axis=-1, kind="stable")[..., :slots].astype(dtype), None
-    top = aggregation.topk_sum_values(values, 1)
-    positions = np.empty((slots,) + top.shape, dtype)
+    slot s of a stable descending argsort of the last axis (ties to the
+    lower index), in the smallest integer type. Each slot is one pass over
+    the column views: the row maximum, then a count of the leading columns
+    not holding it; later passes read a copy of the columns with earlier
+    slots' entries at -inf (entries are finite). ``top``, slot 0's maxima,
+    may be given with any sign of zero; else it is the k = 1 chain of
+    :func:`aggregation.topk_sum_values`."""
+    if top is None:
+        top = aggregation.topk_sum_values(values, 1)
+    positions = np.empty((slots,) + top.shape, np.min_scalar_type(values.shape[-1] - 1))
     columns = np.moveaxis(values, -1, 0)
     if slots > 1:
         columns = columns.copy()
@@ -184,7 +179,18 @@ def _topk_order(values: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray 
         for column in columns[1:-1]:
             below &= column != maxima
             first += below
-    return np.moveaxis(positions, 0, -1), top if extent <= aggregation.SELECT_MAX_EXTENT else None
+    return np.moveaxis(positions, 0, -1), top
+
+
+def _gram_topk_order(cosines: np.ndarray, frames: int, r: int, slots: int):
+    """:func:`_topk_order` along rows of the exactly symmetric cosine buffer,
+    as (rows, positions, top); ``top`` keeps the engine's sign of zero (from
+    R = 9 its ``np.max`` along contiguous candidate patches)."""
+    rows = cosines.reshape(frames, r, -1).transpose(0, 2, 1)  # (candidate frame, query patch, q)
+    top = None
+    if r > aggregation.SELECT_MAX_EXTENT:
+        top = np.ascontiguousarray(np.max(cosines.reshape(-1, frames, r), axis=-1).T)
+    return (rows,) + _topk_order(rows, slots, top)
 
 
 def _topk_margins(values: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
@@ -208,18 +214,15 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     adjoint S = G + G.T of that product directly and leaves through one
     ``S @ u``.
 
-    For K < R, :func:`_topk_order` selects along rows of the exactly
-    symmetric cosine buffer, where candidate patch q of frame f against
-    every query patch is one contiguous row. At K = 1 (R > 1) the forward
-    adds its maxima (from R = 9, ``np.max`` along contiguous candidate
-    patches, as in the engine) in p order and divides by R*K; else it runs
-    the engine's stage, :func:`aggregation.spatial_topk_chamfer` of the
-    cosines as (a, b, T, R, R', T'). Backward scatters the upstream gradient
-    at each selected position and adds it at the transposed one, in the
-    cosine buffer, which is dead once the selection is taken; at K = R it
-    broadcasts. One copy lays the frames out clip pair first, and backward
-    reads the upstream gradient back through a ``moveaxis`` view. A guard
-    records each row's top-K margin, as the temporal stage does."""
+    For K < R, :func:`_gram_topk_order` selects along rows of the cosine
+    buffer. At K = 1 (R > 1) the forward adds the selection's maxima in p
+    order and divides by R*K; else it runs the engine's stage,
+    :func:`aggregation.spatial_topk_chamfer`, on the cosines as (a, b, T, R,
+    R', T'). Backward scatters the upstream gradient at each selected
+    position and at the transposed one, into the dead cosine buffer; at K =
+    R it broadcasts. One copy lays the frames out clip pair first; backward
+    reads the upstream gradient through a ``moveaxis`` view. A guard records
+    each row's top-K margin, as the temporal stage does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
@@ -228,14 +231,11 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     cosines = uv @ uv.T
     selected = None
     if k < r:
-        by_frame = cosines.reshape(n * t, r, size).transpose(0, 2, 1)  # (candidate frame, query patch, q)
-        order, top = _topk_order(by_frame, k + (guard is not None))
+        rows, order, top = _gram_topk_order(cosines, n * t, r, k + (guard is not None))
         if guard is not None:
-            guard.record(_topk_margins(by_frame, order, k))
+            guard.record(_topk_margins(rows, order, k))
         selected = order[..., :k]
     if k == 1 and r > 1:
-        if top is None:  # np.max along contiguous candidate patches, as the engine takes it
-            top = np.max(cosines.reshape(size, n * t, r), axis=-1).T
         by_patch = top.reshape(n * t, n * t, r)  # (candidate frame, query frame, p)
         frames = by_patch[..., 0] + by_patch[..., 1]
         for p in range(2, r):

@@ -10,7 +10,7 @@ import pytest
 
 from apranking import aggregation
 from apranking import autodiff as ad
-from apranking.aggregation import SELECT_MAX_EXTENT, RefinerParams, topk_sum_values
+from apranking.aggregation import RefinerParams, topk_sum_values
 from apranking.errors import DegenerateInputError, StructuralError
 from apranking.gradcheck import rel_err
 
@@ -290,11 +290,11 @@ class TestSpatialTopkChamfer:
 
     @pytest.mark.parametrize("r", range(2, 11))
     def test_k1_selection_keeps_the_sign_of_zero(self, r):
-        # hand-built symmetric buffers of -0.0, +0.0, -1 and 0.5, read along
-        # rows as the spatial node reads them: slot 0's positions must be the
-        # first maximal candidate patch, and its maxima must equal np.max of
-        # the transposed layout to the sign of zero (the column chain up to R
-        # = 8; from R = 9 the node takes that np.max itself)
+        # hand-built symmetric buffers of -0.0, +0.0, -1 and 0.5, selected
+        # as the spatial node selects: slot 0's positions must be the first
+        # maximal candidate patch, and its maxima must equal np.max along
+        # contiguous candidate patches to the sign of zero (the column chain
+        # up to R = 8; from R = 9 the node takes that np.max itself)
         rng = np.random.default_rng(60 + r)
         for n, t in ((1, 1), (2, 1), (1, 2), (2, 2)):
             size = n * t * r
@@ -304,11 +304,8 @@ class TestSpatialTopkChamfer:
                 sim6 = buf.reshape(n, t, r, n, t, r)
                 expected = np.max(sim6, axis=-1)
                 first_max = np.argmax(sim6 == expected[..., None], axis=-1)
-                order, top = ad._topk_order(buf.reshape(n * t, r, size).transpose(0, 2, 1), 1)
+                _, order, top = ad._gram_topk_order(buf, n * t, r, 1)
                 assert np.array_equal(order[..., 0], first_max.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
-                if r > SELECT_MAX_EXTENT:
-                    assert top is None
-                    continue
                 assert same_bits(top, expected.transpose(3, 4, 0, 1, 2).reshape(n * t, size)), buf
 
     @pytest.mark.parametrize("k", [1, 2, 3])
