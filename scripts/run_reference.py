@@ -2,11 +2,12 @@
 """Reference runs behind the regression thresholds: the easy preset over five
 seeds, and the hard-preset loss comparison / hierarchy ablation medians.
 
-Writes one JSON summary per experiment. These are the numbers the acceptance
+Both train through ``trainer.run_variants``; one JSON summary per experiment
+holds each variant's per-seed rows and medians, the numbers the acceptance
 thresholds were frozen against. Every hard variant shares its corpus,
-held-out set and initial model with ``base`` at each seed, so beside the
-medians the hard summary reports each variant's per-seed paired difference
-from ``base`` (a report, not a gate).
+held-out set and initial model with ``base`` at each seed, so the hard
+summary also reports each variant's per-seed paired difference from ``base``
+(a report, not a gate).
 
     PYTHONPATH=src python scripts/run_reference.py --out reports [--skip-hard]
 """
@@ -18,34 +19,25 @@ import time
 
 import numpy as np
 
-from apranking.trainer import HARD_VARIANTS, REFERENCE_SEEDS as SEEDS, easy_preset, hard_variant, train
+from apranking.trainer import HARD_VARIANTS, REFERENCE_SEEDS as SEEDS, easy_preset, hard_preset, run_variants
 
 
-def run_easy(out_dir: str) -> dict:
-    rows = []
-    for seed in SEEDS:
-        result = train(easy_preset(seed=seed))
-        rows.append(
-            {
-                "seed": seed,
-                "initial_map": result.initial_report.map,
-                "initial_micro_ap": result.initial_report.micro_ap,
-                "map": result.final_report.map,
-                "micro_ap": result.final_report.micro_ap,
-            }
-        )
-        print(f"easy seed {seed}: mAP={rows[-1]['map']:.4f} microAP={rows[-1]['micro_ap']:.4f}")
-    summary = {
-        "preset": "easy",
-        "seeds": list(SEEDS),
-        "runs": rows,
-        "median_map": float(np.median([r["map"] for r in rows])),
-        "median_micro_ap": float(np.median([r["micro_ap"] for r in rows])),
-        "median_initial_map": float(np.median([r["initial_map"] for r in rows])),
-    }
-    with open(os.path.join(out_dir, "easy_reference.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    return summary
+def summarize(results) -> dict:
+    """The per-seed rows of one variant's TrainResults, in their order, and
+    the medians of their final and initial metrics."""
+    rows = [
+        {
+            "seed": result.config.seed,
+            "initial_map": result.initial_report.map,
+            "initial_micro_ap": result.initial_report.micro_ap,
+            "map": result.final_report.map,
+            "micro_ap": result.final_report.micro_ap,
+        }
+        for result in results
+    ]
+    medians = {f"median_{key}": float(np.median([row[key] for row in rows]))
+               for key in ("map", "micro_ap", "initial_map")}
+    return {"runs": rows, **medians}
 
 
 def paired_differences(table: dict, baseline: str = "base") -> dict:
@@ -65,26 +57,14 @@ def paired_differences(table: dict, baseline: str = "base") -> dict:
     return out
 
 
-def run_hard(out_dir: str) -> dict:
-    table = {}
-    for tag in HARD_VARIANTS:
-        rows = []
-        for seed in SEEDS:
-            result = train(hard_variant(tag, seed))
-            rows.append({"seed": seed, "map": result.final_report.map,
-                         "micro_ap": result.final_report.micro_ap})
-            print(f"hard {tag} seed {seed}: mAP={rows[-1]['map']:.4f} "
-                  f"microAP={rows[-1]['micro_ap']:.4f}")
-        table[tag] = {
-            "runs": rows,
-            "median_map": float(np.median([r["map"] for r in rows])),
-            "median_micro_ap": float(np.median([r["micro_ap"] for r in rows])),
-        }
-    differences = paired_differences(table)
-    with open(os.path.join(out_dir, "hard_reference.json"), "w") as fh:
-        json.dump({"preset": "hard", "seeds": list(SEEDS), "variants": table,
-                   "differences_from_base": differences}, fh, indent=2, sort_keys=True)
-    return table, differences
+def write_summary(out_dir: str, preset: str, payload: dict):
+    with open(os.path.join(out_dir, f"{preset}_reference.json"), "w") as fh:
+        json.dump({"preset": preset, "seeds": list(SEEDS), **payload}, fh, indent=2, sort_keys=True)
+
+
+def print_runs(label: str, summary: dict):
+    for row in summary["runs"]:
+        print(f"{label} seed {row['seed']}: mAP={row['map']:.4f} microAP={row['micro_ap']:.4f}")
 
 
 def main():
@@ -94,10 +74,16 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
-    easy = run_easy(args.out)
+    easy = summarize(run_variants(easy_preset, ("full",))["full"])
+    print_runs("easy", easy)
+    write_summary(args.out, "easy", easy)
     print(f"easy medians: mAP={easy['median_map']:.4f} microAP={easy['median_micro_ap']:.4f}")
     if not args.skip_hard:
-        hard, differences = run_hard(args.out)
+        hard = {tag: summarize(results) for tag, results in run_variants(hard_preset, HARD_VARIANTS).items()}
+        differences = paired_differences(hard)
+        for tag, summary in hard.items():
+            print_runs(f"hard {tag}", summary)
+        write_summary(args.out, "hard", {"variants": hard, "differences_from_base": differences})
         for tag, row in hard.items():
             line = (f"hard {tag}: median mAP={row['median_map']:.4f} "
                     f"median microAP={row['median_micro_ap']:.4f}")

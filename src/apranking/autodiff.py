@@ -52,6 +52,7 @@ class BreakpointGuard:
 
     def __init__(self):
         self.margins: list[float] = []
+        self.saturated = None  # the last refiner output: its +-1 entries pass no gradient
 
     def record(self, distances):
         d = np.asarray(distances, dtype=np.float64)
@@ -316,12 +317,14 @@ def refine(v: Var, r: aggregation.RefinerParams, params, guard: BreakpointGuard 
     gate (zero outside [-1, 1]), the scale, and the pooling windows' mean;
     for the conv kind, tanh' and each kernel tap's strided window. Backward
     recomputes the pooled map rather than holding it. A guard records each
-    pre-clamp value's distance to +-1."""
+    pre-clamp value's distance to +-1 and keeps the output as its ``saturated``."""
     if r.kind == "identity":
         return v
     x = v.value
     weight, bias = params
     out = Var(aggregation.refine(x, r), parents=(v, weight, bias))
+    if guard is not None:
+        guard.saturated = out.value
     if r.kind == "affine":
         if guard is not None:
             pre = r.scale * aggregation.average_pool_ceil(x, r.downsample) + r.bias
@@ -369,14 +372,19 @@ def temporal_topk_chamfer(v: Var, k_t: float, guard: BreakpointGuard | None = No
     Backward scatters the upstream gradient, divided by T*K, at the K
     entries :func:`_topk_order` selects (ties to the lower index), and +0.0
     elsewhere. A guard records each row's margin from the same selection,
-    taken one slot further."""
+    taken one slot further, but not a tie at +-1 of its ``saturated`` input,
+    where neither entry passes a gradient."""
     x = v.value
     out = Var(aggregation.temporal_topk_chamfer(x, k_t), parents=(v,))
     t, extent = x.shape[-2:]
     k = aggregation.topk_count(k_t, extent)
     order = _topk_order(x, k + (guard is not None))[0] if k < extent else None
     if guard is not None and k < extent:
-        guard.record(_topk_margins(x, order, k))
+        margins = _topk_margins(x, order, k)
+        if guard.saturated is x:
+            kth = np.take_along_axis(x, order[..., k - 1 : k], axis=-1)[..., 0]
+            margins = margins[(margins != 0.0) | (np.abs(kth) != 1.0)]
+        guard.record(margins)
 
     def backward(g):
         gs = (g / (t * k))[..., None, None]

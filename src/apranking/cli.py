@@ -321,7 +321,7 @@ def cmd_train(args) -> int:
     from .errors import ParameterError
     from .losses import RANKING_LOSSES
     from .tensorio import write_json_report
-    from .trainer import config_to_dict
+    from .trainer import config_to_dict, variant
 
     started = time.time()
     cfg = _load_train_config(args)
@@ -329,17 +329,14 @@ def cmd_train(args) -> int:
     if losses and len(losses) > 1 and args.lambda_f is not None:
         raise ParameterError("--lambda-f does not apply to a comparative run: each run disables the frame-level loss")
     out = _ensure_out(args)
-    results = {}
     if losses and len(losses) > 1:
-        # comparative mode: identical budget, ranking loss only on top of the
-        # base loss, so the listwise/pairwise contrast is isolated
-        cfg = replace(cfg, weights=replace(cfg.weights, lambda_f=0.0))
-        for loss in losses:
-            results[loss] = _run_one(out, loss, replace(cfg, video_loss=loss))
+        # comparative mode: identical budget, each run its loss's variant (no
+        # frame-level loss), as is the report's config
+        cfg = variant(cfg, cfg.video_loss)
+        results = {loss: _run_one(out, loss, variant(cfg, loss)) for loss in losses}
     else:
-        if losses:
-            cfg = replace(cfg, video_loss=losses[0])
-        results[cfg.video_loss] = _run_one(out, "", cfg)
+        cfg = replace(cfg, video_loss=losses[0]) if losses else cfg
+        results = {cfg.video_loss: _run_one(out, "", cfg)}
 
     report = _stamp(args, {
         "seed": cfg.seed,

@@ -59,7 +59,8 @@ __all__ = [
     "hard_preset",
     "REFERENCE_SEEDS",
     "HARD_VARIANTS",
-    "hard_variant",
+    "variant",
+    "run_variants",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -220,24 +221,28 @@ def hard_preset(seed: int = 0, **overrides) -> TrainConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-# Seeds of the reference runs, and the hard-preset variants they compare (the
-# loss comparison and hierarchy ablation of acceptance criteria 9 and 10):
-# tag -> (video loss, LossWeights overrides).
+# Seeds of the reference runs, and the hard-preset variants of criteria 9 and 10
 REFERENCE_SEEDS = (0, 1, 2, 3, 4)
-HARD_VARIANTS = {
-    "base": ("quadlinear", {"lambda_v": 0.0, "lambda_f": 0.0}),
-    "quadlinear": ("quadlinear", {"lambda_f": 0.0}),
-    "smooth": ("smooth", {"lambda_f": 0.0}),
-    "triplet": ("triplet", {"lambda_f": 0.0}),
-    "full": ("quadlinear", {}),
-}
+HARD_VARIANTS = ("base", "quadlinear", "smooth", "triplet", "full")
 
 
-def hard_variant(tag: str, seed: int) -> TrainConfig:
-    """The hard preset at ``seed`` with the video loss and weights of variant ``tag``."""
-    video_loss, weights = HARD_VARIANTS[tag]
-    cfg = hard_preset(seed=seed)
-    return replace(cfg, video_loss=video_loss, weights=replace(cfg.weights, **weights))
+def variant(cfg: TrainConfig, tag: str) -> TrainConfig:
+    """``cfg`` as variant ``tag``: "full" is ``cfg`` itself, "base" sets
+    ``lambda_v`` and ``lambda_f`` to 0, and a ranking-loss name trains that
+    video loss with ``lambda_f`` 0."""
+    if tag == "full":
+        return cfg
+    if tag == "base":
+        return replace(cfg, weights=replace(cfg.weights, lambda_v=0.0, lambda_f=0.0))
+    if tag not in RANKING_LOSSES:
+        raise ParameterError(f"unknown variant {tag!r}; choose from full, base or {tuple(RANKING_LOSSES)}")
+    return replace(cfg, video_loss=tag, weights=replace(cfg.weights, lambda_f=0.0))
+
+
+def run_variants(preset, tags) -> dict:
+    """``{tag: [TrainResult, ...]}``: ``variant(preset(seed=s), tag)`` trained
+    once for each tag and each seed s of :data:`REFERENCE_SEEDS`, in order."""
+    return {tag: [train(variant(preset(seed=seed), tag)) for seed in REFERENCE_SEEDS] for tag in tags}
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ from apranking.trainer import (
     LossWeights,
     build_losses,
     easy_preset,
-    hard_variant,
-    train,
+    hard_preset,
+    run_variants,
 )
 
 
@@ -68,13 +68,13 @@ def median(values):
 
 @pytest.fixture(scope="session")
 def easy_runs():
-    return [train(easy_preset(seed=s)) for s in SEEDS]
+    return run_variants(easy_preset, ("full",))["full"]
 
 
 @pytest.fixture(scope="session")
 def hard_runs():
     """Per-tag results on the hard preset under identical budgets."""
-    return {tag: [train(hard_variant(tag, seed)) for seed in SEEDS] for tag in HARD_VARIANTS}
+    return run_variants(hard_preset, HARD_VARIANTS)
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,22 @@ class TestRefine:
         ad.refine(v, refiner("conv", 1, kernel, bias), (kernel, bias), guard=conv_guard)
         assert conv_guard.margins == []  # tanh has no kink
 
+    def test_guard_skips_ties_of_saturated_entries(self):
+        # scale 2 clamps 0.9, 0.8 and 0.95 to 1.0: row 0's two largest tie at
+        # the clamp, which passes no gradient to either, so that tie is no
+        # kink; the margins left are row 1's 1.0 - 0.6 and the clamp's 0.4
+        x, scale, bias = ad.Var(np.array([[[[0.9, 0.8, 0.1], [0.2, 0.95, 0.3]]]])), ad.Var(2.0), ad.Var(0.0)
+        guard = ad.BreakpointGuard()
+        refined = ad.refine(x, refiner("affine", 1, scale, bias), (scale, bias), guard=guard)
+        out = ad.temporal_topk_chamfer(refined, 0.0, guard=guard)
+        assert guard.margins == [pytest.approx(0.4)] * 2
+        ad.scalar_node(out, lambda values: (values.sum(), np.ones_like(values))).backward()
+        assert not x.grad.any() and scale.grad == 0.0
+        # the same tie met without the refiner is a kink
+        direct = ad.BreakpointGuard()
+        ad.temporal_topk_chamfer(ad.Var(np.array([[1.0, 1.0, 0.5]])), 0.0, guard=direct)
+        assert direct.margins == [0.0]
+
     def test_identity_is_the_input_node(self):
         v = ad.Var(np.eye(3))
         assert ad.refine(v, RefinerParams(), (), guard=ad.BreakpointGuard()) is v

@@ -180,6 +180,25 @@ class TestTrain:
             assert "micro_ap" in res_block["metrics"]
             assert res_block["config"]["weights"]["lambda_f"] == 0.0
 
+    def test_comparative_runs_are_trainer_variants(self, tmp_path, out_dir):
+        # each comparative run trains trainer.variant of the config under its
+        # loss, bit for bit; the tiny shapes give the same bits at 1, 2 and 8
+        # BLAS threads, so this process's thread count does not matter
+        from apranking.tensorio import read_tensors
+        from apranking.trainer import config_from_dict, train, variant
+
+        config = tiny_config(tmp_path)
+        res = run_cli(
+            ["train", "--config", config, "--losses", "quadlinear,triplet", "--deterministic", "--out", out_dir],
+            tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        tensors = read_tensors(os.path.join(out_dir, "checkpoint_triplet.bin"))
+        params = train(variant(config_from_dict(json.load(open(config))), "triplet")).model.parameters()
+        assert list(tensors) == [name for name, _ in params]
+        for name, p in params:
+            assert tensors[name].shape == p.shape and tensors[name].tobytes() == p.value.tobytes(), name
+
     def test_comparative_mode_rejects_lambda_f(self, tmp_path, out_dir):
         # comparative runs disable the frame-level loss, so a --lambda-f
         # would be dropped without a word: a usage error before the output

@@ -28,8 +28,9 @@ from apranking.trainer import (
     REFERENCE_SEEDS,
     easy_preset,
     hard_preset,
-    hard_variant,
+    run_variants,
     train,
+    variant,
 )
 
 TINY = TrainConfig(
@@ -233,10 +234,11 @@ class TestConfigRoundTrip:
 class TestHardVariants:
     def test_table_builds_the_reference_configs(self):
         # the configs that the criteria 9/10 fixture and scripts/run_reference.py
-        # each spelled out before they shared one table
+        # each spelled out before they shared one rule
         from dataclasses import replace
 
         assert REFERENCE_SEEDS == (0, 1, 2, 3, 4)
+        assert HARD_VARIANTS == ("base", "quadlinear", "smooth", "triplet", "full")
         for seed in REFERENCE_SEEDS:
             cfg = hard_preset(seed=seed)
             w = cfg.weights
@@ -247,7 +249,27 @@ class TestHardVariants:
                 "triplet": replace(cfg, video_loss="triplet", weights=replace(w, lambda_f=0.0)),
                 "full": replace(cfg, video_loss="quadlinear"),
             }
-            assert {tag: hard_variant(tag, seed) for tag in HARD_VARIANTS} == expected
+            assert {tag: variant(cfg, tag) for tag in HARD_VARIANTS} == expected
+
+    @pytest.mark.parametrize("tag", ["nonsense", "heaviside"])
+    def test_unknown_tag_raises(self, tag):
+        with pytest.raises(ParameterError, match="unknown variant"):
+            variant(TINY, tag)
+
+    def test_run_variants_trains_each_tag_at_each_reference_seed(self):
+        # the variant of the preset at each seed, trained once, in tag order
+        from dataclasses import replace
+
+        def preset(seed):
+            return replace(TINY, iterations=2, seed=seed, synthetic=replace(TINY.synthetic, seed=seed))
+
+        runs = run_variants(preset, ("triplet", "base"))
+        assert list(runs) == ["triplet", "base"]
+        for tag, results in runs.items():
+            assert [r.config for r in results] == [variant(preset(s), tag) for s in REFERENCE_SEEDS]
+        again = train(variant(preset(3), "triplet"))
+        assert runs["triplet"][3].history == again.history
+        np.testing.assert_array_equal(runs["triplet"][3].model.weight.value, again.model.weight.value)
 
 
 PINNED_SYN = SyntheticConfig(
