@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 usage or config error, 3 numeric failure (NaN abort
 or an oracle mismatch under --verify). With --deterministic and --seed, any
 command writes byte-identical reports across runs; numeric thread pools are
 pinned to one thread before numpy loads, and wall-clock fields are nulled.
+Numpy reads the pin when it first loads, so it holds only in a fresh process:
+this module and the package root import no numpy, and each command imports
+it when it runs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
+
+from . import __version__
+from .errors import (
+    DegenerateInputError,
+    NumericsError,
+    ParameterError,
+    StructuralError,
+    UndefinedMetricError,
+    check_range,
+)
 
 BENCH_LOSSES = ("quadlinear", "smooth", "heaviside", "triplet", "contrastive")
 
@@ -123,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--grid", required=True, help="comma-separated grid values")
     ablate.add_argument("--preset", choices=("easy", "hard"), default="easy")
     ablate.add_argument("--config", default=None)
-    ablate.add_argument("--iterations", type=int, default=300, help="budget per training run on trained axes")
+    ablate.add_argument("--iterations", type=int, default=None,
+                        help="budget per training run on trained axes (default: the config's, or 300 with --preset)")
     ablate.add_argument("--checkpoint", default=None, help="k_t/k_s only: evaluate with these trained parameters")
 
     return parser
@@ -141,8 +156,6 @@ def _ensure_out(args) -> str:
 
 
 def _stamp(args, extra=None) -> dict:
-    from . import __version__
-
     stamp = {
         "version": __version__,
         "git": _git_rev(),
@@ -184,8 +197,6 @@ def _wall_clock(args, started: float):
 def _loss_names(text: str, choices) -> list:
     """The names of a --losses comma list, each one of ``choices`` and
     none twice."""
-    from .errors import ParameterError
-
     names = [s.strip() for s in text.split(",") if s.strip()]
     unknown = [n for n in names if n not in choices]
     if unknown or not names:
@@ -197,17 +208,12 @@ def _loss_names(text: str, choices) -> list:
 
 
 def _load_train_config(args):
-    from dataclasses import replace
-
-    from .errors import ParameterError
     from .trainer import config_from_dict, easy_preset, hard_preset
 
     if args.config:
         try:
             with open(args.config) as fh:
                 payload = json.load(fh)
-        except FileNotFoundError:
-            raise ParameterError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}")
         cfg = config_from_dict(payload)
@@ -239,7 +245,6 @@ def cmd_bench_loss(args) -> int:
     import numpy as np
 
     from . import losses as L
-    from .errors import ParameterError, check_range
     from .gradcheck import max_gradient_error, random_safe_context
     from .ranking import heaviside
     from .tensorio import write_csv, write_json_report
@@ -316,9 +321,6 @@ def _save_model(out: str, tag: str, model) -> str:
 
 
 def cmd_train(args) -> int:
-    from dataclasses import replace
-
-    from .errors import ParameterError
     from .losses import RANKING_LOSSES
     from .tensorio import write_json_report
     from .trainer import config_to_dict, variant
@@ -377,7 +379,6 @@ def _read_eval_inputs(args):
     queries of unequal length are padded with -inf scores and label 0."""
     import numpy as np
 
-    from .errors import ParameterError, StructuralError
     from .ranking import ScoredList
     from .tensorio import read_tensors
 
@@ -391,7 +392,7 @@ def _read_eval_inputs(args):
     by_query: dict[str, tuple[int, list]] = {}  # name -> (first line, rows)
     with open(args.csv) as fh:
         header = fh.readline().strip().split(",")
-        if header[:3] != ["query", "score", "label"]:
+        if header != ["query", "score", "label"]:
             raise StructuralError("CSV header must be query,score,label")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -423,7 +424,6 @@ def _read_eval_inputs(args):
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .errors import NumericsError, StructuralError
     from .metrics import brute_force_ap, retrieval_report
     from .ranking import ScoredList
     from .tensorio import write_csv, write_json_report
@@ -461,7 +461,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .errors import ParameterError
     from .tensorio import write_csv, write_json_report
 
     if args.checkpoint and args.axis not in ("k_t", "k_s"):
@@ -470,6 +469,8 @@ def cmd_ablate(args) -> int:
         )
     started = time.time()
     cfg = _load_train_config(args)
+    if args.iterations is None and not args.config:
+        cfg = replace(cfg, iterations=300)
     entries = [s.strip() for s in args.grid.split(",") if s.strip()]
     if not entries:
         raise ParameterError("empty grid")
@@ -502,7 +503,7 @@ def cmd_ablate(args) -> int:
         "grid": entries,
         "rows": rows,
         "table_csv": os.path.basename(table),
-        "iterations": args.iterations,
+        "iterations": cfg.iterations,
         "wall_clock_seconds": _wall_clock(args, started),
         **extra,
     })
@@ -522,18 +523,13 @@ _AXIS_FIELDS = {
 def _override_axis(cfg, axis: str, entry: str):
     """(row value, config) of one ablate grid entry: the entry as a float
     set in the axis's field, or for ``rates`` the rt:rb entry itself with
-    both label rates set, which must not overlap on a clip's frames when the
-    frame loss is on. A bad entry raises ValueError."""
-    from dataclasses import replace
-
+    both label rates set. A bad entry, or a config it makes illegal (rates
+    that overlap on the frames the frame loss labels), raises ValueError."""
     if axis == "rates":
         if entry.count(":") != 1:
             raise ValueError("expected rt:rb")
         rt, rb = entry.split(":")
-        run = replace(cfg, rates=replace(cfg.rates, r_t=float(rt), r_b=float(rb)))
-        if run.weights.lambda_f > 0:  # the frame loss labels each clip's frames at these rates
-            run.rates.counts(run.synthetic.frames)
-        return entry, run
+        return entry, replace(cfg, rates=replace(cfg.rates, r_t=float(rt), r_b=float(rb)))
     value = float(entry)
     group, name = _AXIS_FIELDS[axis]
     return value, replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
@@ -542,7 +538,6 @@ def _override_axis(cfg, axis: str, entry: str):
 def _ablate_model(args, cfg):
     """The config's initial model, with the parameters of ``--checkpoint``
     when given; each must match the model's by name and shape, as float64."""
-    from .errors import ParameterError
     from .tensorio import read_tensors
     from .trainer import initial_model
 
@@ -591,22 +586,11 @@ def _ablate_k_axis(args, cfg, grid, model):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--deterministic" in argv:
+    args = build_parser().parse_args(argv)
+    if args.deterministic:  # before any command imports numpy
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ.setdefault(var, "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    from .errors import (
-        DegenerateInputError,
-        NumericsError,
-        ParameterError,
-        StructuralError,
-        UndefinedMetricError,
-        check_range,
-    )
 
     commands = {
         "bench-loss": cmd_bench_loss,
@@ -625,7 +609,7 @@ def main(argv=None) -> int:
         if exc.snapshot_path:
             print(f"snapshot: {exc.snapshot_path}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path the user gave: missing, a directory, unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,6 +51,19 @@ class AugmentToggles:
         check_range("in [0, 1)", crop_rate=self.crop_rate, dropout_rate=self.dropout_rate)
         check_range("nonnegative", noise_sigma=self.noise_sigma)
 
+    def kept_frames(self, frames: int) -> tuple[int, int]:
+        """Frames a clip of ``frames`` frames keeps after the crop, and then
+        after the dropout, each removing round(rate * the frames it gets).
+        ParameterError if either would remove every frame."""
+        kept = []
+        for what, rate in (("crop", self.crop_rate), ("dropout", self.dropout_rate)):
+            remove = int(floor(rate * frames + 0.5))
+            if remove >= frames:
+                raise ParameterError(f"augment.{what}_rate {rate} would remove every frame ({remove} of {frames})")
+            frames -= remove
+            kept.append(frames)
+        return kept[0], kept[1]
+
     @property
     def any_active(self) -> bool:
         return bool(
@@ -95,6 +108,7 @@ class SyntheticConfig:
             raise ParameterError("theme_strength needs num_themes >= 1")
         if self.signal_dim > self.dim:
             raise ParameterError(f"signal_dim must be at most dim ({self.dim}), got {self.signal_dim}")
+        self.augment.kept_frames(self.frames)  # crop and dropout leave every clip a frame
 
 
 @dataclass(frozen=True)
@@ -204,21 +218,15 @@ def augment(clip: Clip, toggles: AugmentToggles, seed: int) -> Clip:
     """
     rng = np.random.default_rng(seed)
     t = clip.student.frames
+    cropped, kept = toggles.kept_frames(t)
     idx = np.arange(t)
     if toggles.reverse:
         idx = idx[::-1]
     if toggles.crop_rate:
-        remove = int(floor(toggles.crop_rate * idx.size + 0.5))
-        if remove >= idx.size:
-            raise ParameterError("crop would remove every frame")
-        start = int(rng.integers(0, remove + 1))
-        idx = idx[start : start + idx.size - remove]
+        start = int(rng.integers(0, t - cropped + 1))
+        idx = idx[start : start + cropped]
     if toggles.dropout_rate:
-        remove = int(floor(toggles.dropout_rate * idx.size + 0.5))
-        if remove >= idx.size:
-            raise ParameterError("dropout would remove every frame")
-        keep = np.sort(rng.choice(idx.size, size=idx.size - remove, replace=False))
-        idx = idx[keep]
+        idx = idx[np.sort(rng.choice(cropped, size=kept, replace=False))]
     if toggles.shuffle:
         idx = idx[rng.permutation(idx.size)]
 

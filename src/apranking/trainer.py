@@ -181,10 +181,11 @@ class TrainConfig:
         check_range("an integer >= 1", groups_per_batch=self.groups_per_batch,
                     clips_per_group=self.clips_per_group, downsample=self.downsample)
         RefinerParams(self.refiner_kind, downsample=self.downsample)  # checks the kind and the stride
-        if self.weights.lambda_f > 0 and self.downsample != 1:
-            raise ParameterError(
-                "frame-level loss needs downsample=1 so labels align with frames"
-            )
+        if self.weights.lambda_f > 0:
+            if self.downsample != 1:
+                raise ParameterError("frame-level loss needs downsample=1 so labels align with frames")
+            # the frame loss labels the frames each clip keeps after crop and dropout
+            self.rates.counts(self.synthetic.augment.kept_frames(self.synthetic.frames)[1])
 
 
 @dataclass

@@ -241,7 +241,10 @@ class TestTrain:
     # run without that term or a failure after the output directory is made;
     # so is a --losses list naming no loss, another loss, or a loss twice (which
     # trained twice in comparative mode, frame loss off, and reported one run).
-    # A nested config's value is named by its path
+    # A nested config's value is named by its path. Fields legal alone can be
+    # illegal together: label rates that overlap on the frames the config's own
+    # frame loss labels, after crop and dropout (also when the comparative runs
+    # turn that loss off), and a crop and dropout that leave no frame
     @pytest.mark.parametrize("extra, config, message", [
         (["--lambda-f", "nan"], {}, "lambda_f must be"),
         (["--lambda-v", "nan"], {}, "lambda_v must be"),
@@ -260,9 +263,17 @@ class TestTrain:
          "loss name(s) ['smooth', 'triplet'] given more than once in --losses"),
         (["--losses", "quadlinear,heaviside"], {}, "unknown loss name(s) ['heaviside']"),
         (["--losses", ""], {}, "unknown loss name(s) []"),
+        ([], {"rates.r_t": 0.6, "rates.r_b": 0.6}, "rates (0.6, 0.6) overlap on 5 candidates"),
+        ([], {"synthetic.augment.crop_rate": 0.2, "rates.r_t": 0.55, "rates.r_b": 0.5},
+         "rates (0.55, 0.5) overlap on 4 candidates"),
+        (["--losses", "quadlinear,triplet"], {"rates.r_t": 0.6, "rates.r_b": 0.6},
+         "rates (0.6, 0.6) overlap on 5 candidates"),
+        ([], {"synthetic.frames": 2, "synthetic.augment.crop_rate": 0.5, "synthetic.augment.dropout_rate": 0.5},
+         "synthetic.augment.dropout_rate 0.5 would remove every frame (1 of 1)"),
     ], ids=["lambda_f-nan", "lambda_v-nan", "lambda_v-inf", "beta1-one", "triplet-margin-nan", "heldout-no-clips",
             "synthetic-no-clips", "frame-delta-zero", "crop-rate-one", "negative-seed", "refiner-kind",
-            "refiner-stride", "repeated-loss", "repeated-losses", "unknown-loss", "no-loss"])
+            "refiner-stride", "repeated-loss", "repeated-losses", "unknown-loss", "no-loss", "rates-overlap",
+            "rates-overlap-after-crop", "rates-overlap-comparative", "augment-keeps-no-frame"])
     def test_config_value_out_of_range_exits_2(self, tmp_path, out_dir, extra, config, message):
         path = tiny_config(tmp_path)
         payload = json.load(open(path))
@@ -337,6 +348,15 @@ class TestEval:
         res = run_cli(["eval", "--scores", str(path), "--out", out_dir], tmp_path)
         assert res.returncode == 2, res.stderr
         assert str(path) in res.stderr and named in res.stderr and "Traceback" not in res.stderr
+        assert not os.path.exists(out_dir)
+
+    def test_csv_header_must_be_exact(self, tmp_path, out_dir, capsys):
+        from apranking import cli
+
+        csv = tmp_path / "extra.csv"
+        csv.write_text("query,score,label,note\nq,0.9,1,a\nq,0.1,0,b\n")
+        assert cli.main(["eval", "--csv", str(csv), "--out", out_dir]) == 2
+        assert capsys.readouterr().err == "error: CSV header must be query,score,label\n"
         assert not os.path.exists(out_dir)
 
     def test_csv_perfect_ranking(self, tmp_path, out_dir):
@@ -710,6 +730,20 @@ class TestAblate:
         report = json.load(open(os.path.join(out_dir, "ablate_delta_v.json")))
         assert [r["value"] for r in report["rows"]] == [0.01, 0.05]
 
+    def test_config_iterations_kept(self, tmp_path, out_dir, monkeypatch):
+        # --iterations defaults to the file's budget, and to 300 only with --preset
+        from apranking import cli, trainer
+
+        budgets, real_train = [], trainer.train
+        monkeypatch.setattr(trainer, "train", lambda cfg: budgets.append(cfg.iterations) or real_train(cfg))
+        config = tiny_config(tmp_path, iterations=2)
+        assert cli.main(["ablate", "--axis", "delta_v", "--grid", "0.01,0.05", "--config", config,
+                         "--out", out_dir]) == 0
+        assert budgets == [2, 2]
+        assert json.load(open(os.path.join(out_dir, "ablate_delta_v.json")))["iterations"] == 2
+        assert cli.main(["ablate", "--axis", "k_t", "--grid", "0.3", "--out", out_dir]) == 0
+        assert json.load(open(os.path.join(out_dir, "ablate_k_t.json")))["iterations"] == 300
+
     def test_rates_axis(self, tmp_path, out_dir):
         config = tiny_config(tmp_path)
         res = run_cli(
@@ -762,6 +796,22 @@ class TestAblate:
         assert res.returncode == 2
 
 
+# an OS error on a path the user gave is a usage error, not a traceback
+@pytest.mark.parametrize("argv", [
+    ["bench-loss", "--out", "{file}"],
+    ["eval", "--scores", "{dir}"],
+    ["train", "--config", "{dir}"],
+    ["ablate", "--axis", "k_t", "--grid", "0.3", "--checkpoint", "{dir}"],
+], ids=["out-is-a-file", "scores-is-a-dir", "config-is-a-dir", "checkpoint-is-a-dir"])
+def test_os_error_on_a_given_path_exits_2(tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(file=tmp_path / "file", dir=tmp_path) for a in argv]
+    res = run_cli(argv, tmp_path, APRANKING_OUT_DIR=str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
 class TestOneBlasThread:
     """The benchmark pins BLAS to one thread, while these tests run OpenBLAS
     at its default thread count. The engine's fast path and a deterministic
@@ -791,6 +841,30 @@ class TestOneBlasThread:
         res = run_python([str(script)], tmp_path, **self.ENV)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "threads 1 ok\n"
+
+    # argparse takes an unambiguous prefix of a flag; either spelling pins the
+    # thread pools before the command first imports numpy
+    @pytest.mark.parametrize("flag", ["--deterministic", "--determ"])
+    def test_deterministic_pins_threads_before_numpy_loads(self, tmp_path, out_dir, flag):
+        script = tmp_path / "watch_numpy.py"
+        script.write_text(
+            "import os, sys\n"
+            "seen = []\n"
+            "class Watch:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Watch())\n"
+            "from apranking.cli import main\n"
+            "code = main(['bench-loss', sys.argv[1], '--seeds', '1', '--out', sys.argv[2]])\n"
+            "print(code, seen)\n"
+        )
+        env = {var: os.environ[var] for var in os.environ if not var.endswith("_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        res = subprocess.run([sys.executable, str(script), flag, out_dir], capture_output=True, text=True,
+                             cwd=tmp_path, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 ['1']"
 
     def test_deterministic_eval_pinned(self, tmp_path, out_dir):
         import hashlib

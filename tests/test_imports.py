@@ -1,12 +1,14 @@
 """Every import in the package, its tests and its scripts is used: a name
 imported at module or function scope must be read in that scope. A module's
-``__all__`` counts as a read, and so does the package ``__init__``'s import
-at module scope, which is its public surface. Every name a module exports in
-``__all__`` is bound in it. The package declares no linter, so this is the
-check."""
+``__all__`` counts as a read. Every name a module exports in ``__all__`` is
+bound in it. The package declares no linter, so this is the check. The
+package root and the CLI import no numpy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import apranking
@@ -33,9 +35,8 @@ def imports_in(scope):
     return found
 
 
-def unused_imports(source: str, reexports: bool = False) -> list:
-    """Sorted (line, name) of the imports that their scope never reads;
-    with ``reexports``, module-scope imports are read by definition."""
+def unused_imports(source: str) -> list:
+    """Sorted (line, name) of the imports that their scope never reads."""
     tree = ast.parse(source)
     exported = set()
     for node in tree.body:
@@ -45,8 +46,6 @@ def unused_imports(source: str, reexports: bool = False) -> list:
     for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, FUNCTIONS))]:
         read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
         if scope is tree:
-            if reexports:
-                continue
             read |= exported
         unused += [(line, name) for name, line in imports_in(scope) if name not in read]
     return sorted(unused)
@@ -54,7 +53,7 @@ def unused_imports(source: str, reexports: bool = False) -> list:
 
 def test_no_unused_imports():
     found = {
-        f"{path.parent.name}/{path.name}": unused_imports(path.read_text(), reexports=path == PACKAGE / "__init__.py")
+        f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
         for folder in (PACKAGE, TESTS, SCRIPTS)
         for path in sorted(folder.glob("*.py"))
     }
@@ -91,4 +90,12 @@ def test_the_check_sees_each_scope():
     # import does not read it
     assert unused_imports(source) == [(1, "os"), (6, "json")]
     assert unused_imports("from dataclasses import replace\nx = dict(replace=False)\n") == [(1, "replace")]
-    assert unused_imports("from .model import Model\n", reexports=True) == []
+
+
+def test_package_root_and_cli_load_no_numpy():
+    # the CLI pins numpy's thread pools, so importing it must not load numpy
+    code = "import sys, apranking, apranking.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
