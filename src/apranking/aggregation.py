@@ -14,13 +14,13 @@ refiner and the temporal stage once per block of query rows. The engine
 allocates one workspace per call and every stage writes into it through the
 stages' optional ``out``/``work`` (and the refiner's ``padded``/``tap``)
 arguments, running the floating-point operations it runs without them, in
-the same order. Both top-K stages sum through the one top-K,
-:func:`topk_sum_values`, whose min/max passes replay a selection network
-built once per (extent, k). The training graph runs :func:`refine` and
-:func:`temporal_topk_chamfer` as nodes of their own; its fused spatial node
-divides by R*K, as :func:`spatial_topk_chamfer` does, and outside k = 1
-sums through :func:`topk_sum_values` too, whose k = 1 chain also gives
-each slot's maximum in the graph's one top-K selection.
+the same order. The cosines have one layout, candidate patches contiguous,
+in :func:`patch_similarity`, the engine's slab and the graph's gram; the
+one top-K, :func:`topk_sum_values`, replays a selection network built once
+per (extent, k), and the one :func:`patch_mean` averages query patches. The
+training graph runs :func:`refine`, :func:`temporal_topk_chamfer` and,
+outside k = 1, :func:`spatial_topk_chamfer` in nodes; at k = 1 its spatial
+node averages with :func:`patch_mean` the maxima of its one selection.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "topk_scratch",
     "topk_sum_values",
     "spatial_topk_chamfer",
+    "patch_mean",
     "chamfer_frame_similarity",
     "mean_frame_similarity",
     "temporal_topk_chamfer",
@@ -154,14 +155,13 @@ def normalize_rows(x: np.ndarray, min_norm: float = 1e-12) -> np.ndarray:
 
 def patch_similarity(a: PatchEmbeddings, b: PatchEmbeddings) -> np.ndarray:
     """All patch-pair cosines, shaped (T, R, R', T'): entry (x, i, j, y) is
-    cos(a[x, i], b[y, j])."""
+    cos(a[x, i], b[y, j]), a view of the product: candidate patches contiguous."""
     if a.dim != b.dim:
         raise StructuralError(f"embedding dims differ: {a.dim} vs {b.dim}")
     ua = normalize_rows(a.data).reshape(a.frames * a.patches, a.dim)
     ub = normalize_rows(b.data).reshape(b.frames * b.patches, b.dim)
     sim = ua @ ub.T
-    sim = sim.reshape(a.frames, a.patches, b.frames, b.patches)
-    return np.ascontiguousarray(sim.transpose(0, 1, 3, 2))
+    return sim.reshape(a.frames, a.patches, b.frames, b.patches).transpose(0, 1, 3, 2)
 
 
 def topk_count(rate: float, extent: int) -> int:
@@ -272,8 +272,8 @@ def spatial_topk_chamfer(sim: np.ndarray, k_s: float, out=None, work=None) -> np
     sums, a (..., T, T') accumulator, then the top-K's :func:`topk_scratch`
     arrays shaped like the sums. With ``out`` given, the query patches are
     added in the accumulator in the order numpy's sum takes them from such
-    sums (from 0.0, one after the other, or pairwise along a contiguous
-    axis of 8 or more patches when T' == 1), and divided into ``out``."""
+    sums: by :func:`patch_mean`, or pairwise along their contiguous axis
+    when T' == 1 and R >= 8, the order of the Chamfer and mean references."""
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim < 4:
         raise StructuralError(f"expected a (..., T, R, R', T') tensor, got shape {sim.shape}")
@@ -289,12 +289,22 @@ def spatial_topk_chamfer(sim: np.ndarray, k_s: float, out=None, work=None) -> np
     summed, acc = work[0], work[1]
     topk_sum_values(moved, k, out=summed, work=work[2:])
     if r >= 8 and summed.shape[-1] == 1:
-        np.add.reduce(summed, axis=-2, out=acc)
-    else:  # numpy's sum: from 0.0, one query patch after the other
-        np.add(0.0, summed[..., 0, :], out=acc)
-        for p in range(1, r):
-            np.add(acc, summed[..., p, :], out=acc)
-    return np.divide(acc, r * k, out=out)
+        return np.divide(np.add.reduce(summed, axis=-2, out=acc), r * k, out=out)
+    return patch_mean(summed, k, out=out, acc=acc)
+
+
+def patch_mean(summed: np.ndarray, k: int, out=None, acc=None) -> np.ndarray:
+    """The one mean over query patches of (..., R, T') top-K sums: added
+    from 0.0, one patch after the other, as numpy's sum adds along a strided
+    axis, into ``acc``, then divided by R*K into ``out`` (both C-ordered,
+    ``acc`` allocated when not given and ``out`` defaulting to it)."""
+    r = summed.shape[-2]
+    if acc is None:
+        acc = np.empty(summed.shape[:-2] + summed.shape[-1:])
+    np.add(0.0, summed[..., 0, :], out=acc)
+    for p in range(1, r):
+        np.add(acc, summed[..., p, :], out=acc)
+    return np.divide(acc, r * k, out=acc if out is None else out)
 
 
 def chamfer_frame_similarity(sim: np.ndarray) -> np.ndarray:
@@ -442,21 +452,17 @@ def video_similarity(
     return temporal_topk_chamfer(refined, params.k_t)
 
 
-def _tile_views(q: int, c: int, t: int, r: int, slab, laid, spatial_bufs):
-    """(gram, cosines, sim, work): views of batch_similarity_matrix's
-    workspace for a tile of q query clips against c candidate clips. The
-    gram on the slab; the same cosines as (q, c, T, R, R', T'); what the
-    spatial stage reads, which is the cosines themselves or, with ``laid``
-    (K = R'), their copy laid out pair by pair as patch_similarity lays them
-    out, because the plain sum over R' adds in memory order (top-K and max
-    do not care); and the stage's work arrays."""
+def _tile_views(q: int, c: int, t: int, r: int, slab, spatial_bufs):
+    """(gram, cosines, work): views of batch_similarity_matrix's workspace
+    for a tile of q query clips against c candidate clips: the gram on the
+    slab, the same cosines as (q, c, T, R, R', T'), which the spatial stage
+    reads in place at every K, and the stage's work arrays."""
     gram = slab[: q * c * (t * r) ** 2].reshape(q, c, t * r, t * r)
     cosines = gram.reshape(q, c, t, r, t, r).swapaxes(-1, -2)
-    sim = cosines if laid is None else laid[: cosines.size].reshape(cosines.shape)
     sums, acc = (q, c, t, r, t), (q, c, t, t)
     shapes = [sums, acc] + [sums] * (len(spatial_bufs) - 2)
     work = [buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(spatial_bufs, shapes)]
-    return gram, cosines, sim, work
+    return gram, cosines, work
 
 
 def batch_similarity_matrix(
@@ -482,13 +488,13 @@ def batch_similarity_matrix(
     clip pair as leading axes, writing into the output's rows.
 
     Every stage writes into one workspace allocated here, for this call
-    only: the query copy, the gram slab, the spatial top-K's sums,
+    only: the query copy, the gram slab (read in place at every K, laid out
+    as :func:`patch_similarity` lays it out), the spatial top-K's sums,
     accumulator and scratch, the frame block (zero-bordered for the conv
     refiner, whose taps read from it in place), the refiner's output and
-    tap buffers and the temporal top-K's sums and scratch. A partial tile or
-    block uses the start of each buffer; the views a tile needs are made
-    once per tile shape.
-    """
+    tap buffers and the temporal top-K's sums and scratch. A partial tile
+    or block uses the start of each buffer; a tile shape's views are made
+    once."""
     if len(batch) == 0:
         raise StructuralError("batch must be nonempty")
     shapes = {clip.data.shape for clip in batch}
@@ -501,14 +507,11 @@ def batch_similarity_matrix(
     cand_tile = min(n, pairs)
     query_tile = min(n, max(1, pairs // cand_tile))
     rows = min(n, max(1, SLAB_BYTES // (8 * n * t * t) // query_tile) * query_tile)
-    k_s = topk_count(params.k_s, r)
-    contiguous = k_s == r
 
     # the workspace; a partial tile or block uses the start of each buffer
     query = np.empty((query_tile, t * r, d))
     slab = np.empty(query_tile * cand_tile * (t * r) ** 2)
-    laid = np.empty_like(slab) if contiguous else None
-    spatial_bufs = np.empty((2 + topk_scratch(r, k_s), query_tile * cand_tile * t * r * t))
+    spatial_bufs = np.empty((2 + topk_scratch(r, topk_count(params.k_s, r)), query_tile * cand_tile * t * r * t))
     border = 1 if refiner.kind == "conv" else 0
     frames = np.zeros((rows, n, t + 2 * border, t + 2 * border))
     interior = frames[..., border : border + t, border : border + t]
@@ -534,12 +537,10 @@ def batch_similarity_matrix(
             for c0, cands in zip(range(0, n, cand_tile), cand_tiles):
                 q, c = len(qv), cands.shape[1]
                 if (q, c) not in tiles:
-                    tiles[q, c] = _tile_views(q, c, t, r, slab, laid, spatial_bufs)
-                gram, cosines, sim, work = tiles[q, c]
+                    tiles[q, c] = _tile_views(q, c, t, r, slab, spatial_bufs)
+                gram, cosines, work = tiles[q, c]
                 np.matmul(qv[:, None], cands, out=gram)
-                if sim is not cosines:
-                    np.copyto(sim, cosines)
-                spatial_topk_chamfer(sim, params.k_s, out=interior[q0 : q0 + q, c0 : c0 + c], work=work)
+                spatial_topk_chamfer(cosines, params.k_s, out=interior[q0 : q0 + q, c0 : c0 + c], work=work)
         block = refine(interior[:m], refiner, **{key: buf[:m] for key, buf in refine_bufs.items()})
         temporal_work = [buf[: m * n * tr].reshape(m, n, tr) for buf in temporal_bufs]
         temporal_topk_chamfer(block, params.k_t, out=out[b0 : b0 + m], work=temporal_work)

@@ -7,13 +7,13 @@ cosine gram, top-K over candidate patches, mean over query patches; the
 refiner; the temporal TopK-Chamfer), and an escape hatch for scalar nodes
 with hand-derived gradients. The nodes run :mod:`aggregation` forward:
 ``normalize_rows``, ``refine``, ``temporal_topk_chamfer``, and
-``spatial_topk_chamfer`` except at K = 1, where the spatial node adds the
-maxima its selection takes along rows of the symmetric gram. Both top-K
-nodes select once per forward with :func:`_topk_order` (K slots, K + 1
-with a guard), and backward scatters the gradient at the selected
-entries; at K = extent it broadcasts. Anything else fails loudly at
-graph-build time; there is no silent fallback that could produce wrong
-gradients.
+``spatial_topk_chamfer`` except at K = 1, where the spatial node averages
+with the stage's ``patch_mean`` the maxima it selects along rows of the
+symmetric gram. Both top-K nodes select once per forward with
+:func:`_topk_order` (K slots, K + 1 with a guard), and backward scatters
+the gradient at the selected entries; at K = extent it broadcasts.
+Anything else fails loudly at graph-build time; there is no silent
+fallback that could produce wrong gradients.
 
 Backward closures are built eagerly when a node is created, and
 ``Var.backward()`` walks the graph in reverse topological order, so gradient
@@ -216,14 +216,15 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     ``S @ u``.
 
     For K < R, :func:`_gram_topk_order` selects along rows of the cosine
-    buffer. At K = 1 (R > 1) the forward adds the selection's maxima in p
-    order and divides by R*K; else it runs the engine's stage,
+    buffer. At K = 1 (R > 1) the forward averages the selection's maxima
+    with :func:`aggregation.patch_mean`, which writes the frames clip pair
+    first; else it runs the engine's stage,
     :func:`aggregation.spatial_topk_chamfer`, on the cosines as (a, b, T, R,
-    R', T'). Backward scatters the upstream gradient at each selected
-    position and at the transposed one, into the dead cosine buffer; at K =
-    R it broadcasts. One copy lays the frames out clip pair first; backward
-    reads the upstream gradient through a ``moveaxis`` view. A guard records
-    each row's top-K margin, as the temporal stage does."""
+    R', T'), candidate patches contiguous as in the engine's slab. Backward
+    scatters the upstream gradient at each selected position and at the
+    transposed one, into the dead cosine buffer; at K = R it broadcasts;
+    it reads the upstream gradient through a ``moveaxis`` view. A guard
+    records each row's top-K margin, as the temporal stage does."""
     uv = u.value
     size = n * t * r
     if uv.ndim != 2 or uv.shape[0] != size:
@@ -236,13 +237,8 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
         if guard is not None:
             guard.record(_topk_margins(rows, order, k))
         selected = order[..., :k]
-    if k == 1 and r > 1:
-        by_patch = top.reshape(n * t, n * t, r)  # (candidate frame, query frame, p)
-        frames = by_patch[..., 0] + by_patch[..., 1]
-        for p in range(2, r):
-            frames += by_patch[..., p]
-        frames /= r * k
-        value = np.ascontiguousarray(frames.reshape(n, t, n, t).transpose(2, 0, 3, 1))
+    if k == 1 and r > 1:  # the maxima as (a, b, T, R, T')
+        value = aggregation.patch_mean(top.reshape(n, t, n, t, r).transpose(2, 0, 3, 4, 1), k)
     else:  # K > 1, or K = R = 1
         sim = cosines.reshape(n, t, r, n, t, r).transpose(0, 3, 1, 2, 5, 4)
         value = np.ascontiguousarray(aggregation.spatial_topk_chamfer(sim, k_s))

@@ -13,6 +13,7 @@ it when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -31,10 +32,8 @@ from .errors import (
 )
 
 BENCH_LOSSES = ("quadlinear", "smooth", "heaviside", "triplet", "contrastive")
-
-
-def _default_out_dir() -> str:
-    return os.environ.get("APRANKING_OUT_DIR", "apranking-out")
+# most gap points a bench-loss sweep may have; the default sweep has 25
+BENCH_MAX_POINTS = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,22 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ensure_out(args) -> str:
-    out = args.out or _default_out_dir()
+    out = args.out or os.environ.get("APRANKING_OUT_DIR", "apranking-out")
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _stamp(args, extra=None) -> dict:
-    stamp = {
-        "version": __version__,
-        "git": _git_rev(),
-        "seed": _seed(args),
-        "deterministic": bool(args.deterministic),
-        "command": args.command,
-    }
-    if extra:
-        stamp.update(extra)
-    return stamp
+def _stamp(args, extra: dict) -> dict:
+    return {"version": __version__, "git": _git_rev(), "seed": _seed(args),
+            "deterministic": bool(args.deterministic), "command": args.command, **extra}
 
 
 @functools.cache
@@ -207,12 +198,22 @@ def _loss_names(text: str, choices) -> list:
     return names
 
 
+@contextlib.contextmanager
+def _text_file(path: str, error):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises ``error``, naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from exc
+
+
 def _load_train_config(args):
     from .trainer import config_from_dict, easy_preset, hard_preset
 
     if args.config:
         try:
-            with open(args.config) as fh:
+            with _text_file(args.config, ParameterError) as fh:
                 payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}")
@@ -255,6 +256,10 @@ def cmd_bench_loss(args) -> int:
     if not (np.isfinite(gaps).all() and args.gap_step > 0 and args.gap_max >= args.gap_min and args.seeds >= 1):
         raise ParameterError(f"bench-loss needs finite --gap-min <= --gap-max, --gap-step > 0 and --seeds >= 1; "
                              f"got {gaps} and {args.seeds} seeds")
+    points = (args.gap_max + 1e-12 - args.gap_min) / args.gap_step  # the sweep has ceil(points)
+    if points > BENCH_MAX_POINTS:
+        raise ParameterError(f"bench-loss sweeps at most {BENCH_MAX_POINTS} gap points; "
+                             f"--gap-min, --gap-max and --gap-step give {points:.3g}")
     ql, sm = L.QuadLinearParams(args.delta, args.rho), L.SmoothApParams(args.tau)
     check_range("nonnegative", margin=args.margin)
     out = _ensure_out(args)
@@ -390,7 +395,7 @@ def _read_eval_inputs(args):
             raise StructuralError("tensor file must contain 'scores' and 'labels'")
         return tensors["scores"], tensors["labels"]
     by_query: dict[str, tuple[int, list]] = {}  # name -> (first line, rows)
-    with open(args.csv) as fh:
+    with _text_file(args.csv, StructuralError) as fh:
         header = fh.readline().strip().split(",")
         if header != ["query", "score", "label"]:
             raise StructuralError("CSV header must be query,score,label")
@@ -492,7 +497,7 @@ def cmd_ablate(args) -> int:
 
         rows = []
         for value, run_cfg in grid:
-            run = train(run_cfg)
+            run = train(run_cfg, out_dir=out)
             rows.append({"value": value, "map": run.final_report.map, "micro_ap": run.final_report.micro_ap})
 
     table = os.path.join(out, f"ablate_{args.axis}.csv")
@@ -601,7 +606,8 @@ def main(argv=None) -> int:
     try:
         check_range("nonnegative", seed=_seed(args))
         return commands[args.command](args)
-    except (ParameterError, StructuralError, DegenerateInputError, UndefinedMetricError) as exc:
+    # an OSError is on a path the user gave: missing, a directory, unwritable
+    except (ParameterError, StructuralError, DegenerateInputError, UndefinedMetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
@@ -609,9 +615,6 @@ def main(argv=None) -> int:
         if exc.snapshot_path:
             print(f"snapshot: {exc.snapshot_path}", file=sys.stderr)
         return 3
-    except OSError as exc:  # a path the user gave: missing, a directory, unwritable
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

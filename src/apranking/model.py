@@ -114,8 +114,8 @@ def forward_similarity(
     patches to (n, n, T, T) frame similarities, so no (n, T, R, n, T, R)
     tensor or adjoint enters the graph. Outside K = 1 that node runs the
     evaluation spatial stage
-    :func:`~apranking.aggregation.spatial_topk_chamfer` forward; at K = 1 it
-    adds the maxima its selection takes along rows of the symmetric gram.
+    :func:`~apranking.aggregation.spatial_topk_chamfer` forward; at K = 1 the
+    stage's own ``patch_mean`` averages the maxima it selects along gram rows.
     It selects once per forward, as the temporal node does, and scatters
     its gradient at the selected patches for every K < R. One node,
     :func:`autodiff.refine`, runs the evaluation refiner

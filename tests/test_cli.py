@@ -94,9 +94,13 @@ class TestBenchLoss:
         (["--losses", ","], "unknown loss name(s) []"),
         (["--losses", "smooth,smooth"], "loss name(s) ['smooth'] given more than once in --losses"),
         (["--losses", "heaviside,smooth,heaviside"], "loss name(s) ['heaviside'] given more than once in --losses"),
+        (["--gap-min=-1e308", "--gap-max=1e308", "--gap-step=1e-300"],
+         "bench-loss sweeps at most 1000000 gap points; --gap-min, --gap-max and --gap-step give inf"),
+        (["--gap-step", "1e-7"],
+         "bench-loss sweeps at most 1000000 gap points; --gap-min, --gap-max and --gap-step give 1.2e+07"),
     ], ids=["zero-step", "negative-step", "max-below-min", "nan-step", "inf-max", "no-seeds", "negative-seeds",
             "nan-delta", "nan-margin", "inf-margin", "negative-seed", "no-loss", "repeated-loss",
-            "repeated-heaviside"])
+            "repeated-heaviside", "overflowing-sweep", "too-many-points"])
     def test_sweep_that_runs_nothing_exits_2(self, out_dir, capsys, extra, message):
         from apranking import cli
 
@@ -735,7 +739,8 @@ class TestAblate:
         from apranking import cli, trainer
 
         budgets, real_train = [], trainer.train
-        monkeypatch.setattr(trainer, "train", lambda cfg: budgets.append(cfg.iterations) or real_train(cfg))
+        monkeypatch.setattr(trainer, "train",
+                            lambda cfg, **kw: budgets.append(cfg.iterations) or real_train(cfg, **kw))
         config = tiny_config(tmp_path, iterations=2)
         assert cli.main(["ablate", "--axis", "delta_v", "--grid", "0.01,0.05", "--config", config,
                          "--out", out_dir]) == 0
@@ -743,6 +748,15 @@ class TestAblate:
         assert json.load(open(os.path.join(out_dir, "ablate_delta_v.json")))["iterations"] == 2
         assert cli.main(["ablate", "--axis", "k_t", "--grid", "0.3", "--out", out_dir]) == 0
         assert json.load(open(os.path.join(out_dir, "ablate_k_t.json")))["iterations"] == 300
+
+    def test_nan_snapshot_written_under_out(self, tmp_path, out_dir, capsys):
+        # each training run writes its NaN snapshot into --out, as train does
+        from apranking import cli
+
+        argv = ["ablate", "--axis", "lambda_f", "--grid", "1e308", "--config", tiny_config(tmp_path), "--out", out_dir]
+        assert cli.main(argv) == 3
+        snapshot = capsys.readouterr().err.split("snapshot: ")[1].rstrip("\n")
+        assert os.path.dirname(snapshot) == out_dir and os.path.isfile(snapshot)
 
     def test_rates_axis(self, tmp_path, out_dir):
         config = tiny_config(tmp_path)
@@ -810,6 +824,23 @@ def test_os_error_on_a_given_path_exits_2(tmp_path, argv):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+# a config or CSV file that is not UTF-8 is a usage error naming the file,
+# before anything is written
+@pytest.mark.parametrize("argv, content", [
+    (["train", "--config", "{file}"], b"\xff{}"),
+    (["ablate", "--axis", "delta_v", "--grid", "0.05", "--config", "{file}"], b'{"seed": "\xff"}'),
+    (["eval", "--csv", "{file}"], b"query,score,label\nq1,0.5,1\nq\xff,0.2,0\n"),
+], ids=["train-config", "ablate-config", "eval-csv"])
+def test_non_utf8_input_exits_2(tmp_path, out_dir, capsys, argv, content):
+    from apranking import cli
+
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert cli.main([a.format(file=path) for a in argv] + ["--out", out_dir]) == 2
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text (byte 0xff)\n"
+    assert not os.path.exists(out_dir)
 
 
 class TestOneBlasThread:
