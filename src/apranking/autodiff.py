@@ -11,7 +11,12 @@ with hand-derived gradients. The nodes run :mod:`aggregation` forward:
 with the stage's ``patch_mean`` the maxima it selects along rows of the
 symmetric gram. Both top-K nodes select once per forward with
 :func:`_topk_order` (K slots, K + 1 with a guard), and backward scatters
-the gradient at the selected entries; at K = extent it broadcasts.
+the gradient at the selected entries; at K = extent it broadcasts. The
+spatial node writes its gram into a row-padded buffer, whose stride is
+never a multiple of 4 KiB: at 512 rows (the hard preset) numpy's mirror of
+the syrk triangle otherwise lands every write of a column in one L1 cache
+set, and the product takes three times as long. The adjoint reuses that
+buffer.
 Anything else fails loudly at graph-build time; there is no silent
 fallback that could produce wrong gradients.
 
@@ -194,6 +199,25 @@ def _gram_topk_order(cosines: np.ndarray, frames: int, r: int, slots: int):
     return (rows,) + _topk_order(rows, slots, top)
 
 
+def _padded_stride(size: int) -> int:
+    """The row stride, in doubles, of the spatial node's (size, size) cosine
+    buffer: size rounded up to whole 64-byte lines, plus one line if that
+    count is even. Row starts are then an odd number of lines apart, never
+    a multiple of 4 KiB, so numpy's mirror of syrk's triangle, which writes
+    down a column, does not land every write in one L1 cache set."""
+    lines = -(-size // 8)
+    return 8 * (lines + 1 - lines % 2)
+
+
+def _padded_gram(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(buf, cosines): ``uv @ uv.T`` written by numpy's syrk and mirror into
+    the (size, size) view ``cosines`` of the (size, ld) buffer ``buf``, with
+    bits equal to the contiguous product."""
+    size = uv.shape[0]
+    buf = np.empty((size, _padded_stride(size)))
+    return buf, np.matmul(uv, uv.T, out=buf[:, :size])
+
+
 def _topk_margins(values: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
     """k-th largest minus (k+1)-th largest entry per row, read at their
     positions in ``order``, so a zero margin keeps the sign the selected
@@ -211,9 +235,12 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
 
     with K = :func:`aggregation.topk_count` of the rate ``k_s`` over the R
     candidate patches. The cosines are one ``u @ u.T`` (syrk; a gemm of a
-    transposed copy rounds differently). Backward builds the symmetric
-    adjoint S = G + G.T of that product directly and leaves through one
-    ``S @ u``.
+    transposed copy rounds differently), written by :func:`_padded_gram`
+    into the (size, size) view of a buffer whose rows are padded so that
+    numpy's mirror of the triangle does not 4 KiB-alias; same bits, a third
+    of the cost at 512 rows. Every reader takes that view. Backward builds
+    the symmetric adjoint S = G + G.T of the product in the same buffer and
+    leaves through one ``S @ u``.
 
     For K < R, :func:`_gram_topk_order` selects along rows of the cosine
     buffer. At K = 1 (R > 1) the forward averages the selection's maxima
@@ -222,7 +249,8 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     :func:`aggregation.spatial_topk_chamfer`, on the cosines as (a, b, T, R,
     R', T'), candidate patches contiguous as in the engine's slab. Backward
     scatters the upstream gradient at each selected position and at the
-    transposed one, into the dead cosine buffer; at K = R it broadcasts;
+    transposed one, into the dead cosine buffer; at K = R it broadcasts the
+    frame pairs' sums gs[f, f'] + gs[f', f] there, the entries of G + G.T;
     it reads the upstream gradient through a ``moveaxis`` view. A guard
     records each row's top-K margin, as the temporal stage does."""
     uv = u.value
@@ -230,7 +258,7 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     if uv.ndim != 2 or uv.shape[0] != size:
         raise StructuralError(f"spatial_topk_chamfer expects ({size}, D) rows, got shape {uv.shape}")
     k = aggregation.topk_count(k_s, r)
-    cosines = uv @ uv.T
+    buf, cosines = _padded_gram(uv)
     selected = None
     if k < r:
         rows, order, top = _gram_topk_order(cosines, n * t, r, k + (guard is not None))
@@ -247,12 +275,12 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
     def backward(g):
         gs = np.moveaxis(g, 2, 1) / (r * k)  # (n, T, n, T)
         gs += 0.0  # -0.0 -> +0.0, as a sum into a zero gradient gives
-        if selected is None:
-            grad = np.broadcast_to(gs[:, :, None, :, :, None], (n, t, r, n, t, r)).reshape(size, size)
-            adjoint = grad + grad.T
+        if selected is None:  # S[x, y] = gs[frame x, frame y] + gs[frame y, frame x]
+            frames = gs.reshape(n * t, n * t)
+            np.copyto(cosines.reshape(n, t, r, n, t, r), (frames + frames.T).reshape(n, t, 1, n, t, 1))
         else:
-            adjoint = _scatter_plan(n, t, r, k).adjoint(cosines, selected, gs)
-        u.grad += adjoint @ uv
+            _scatter_plan(n, t, r, k).adjoint(buf, selected, gs)
+        u.grad += cosines @ uv
 
     out._backward = backward
     return out
@@ -260,42 +288,47 @@ def spatial_topk_chamfer(u: Var, n: int, t: int, r: int, k_s: float, guard: Brea
 
 class _ScatterPlan:
     """Flat positions and scratch of the adjoint scatter for one (n, T, R,
-    K). Kept across calls, because allocating these ~512 KB arrays (at K =
-    1) on every backward costs about a thousand minor page faults per
-    training step. The scratch is written only inside one backward call, so
-    two threads must not run backward on graphs of the same shape at once."""
+    K), in the spatial node's padded (size, ld) cosine buffer: entry (x, y)
+    is at x * ld + y, ld = :func:`_padded_stride` of size. Kept across
+    calls, because allocating these ~512 KB arrays (at K = 1) on every
+    backward costs about a thousand minor page faults per training step.
+    The scratch is written only inside one backward call, so two threads
+    must not run backward on graphs of the same shape at once."""
 
     def __init__(self, n: int, t: int, r: int, k: int):
         size = n * t * r
+        self.ld = _padded_stride(size)
         patch = np.arange(size)
         frame = np.arange(0, size, r).reshape(n, t)  # first patch of each frame
-        # (query patch x, candidate frame f, slot) -> x * size + first patch
+        # (query patch x, candidate frame f, slot) -> x * ld + first patch
         # of f, so that each row of the adjoint is written in one sweep
-        self.rows = patch.reshape(n, t, r, 1, 1, 1) * size + frame[:, :, None]
+        self.rows = patch.reshape(n, t, r, 1, 1, 1) * self.ld + frame[:, :, None]
         # the transposed positions, laid out as the selection (f, x, slot),
         # so that each frame's R rows of the adjoint are written in one sweep
-        self.cols = frame.reshape(n, t, 1, 1, 1, 1) * size + patch.reshape(n, t, r, 1)
-        # one buffer for the positions, then for the transposed positions
+        self.cols = frame.reshape(n, t, 1, 1, 1, 1) * self.ld + patch.reshape(n, t, r, 1)
+        # one buffer for the positions, then for the transposed positions;
+        # one scratch for the row half's values, then for the transposed entries
         positions = np.empty(size * n * t * k, np.intp)
         self.index = positions.reshape(self.rows.shape[:-1] + (k,))
         self.index_t = positions.reshape(self.cols.shape[:-1] + (k,))
         self.taken = np.empty(self.index_t.shape)
+        self.values = self.taken.reshape(self.index.shape)
 
-    def adjoint(self, buf: np.ndarray, selected: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        """S = G + G.T in ``buf``, where row x of G holds gs at the
-        ``selected[f, x]`` candidate patches of each candidate frame f and
-        +0.0 elsewhere."""
+    def adjoint(self, buf: np.ndarray, selected: np.ndarray, gs: np.ndarray):
+        """S = G + G.T in the padded ``buf``, where row x of G holds gs at
+        the ``selected[f, x]`` candidate patches of each candidate frame f
+        and +0.0 elsewhere."""
         buf.fill(0.0)
         flat = buf.reshape(-1)
         selected = selected.reshape(self.index_t.shape)
         np.add(self.rows, selected.transpose(2, 3, 4, 0, 1, 5), out=self.index)
-        flat[self.index] = gs[:, :, None, :, :, None]
-        np.multiply(selected, np.intp(buf.shape[0]), out=self.index_t)
+        np.copyto(self.values, gs[:, :, None, :, :, None])
+        flat[self.index] = self.values
+        np.multiply(selected, np.intp(self.ld), out=self.index_t)
         self.index_t += self.cols
         np.take(flat, self.index_t, out=self.taken, mode="clip")
         self.taken += gs.transpose(2, 3, 0, 1)[..., None, None]
         flat[self.index_t] = self.taken
-        return buf
 
 
 @functools.lru_cache(maxsize=8)

@@ -31,6 +31,9 @@ from .errors import (
     check_range,
 )
 
+# the thread pools --deterministic pins to one thread, before numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 BENCH_LOSSES = ("quadlinear", "smooth", "heaviside", "triplet", "contrastive")
 # most gap points a bench-loss sweep may have; the default sweep has 25
 BENCH_MAX_POINTS = 10**6
@@ -593,8 +596,7 @@ def _ablate_k_axis(args, cfg, grid, model):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.deterministic:  # before any command imports numpy
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             os.environ.setdefault(var, "1")
 
     commands = {

@@ -288,6 +288,57 @@ class TestSpatialTopkChamfer:
             cosines = u @ u.T
             assert same_bits(cosines, cosines.T)
 
+    def test_padded_stride_rule(self):
+        # rows of the gram buffer start an odd number of 64-byte lines
+        # apart, so no stride is a multiple of 4 KiB; the padding is small
+        for size in range(1, 4097):
+            ld = ad._padded_stride(size)
+            assert ld >= size and ld - size < 16 and ld % 16 == 8, (size, ld)
+        assert (ad._padded_stride(512), ad._padded_stride(600), ad._padded_stride(1024)) == (520, 600, 1032)
+
+    # sizes 1-130, and 200-2048 around the training shapes (R = 4, 8 and 16
+    # at batch 16 give 512, 1024 and 2048 rows); at D = 32 and 64 a gemm of
+    # a transposed copy rounds differently, so equal bits show the syrk
+    GRAM_SIZES = list(range(1, 131)) + [200, 256, 511, 512, 600, 1000, 1024, 1536, 2048]
+
+    def test_padded_gram_is_the_syrk(self):
+        rng = np.random.default_rng(43)
+        for size in self.GRAM_SIZES:
+            for d in (2, 3, 8, 16, 17, 32, 64):
+                uv = rng.standard_normal((size, d))
+                buf, cosines = ad._padded_gram(uv)
+                assert buf.shape == (size, ad._padded_stride(size)) and np.shares_memory(buf, cosines)
+                assert same_bits(cosines, uv @ uv.T), (size, d)
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_node_at_1024_rows(self, k):
+        # the R = 8 training shape (16 clips of 8 frames): value against the
+        # engine stage of a contiguous gram, gradient against the dense
+        # adjoint (G + G.T) @ u, G holding the upstream gradient / (R K) at
+        # each row's stable-argsort selection in every candidate frame
+        n, t, r = 16, 8, 8
+        size, frames = n * t * r, n * t
+        rng = np.random.default_rng(44 + k)
+        for tied in (False, True):
+            if tied:
+                rows = tied_unit_rows(rng, size, 4)
+            else:
+                rows = rng.standard_normal((size, 16))
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            gram = rows @ rows.T
+            u = ad.Var(rows)
+            node = ad.spatial_topk_chamfer(u, n, t, r, k / r)
+            sim = gram.reshape(n, t, r, n, t, r).transpose(0, 3, 1, 2, 5, 4)
+            assert same_bits(node.value, aggregation.spatial_topk_chamfer(sim, k / r)), tied
+            g = signed_upstream(rng, node.shape)
+            backward_from(node, g)
+            gs = np.moveaxis(g, 2, 1).reshape(frames, frames) / (r * k) + 0.0
+            order = np.argsort(-gram.reshape(size, frames, r), axis=-1, kind="stable")[..., :k]
+            dense = np.zeros((size, frames, r))
+            np.put_along_axis(dense, order, np.repeat(gs, r, axis=0)[..., None], axis=-1)
+            dense = dense.reshape(size, size)
+            assert same_bits(u.grad, np.zeros_like(rows) + (dense + dense.T) @ rows), tied
+
     @pytest.mark.parametrize("r", range(2, 11))
     def test_k1_selection_keeps_the_sign_of_zero(self, r):
         # hand-built symmetric buffers of -0.0, +0.0, -1 and 0.5, selected

@@ -843,35 +843,63 @@ def test_non_utf8_input_exits_2(tmp_path, out_dir, capsys, argv, content):
     assert not os.path.exists(out_dir)
 
 
+def openblas_threads():
+    """The thread count of the OpenBLAS that numpy loaded, read through
+    ctypes from numpy's bundled library; None where none is found."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    for path in glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+
+ENGINE_VS_ORACLE = (
+    # the eval-sweep shape and refiner, on a batch with a partial last tile
+    # and a partial last block, against the per-pair oracle
+    "import os\n"
+    "import numpy as np\n"
+    "from apranking.aggregation import (AggregationParams, PatchEmbeddings, RefinerParams,\n"
+    "                                   batch_similarity_matrix, video_similarity)\n"
+    "rng = np.random.default_rng(50)\n"
+    "clips = [PatchEmbeddings(rng.standard_normal((8, 4, 16))) for _ in range(36)]\n"
+    "refiner = RefinerParams(kind='conv', conv_weights=np.linspace(-1, 1, 9).reshape(3, 3))\n"
+    "for k_t in (0.03, 0.3, 1.0):\n"
+    "    params = AggregationParams(0.5, k_t)\n"
+    "    got = batch_similarity_matrix(clips, params, refiner)\n"
+    "    want = np.array([[video_similarity(a, b, params, refiner) for b in clips] for a in clips])\n"
+    "    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), k_t\n"
+    "print('threads', os.environ.get('OPENBLAS_NUM_THREADS'), 'ok')\n"
+)
+
+
 class TestOneBlasThread:
-    """The benchmark pins BLAS to one thread, while these tests run OpenBLAS
-    at its default thread count. The engine's fast path and a deterministic
-    eval are checked here under the benchmark's setting as well."""
+    """The benchmark and the root conftest pin BLAS to one thread. The
+    engine's fast path and a deterministic eval are checked here with the
+    pin given explicitly, and the test process is checked to run it."""
 
     ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
     def test_engine_matches_oracle(self, tmp_path):
-        # the eval-sweep shape and refiner, on a batch with a partial last
-        # tile and a partial last block, against the per-pair oracle
         script = tmp_path / "engine_vs_oracle.py"
-        script.write_text(
-            "import os\n"
-            "import numpy as np\n"
-            "from apranking.aggregation import (AggregationParams, PatchEmbeddings, RefinerParams,\n"
-            "                                   batch_similarity_matrix, video_similarity)\n"
-            "rng = np.random.default_rng(50)\n"
-            "clips = [PatchEmbeddings(rng.standard_normal((8, 4, 16))) for _ in range(36)]\n"
-            "refiner = RefinerParams(kind='conv', conv_weights=np.linspace(-1, 1, 9).reshape(3, 3))\n"
-            "for k_t in (0.03, 0.3, 1.0):\n"
-            "    params = AggregationParams(0.5, k_t)\n"
-            "    got = batch_similarity_matrix(clips, params, refiner)\n"
-            "    want = np.array([[video_similarity(a, b, params, refiner) for b in clips] for a in clips])\n"
-            "    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), k_t\n"
-            "print('threads', os.environ['OPENBLAS_NUM_THREADS'], 'ok')\n"
-        )
+        script.write_text(ENGINE_VS_ORACLE)
         res = run_python([str(script)], tmp_path, **self.ENV)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "threads 1 ok\n"
+
+    def test_test_process_runs_the_pinned_thread_count(self):
+        # the root conftest sets OPENBLAS_NUM_THREADS to 1 unless the caller
+        # set it, before numpy loads; OpenBLAS must run what it says
+        threads = openblas_threads()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
 
     # argparse takes an unambiguous prefix of a flag; either spelling pins the
     # thread pools before the command first imports numpy
@@ -909,3 +937,20 @@ class TestOneBlasThread:
         digest = hashlib.sha256(open(os.path.join(out_dir, "eval_per_query.csv"), "rb").read()).hexdigest()
         got = (digest, report["map"], report["micro_ap"], report["num_queries"], report["num_skipped"])
         assert got == TestEval.PINNED["scores"] and report["verify"]["pass"] is True
+
+
+class TestDefaultBlasThreads:
+    """TestOneBlasThread's engine-vs-oracle pin in a process whose thread
+    variables are stripped, so OpenBLAS runs at the host's default thread
+    count, as the test process did before the root conftest pinned it."""
+
+    def test_engine_matches_oracle(self, tmp_path):
+        from apranking.cli import BLAS_THREAD_VARS
+
+        script = tmp_path / "engine_vs_oracle.py"
+        script.write_text(ENGINE_VS_ORACLE)
+        env = {var: os.environ[var] for var in os.environ if var not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "threads None ok\n"
